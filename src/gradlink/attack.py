@@ -11,7 +11,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .fedsim import TraceStore
 from .model import LayerSelector
 from .numerics import symmetric_eigen
@@ -32,7 +32,7 @@ class FeatureMatrix:
 
 def build_features(trace: TraceStore, selector: LayerSelector) -> FeatureMatrix:
     """Concatenate the selected FC/Proj layers of each record (row-major per
-    layer, selector order) and normalize to unit length. A zero-gradient
+    layer, selector order) and scale to unit length. A zero-gradient
     record is replaced by the unit basis vector e1, with a warning."""
     if not trace.records:
         raise UsageError("empty trace")
@@ -106,7 +106,10 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int):
                 new_labels[far] = c
                 centers[c] = x[far]
         inertia = float(np.sum((x - centers[new_labels]) ** 2))
-        assert inertia <= prev_inertia + 1e-9, "k-means inertia increased"
+        if inertia > prev_inertia + 1e-9:
+            raise NumericalError(
+                f"k-means inertia increased from {prev_inertia} to {inertia}"
+            )
         if labels is not None and np.array_equal(new_labels, labels):
             labels = new_labels
             break

@@ -10,7 +10,6 @@ import csv
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import attack as attack_mod
@@ -117,17 +116,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_report(args) -> int:
-    start = time.perf_counter()
     trace = read_trace(args.trace)
     assignment = read_assignment(args.assignment)
     sidecar = read_sidecar(args.sidecar)
-    report = build_report(
-        trace,
-        assignment,
-        sidecar,
-        baseline_seed=trace.seed,
-        wall_clock_seconds=time.perf_counter() - start,
-    )
+    report = build_report(trace, assignment, sidecar, baseline_seed=trace.seed)
     if args.out:
         write_report(args.out, report)
     sys.stdout.write(render_report(report))

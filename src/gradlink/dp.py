@@ -7,6 +7,7 @@ adds Gaussian noise with per-coordinate std sigma * clip / L (noise drawn
 inside the average, the standard DP-SGD scaling).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -14,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .model import Gradients, _map_arrays, grads_norm, grads_scale
 
 MAX_RDP_ORDER = 128
 
@@ -34,34 +34,33 @@ class DpConfig:
             raise UsageError("delta must be in (0, 1)")
 
 
-def clip_gradient(g: Gradients, clip: float) -> Gradients:
-    """Rescale g to norm <= clip: g / max(1, ||g|| / clip). Gradients already
-    within the bound pass through unchanged."""
+def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:
+    """Rescale the flat gradient g to norm <= clip: g / max(1, ||g|| / clip).
+    A gradient already within the bound is returned as the same object."""
     if clip <= 0:
         raise UsageError("clip bound must be > 0")
-    factor = max(1.0, grads_norm(g) / clip)
+    factor = max(1.0, float(np.sqrt(g @ g)) / clip)
     if factor == 1.0:
         return g
-    return grads_scale(g, 1.0 / factor)
+    return g * (1.0 / factor)
 
 
 def privatize(
-    per_sample_grads: Sequence[Gradients], cfg: DpConfig, rng: np.random.Generator
-) -> Gradients:
-    """Clipped average of per-sample gradients plus fresh Gaussian noise with
-    per-coordinate std sigma * clip / L."""
+    per_sample_grads: Sequence[np.ndarray], cfg: DpConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Clipped average of flat per-sample gradients plus fresh Gaussian noise
+    with per-coordinate std sigma * clip / L, drawn in one call over the
+    whole vector."""
     if len(per_sample_grads) == 0:
         raise UsageError("privatize needs at least one per-sample gradient")
     l = len(per_sample_grads)
     clipped = [clip_gradient(g, cfg.clip) for g in per_sample_grads]
-    total = clipped[0]
-    for g in clipped[1:]:
-        total = _map_arrays(lambda x, y: x + y, total, g)
-    mean = grads_scale(total, 1.0 / l)
+    # Summed left to right from the first sample: np.sum would start from
+    # +0.0 and turn a coordinate that is -0.0 in every sample into +0.0.
+    mean = functools.reduce(np.add, clipped) * (1.0 / l)
     if cfg.sigma == 0.0:
         return mean
-    std = cfg.sigma * cfg.clip / l
-    return _map_arrays(lambda x: x + rng.normal(0.0, std, size=x.shape), mean)
+    return mean + rng.normal(0.0, cfg.sigma * cfg.clip / l, size=mean.shape)
 
 
 def _log_binom(n: int, k: int) -> float:

@@ -9,10 +9,6 @@ class UsageError(GradlinkError):
     """A caller violated an operation's precondition (bad shapes, bad arguments)."""
 
 
-class DegenerateInputError(GradlinkError):
-    """Input is structurally valid but numerically degenerate (e.g. a zero vector)."""
-
-
 class NumericalError(GradlinkError):
     """An iterative numerical routine failed to converge."""
 

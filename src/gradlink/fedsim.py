@@ -15,16 +15,14 @@ from .corpus import ClientShard, windows_from_sentences
 from .dp import DpConfig, privatize
 from .errors import ConfigError, DivergedError, UsageError
 from .model import (
-    FfnBlock,
-    Gradients,
     GlobalModel,
     ModelConfig,
     eval_loss,
-    grads_sub,
     init_model,
-    iter_arrays,
     loss_and_grads,
+    param_layout,
     sgd_step,
+    views,
 )
 from .corpus import batch_iter
 from .rng import labeled_rng
@@ -57,11 +55,12 @@ class FedConfig:
 @dataclass
 class UpdatePacket:
     """One client's accumulated update for a round, identity-stripped once
-    shuffled; `slot` is its position in the round after shuffling."""
+    shuffled; `slot` is its position in the round after shuffling. The
+    payload is a flat vector in the model's parameter layout."""
 
     round: int
     slot: int
-    payload: Gradients
+    payload: np.ndarray
 
 
 @dataclass
@@ -95,21 +94,13 @@ class TruthSidecar:
     rounds: List[List[int]]
 
 
-def linear_layer_manifest(model: GlobalModel) -> List[Tuple[str, int, int]]:
-    manifest = []
-    for i, blk in enumerate(model.blocks, start=1):
-        manifest.append((f"block{i}.fc", blk.fc_weight.shape[0], blk.fc_weight.shape[1]))
-        manifest.append((f"block{i}.proj", blk.proj_weight.shape[0], blk.proj_weight.shape[1]))
-    return manifest
-
-
-def _model_params(model: GlobalModel) -> Gradients:
-    return Gradients(
-        embedding=model.embedding,
-        blocks=list(model.blocks),
-        out_weight=model.out_weight,
-        out_bias=model.out_bias,
-    )
+def linear_layer_manifest(config: ModelConfig) -> List[Tuple[str, int, int]]:
+    """(name, rows, cols) of each FC and Proj weight, block by block."""
+    return [
+        (name[: -len(".weight")], *shape)
+        for name, shape in param_layout(config)
+        if name.startswith("block") and name.endswith(".weight")
+    ]
 
 
 def client_round(
@@ -142,7 +133,7 @@ def client_round(
             else:
                 _, grads = loss_and_grads(model, windows, targets)
             model = sgd_step(model, grads, cfg.client_lr)
-    payload = grads_sub(_model_params(snapshot), _model_params(model))
+    payload = snapshot.params - model.params
     return UpdatePacket(round=round_idx, slot=shard.client_id, payload=payload)
 
 
@@ -173,39 +164,22 @@ def aggregate(
     is bit-identical under any permutation of the packets."""
     if not packets:
         raise UsageError("aggregate needs at least one packet")
-    k = len(packets)
-    params = _model_params(model)
-    payload_maps = [dict(iter_arrays(pkt.payload)) for pkt in packets]
-    new_arrays = {}
-    for name, p in iter_arrays(params):
-        stack = np.stack([pm[name] for pm in payload_maps])
-        if stack.shape[1:] != p.shape:
-            raise UsageError(f"payload shape mismatch at {name}")
-        avg = np.sort(stack, axis=0, kind="stable").sum(axis=0) / k
-        new_arrays[name] = p - server_lr * avg
-    blocks = [
-        FfnBlock(
-            fc_weight=new_arrays[f"block{i}.fc.weight"],
-            fc_bias=new_arrays[f"block{i}.fc.bias"],
-            proj_weight=new_arrays[f"block{i}.proj.weight"],
-            proj_bias=new_arrays[f"block{i}.proj.bias"],
-        )
-        for i in range(1, len(model.blocks) + 1)
-    ]
-    return GlobalModel(
-        config=model.config,
-        embedding=new_arrays["embedding"],
-        blocks=blocks,
-        out_weight=new_arrays["output.weight"],
-        out_bias=new_arrays["output.bias"],
-    )
+    for pkt in packets:
+        if pkt.payload.shape != model.params.shape:
+            raise UsageError(
+                f"payload has shape {pkt.payload.shape}, parameters {model.params.shape}"
+            )
+    stack = np.stack([pkt.payload for pkt in packets])
+    avg = np.sort(stack, axis=0, kind="stable").sum(axis=0) / len(packets)
+    return GlobalModel(model.config, model.params - server_lr * avg)
 
 
-def _trace_record(packet: UpdatePacket) -> TraceRecord:
-    layers = {}
-    for i, blk in enumerate(packet.payload.blocks, start=1):
-        layers[f"block{i}.fc"] = blk.fc_weight.astype(np.float32)
-        layers[f"block{i}.proj"] = blk.proj_weight.astype(np.float32)
+def _trace_record(packet: UpdatePacket, config: ModelConfig) -> TraceRecord:
+    payload = views(config, packet.payload)
+    layers = {
+        name: payload[name + ".weight"].astype(np.float32)
+        for name, _, _ in linear_layer_manifest(config)
+    }
     return TraceRecord(round=packet.round, slot=packet.slot, layers=layers)
 
 
@@ -254,7 +228,7 @@ def run_simulation(
         clients=fed_cfg.clients,
         rounds=fed_cfg.rounds,
         seed=fed_cfg.seed,
-        layer_manifest=linear_layer_manifest(model),
+        layer_manifest=linear_layer_manifest(model_cfg),
         dp=dp_cfg,
     )
     if dp_cfg is not None:
@@ -282,7 +256,7 @@ def run_simulation(
         else:
             shuffled, perm = packets, list(range(fed_cfg.clients))
         sidecar.rounds.append(perm)
-        trace.records.extend(_trace_record(pkt) for pkt in shuffled)
+        trace.records.extend(_trace_record(pkt, model_cfg) for pkt in shuffled)
         model = aggregate(model, shuffled, fed_cfg.server_lr)
         trace.loss_curve.append(checked_loss(model))
 

@@ -1,6 +1,9 @@
 """Desk-scale next-token language model with the FC/Proj linear-layer layout
 the fingerprint attack consumes, plus exact analytic gradients.
 
+Parameters, gradients and client updates are each one flat float64 vector;
+`param_layout` names its pieces and `views` exposes them as arrays.
+
 Architecture: token embeddings for a fixed left context are concatenated and
 fed through a stack of feedforward blocks (FC -> ReLU -> Proj, residual from
 block 2 on), then projected to vocabulary logits. Loss is mean softmax
@@ -8,8 +11,9 @@ cross-entropy in natural log. SGD without momentum; attention is deliberately
 absent, the attack only needs linear layers.
 """
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,128 +43,77 @@ class ModelConfig:
         return self.context * self.embed_dim if index == 1 else self.embed_dim
 
 
-@dataclass
-class FfnBlock:
-    """One feedforward block. Weight layout is (out, in): y = W x + b.
-    Also reused as the per-block gradient container (same field shapes)."""
+def param_layout(config: ModelConfig) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Name and shape of every parameter, in the order they sit in the flat
+    vector: the blocks first (each FC weight, FC bias, Proj weight, Proj
+    bias), then `embedding`, `output.weight`, `output.bias`. Weight layout
+    is (out, in): y = W x + b. DP noise is drawn over the vector in this
+    order, so reordering it changes every DP trace."""
+    d, h, v = config.embed_dim, config.hidden_dim, config.vocab_size
+    layout = []
+    for i in range(1, config.n_blocks + 1):
+        layout += [
+            (f"block{i}.fc.weight", (h, config.block_input_dim(i))),
+            (f"block{i}.fc.bias", (h,)),
+            (f"block{i}.proj.weight", (d, h)),
+            (f"block{i}.proj.bias", (d,)),
+        ]
+    layout += [("embedding", (v, d)), ("output.weight", (v, d)), ("output.bias", (v,))]
+    return tuple(layout)
 
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
-    proj_weight: np.ndarray
-    proj_bias: np.ndarray
+
+@lru_cache(maxsize=None)
+def _segments(config: ModelConfig) -> Tuple[int, tuple]:
+    """Total length and (name, start, stop, shape) of each layout entry."""
+    segments, start = [], 0
+    for name, shape in param_layout(config):
+        stop = start + int(np.prod(shape))
+        segments.append((name, start, stop, shape))
+        start = stop
+    return start, tuple(segments)
+
+
+def param_count(config: ModelConfig) -> int:
+    return _segments(config)[0]
+
+
+def views(config: ModelConfig, flat: np.ndarray) -> Dict[str, np.ndarray]:
+    """Named reshaped views into a flat parameter (or gradient) vector;
+    writing to a view writes to `flat`."""
+    size, segments = _segments(config)
+    if flat.shape != (size,):
+        raise UsageError(f"flat vector has shape {flat.shape}, expected ({size},)")
+    return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in segments}
 
 
 @dataclass
 class GlobalModel:
+    """All parameters as one flat float64 vector; `views` names its pieces
+    and is built once per vector."""
+
     config: ModelConfig
-    embedding: np.ndarray  # (vocab, embed_dim)
-    blocks: Sequence[FfnBlock]
-    out_weight: np.ndarray  # (vocab, embed_dim)
-    out_bias: np.ndarray  # (vocab,)
+    params: np.ndarray
+    views: Dict[str, np.ndarray] = field(init=False, repr=False)
 
-
-@dataclass
-class Gradients:
-    """Gradient of the loss w.r.t. every model parameter; shape-congruent
-    with GlobalModel."""
-
-    embedding: np.ndarray
-    blocks: Sequence[FfnBlock]
-    out_weight: np.ndarray
-    out_bias: np.ndarray
-
-
-def iter_arrays(tree) -> Iterator[Tuple[str, np.ndarray]]:
-    """Yield (name, array) for every parameter of a model or gradient tree,
-    in a stable order."""
-    yield "embedding", tree.embedding
-    for i, blk in enumerate(tree.blocks, start=1):
-        yield f"block{i}.fc.weight", blk.fc_weight
-        yield f"block{i}.fc.bias", blk.fc_bias
-        yield f"block{i}.proj.weight", blk.proj_weight
-        yield f"block{i}.proj.bias", blk.proj_bias
-    yield "output.weight", tree.out_weight
-    yield "output.bias", tree.out_bias
-
-
-def _map_arrays(fn, *trees):
-    """Apply `fn` leafwise over shape-congruent trees, returning a Gradients."""
-    blocks = [
-        FfnBlock(
-            fc_weight=fn(*(t.blocks[i].fc_weight for t in trees)),
-            fc_bias=fn(*(t.blocks[i].fc_bias for t in trees)),
-            proj_weight=fn(*(t.blocks[i].proj_weight for t in trees)),
-            proj_bias=fn(*(t.blocks[i].proj_bias for t in trees)),
-        )
-        for i in range(len(trees[0].blocks))
-    ]
-    return Gradients(
-        embedding=fn(*(t.embedding for t in trees)),
-        blocks=blocks,
-        out_weight=fn(*(t.out_weight for t in trees)),
-        out_bias=fn(*(t.out_bias for t in trees)),
-    )
-
-
-def grads_scale(g: Gradients, a: float) -> Gradients:
-    return _map_arrays(lambda x: x * a, g)
-
-
-def grads_add(g1: Gradients, g2: Gradients) -> Gradients:
-    return _map_arrays(lambda x, y: x + y, g1, g2)
-
-
-def grads_sub(g1, g2) -> Gradients:
-    return _map_arrays(lambda x, y: x - y, g1, g2)
-
-
-def grads_zeros_like(model: GlobalModel) -> Gradients:
-    return _map_arrays(np.zeros_like, model)
-
-
-def grads_norm(g: Gradients) -> float:
-    total = 0.0
-    for _, arr in iter_arrays(g):
-        total += float(np.dot(arr.ravel(), arr.ravel()))
-    return float(np.sqrt(total))
-
-
-def grads_flatten(g: Gradients) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in iter_arrays(g)])
-
-
-def _check_congruent(model, grads):
-    for (name_m, pm), (name_g, pg) in zip(iter_arrays(model), iter_arrays(grads)):
-        if pm.shape != pg.shape:
-            raise UsageError(f"shape mismatch at {name_m}: {pm.shape} vs {pg.shape}")
+    def __post_init__(self):
+        self.views = views(self.config, self.params)
 
 
 def init_model(config: ModelConfig, seed: int) -> GlobalModel:
     """Deterministic init: weights uniform(-s, s) with s = 1/sqrt(fan_in),
-    biases exactly zero."""
+    biases exactly zero. Weights are drawn embedding first, then each
+    block's FC and Proj weight, then the output weight; this order fixes
+    the initial values of each seed."""
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        s = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
-    d = config.embed_dim
-    embedding = uniform((config.vocab_size, d), d)
-    blocks = []
-    for i in range(1, config.n_blocks + 1):
-        d_in = config.block_input_dim(i)
-        h = config.hidden_dim
-        blocks.append(
-            FfnBlock(
-                fc_weight=uniform((h, d_in), d_in),
-                fc_bias=np.zeros(h),
-                proj_weight=uniform((d, h), h),
-                proj_bias=np.zeros(d),
-            )
-        )
-    out_weight = uniform((config.vocab_size, d), d)
-    out_bias = np.zeros(config.vocab_size)
-    return GlobalModel(config, embedding, blocks, out_weight, out_bias)
+    model = GlobalModel(config, np.zeros(param_count(config)))
+    blocks = [
+        f"block{i}.{part}.weight" for i in range(1, config.n_blocks + 1) for part in ("fc", "proj")
+    ]
+    for name in ["embedding", *blocks, "output.weight"]:
+        w = model.views[name]
+        s = 1.0 / np.sqrt(w.shape[1])  # fan_in is the width of a row
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    return model
 
 
 @dataclass
@@ -201,21 +154,22 @@ def forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
 
 def _forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
     windows = np.asarray(windows)
+    p = model.views
     b = windows.shape[0]
-    x = model.embedding[windows].reshape(b, -1)
+    x = p["embedding"][windows].reshape(b, -1)
     flat_input = x
     inputs, pres, hiddens = [], [], []
-    for i, blk in enumerate(model.blocks):
+    for i in range(1, model.config.n_blocks + 1):
         inputs.append(x)
-        pre = x @ blk.fc_weight.T + blk.fc_bias
+        pre = x @ p[f"block{i}.fc.weight"].T + p[f"block{i}.fc.bias"]
         hid = np.maximum(pre, 0.0)
-        out = hid @ blk.proj_weight.T + blk.proj_bias
-        if i > 0:
+        out = hid @ p[f"block{i}.proj.weight"].T + p[f"block{i}.proj.bias"]
+        if i > 1:
             out = x + out
         pres.append(pre)
         hiddens.append(hid)
         x = out
-    logits = x @ model.out_weight.T + model.out_bias
+    logits = x @ p["output.weight"].T + p["output.bias"]
     return ForwardTrace(windows, flat_input, inputs, pres, hiddens, x, logits)
 
 
@@ -224,15 +178,17 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_and_grads(model: GlobalModel, windows, targets) -> Tuple[float, Gradients]:
+def loss_and_grads(model: GlobalModel, windows, targets) -> Tuple[float, np.ndarray]:
     """Mean softmax cross-entropy (natural log) over the batch, with exact
-    analytic gradients averaged over the batch."""
+    analytic gradients averaged over the batch, as one flat vector in the
+    layout of the model's parameters."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _loss_and_grads(model, windows, targets)
 
 
 def _loss_and_grads(model, windows, targets):
-    windows, targets = _validate_batch(model.config, windows, targets)
+    cfg = model.config
+    windows, targets = _validate_batch(cfg, windows, targets)
     trace = forward_trace(model, windows)
     b = windows.shape[0]
     logp = _log_softmax(trace.logits)
@@ -242,46 +198,38 @@ def _loss_and_grads(model, windows, targets):
     dlogits[np.arange(b), targets] -= 1.0
     dlogits /= b
 
-    d_out_w = dlogits.T @ trace.final
-    d_out_b = dlogits.sum(axis=0)
-    dx = dlogits @ model.out_weight
+    p = model.views
+    flat = np.zeros_like(model.params)
+    g = views(cfg, flat)
+    g["output.weight"][...] = dlogits.T @ trace.final
+    g["output.bias"][...] = dlogits.sum(axis=0)
+    dx = dlogits @ p["output.weight"]
 
-    block_grads: list = [None] * len(model.blocks)
-    for i in range(len(model.blocks) - 1, -1, -1):
-        blk = model.blocks[i]
-        d_proj_w = dx.T @ trace.block_hidden[i]
-        d_proj_b = dx.sum(axis=0)
-        dhid = dx @ blk.proj_weight
-        dpre = dhid * (trace.block_pre[i] > 0)
-        d_fc_w = dpre.T @ trace.block_inputs[i]
-        d_fc_b = dpre.sum(axis=0)
-        dx_in = dpre @ blk.fc_weight
-        if i > 0:
+    for i in range(cfg.n_blocks, 0, -1):
+        g[f"block{i}.proj.weight"][...] = dx.T @ trace.block_hidden[i - 1]
+        g[f"block{i}.proj.bias"][...] = dx.sum(axis=0)
+        dhid = dx @ p[f"block{i}.proj.weight"]
+        dpre = dhid * (trace.block_pre[i - 1] > 0)
+        g[f"block{i}.fc.weight"][...] = dpre.T @ trace.block_inputs[i - 1]
+        g[f"block{i}.fc.bias"][...] = dpre.sum(axis=0)
+        dx_in = dpre @ p[f"block{i}.fc.weight"]
+        if i > 1:
             dx_in = dx_in + dx  # residual passthrough
-        block_grads[i] = FfnBlock(d_fc_w, d_fc_b, d_proj_w, d_proj_b)
         dx = dx_in
 
-    d_embedding = np.zeros_like(model.embedding)
-    d = model.config.embed_dim
-    dflat = dx.reshape(b, model.config.context, d)
-    np.add.at(d_embedding, windows, dflat)
-
-    return loss, Gradients(d_embedding, block_grads, d_out_w, d_out_b)
+    np.add.at(g["embedding"], windows, dx.reshape(b, cfg.context, cfg.embed_dim))
+    return loss, flat
 
 
-def sgd_step(model: GlobalModel, grads: Gradients, lr: float) -> GlobalModel:
+def sgd_step(model: GlobalModel, grads: np.ndarray, lr: float) -> GlobalModel:
     """One plain SGD step: p <- p - lr * g. No momentum, no weight decay."""
     if lr < 0:
         raise UsageError("lr must be >= 0")
-    _check_congruent(model, grads)
-    stepped = _map_arrays(lambda p, g: p - lr * g, model, grads)
-    return GlobalModel(
-        config=model.config,
-        embedding=stepped.embedding,
-        blocks=stepped.blocks,
-        out_weight=stepped.out_weight,
-        out_bias=stepped.out_bias,
-    )
+    if grads.shape != model.params.shape:
+        raise UsageError(
+            f"gradient has shape {grads.shape}, parameters {model.params.shape}"
+        )
+    return GlobalModel(model.config, model.params - lr * grads)
 
 
 def eval_loss(model: GlobalModel, windows, targets, chunk: int = 512) -> float:
@@ -348,16 +296,3 @@ def parse_selector(text: str) -> LayerSelector:
         except ValueError as exc:
             raise UsageError(f"bad selector block list: {rest!r}") from exc
     return LayerSelector(part=part, blocks=blocks)
-
-
-def extract_linear_grads(grads: Gradients, selector: LayerSelector) -> np.ndarray:
-    """Flatten the selected FC/Proj weight gradients (row-major per layer)
-    into one feature vector, in the selector's deterministic layer order."""
-    n_blocks = len(grads.blocks)
-    pieces = []
-    for name in selector.layer_names(n_blocks):
-        block_idx = int(name[len("block") : name.index(".")])
-        blk = grads.blocks[block_idx - 1]
-        arr = blk.fc_weight if name.endswith(".fc") else blk.proj_weight
-        pieces.append(arr.ravel())
-    return np.concatenate(pieces)

@@ -1,60 +1,11 @@
-"""Dense float64 vector/matrix primitives: norms, distances, and a symmetric
-eigensolver used by the model, the attacks, and the DP layer.
-
-All operations are pure functions on immutable inputs. Everything runs in
-64-bit precision; NaN/Inf never enters or leaves a public operation.
+"""A cyclic Jacobi symmetric eigensolver for the spectral attack, so the
+package depends only on numpy. Runs in 64-bit precision; NaN/Inf never
+enters or leaves it.
 """
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalError, UsageError
-
-
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise UsageError(f"expected a 1-d vector, got shape {arr.shape}")
-    return arr
-
-
-def l2_norm(v) -> float:
-    """Euclidean norm sqrt(sum v_i^2)."""
-    arr = _as_vector(v)
-    if arr.size == 0:
-        raise UsageError("l2_norm of an empty vector")
-    return float(np.sqrt(np.dot(arr, arr)))
-
-
-def normalize(v) -> np.ndarray:
-    """Scale `v` to unit Euclidean norm. Zero vectors are an error: a zero
-    gradient is a real degenerate case that callers must handle explicitly."""
-    arr = _as_vector(v)
-    n = l2_norm(arr)
-    if n == 0.0:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return arr / n
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between u and v, clamped to [-1, 1]."""
-    a = _as_vector(u)
-    b = _as_vector(v)
-    if a.shape != b.shape:
-        raise UsageError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = l2_norm(a)
-    nb = l2_norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise UsageError("cosine similarity undefined for a zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def euclidean_distance(u, v) -> float:
-    a = _as_vector(u)
-    b = _as_vector(v)
-    if a.shape != b.shape:
-        raise UsageError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    return float(np.sqrt(np.dot(d, d)))
+from .errors import NumericalError, UsageError
 
 
 def symmetric_eigen(a, k: int, *, tol: float = 1e-10, max_sweeps: int = 100):

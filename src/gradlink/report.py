@@ -5,7 +5,6 @@ aligned text table.
 
 import json
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -48,7 +47,6 @@ def build_report(
     sidecar: TruthSidecar,
     *,
     baseline_seed: int = 0,
-    wall_clock_seconds: Optional[float] = None,
 ) -> dict:
     if assignment["clients"] != trace.clients or assignment["rounds"] != trace.rounds:
         raise InputError(
@@ -90,8 +88,6 @@ def build_report(
             "delta": trace.dp.delta,
             "advisory_epsilon": None if epsilon is None else epsilon,
         }
-    if wall_clock_seconds is not None:
-        report["wall_clock_seconds"] = wall_clock_seconds
     return report
 
 

@@ -81,20 +81,35 @@ def read_trace(path) -> TraceStore:
         )
         for line in lines[1:]:
             rec = json.loads(line)
+            t, slot = rec["round"], rec["slot"]
+            if not (isinstance(t, int) and isinstance(slot, int)):
+                raise InputError(f"trace {p} has a non-integer round or slot: {t!r}, {slot!r}")
+            if not 0 <= t < trace.rounds:
+                raise InputError(
+                    f"trace {p} has a record for round {t}, outside [0, {trace.rounds})"
+                )
+            if set(rec["layers"]) != set(shapes):
+                raise InputError(
+                    f"trace {p} record (round {t}, slot {slot}) has layers "
+                    f"{sorted(rec['layers'])}, the manifest names {sorted(shapes)}"
+                )
             layers = {
                 name: np.asarray(values, dtype=np.float32).reshape(shapes[name])
                 for name, values in rec["layers"].items()
             }
-            trace.records.append(
-                TraceRecord(round=rec["round"], slot=rec["slot"], layers=layers)
-            )
+            trace.records.append(TraceRecord(round=t, slot=slot, layers=layers))
+        # also rejects a truncated trace or one with extra records
+        slots = [[] for _ in range(trace.rounds)]
+        for rec in trace.records:
+            slots[rec.round].append(rec.slot)
+        for t, got in enumerate(slots):
+            if sorted(got) != list(range(trace.clients)):
+                raise InputError(
+                    f"trace {p} round {t} holds slots {sorted(got)}, "
+                    f"expected 0..{trace.clients - 1} once each"
+                )
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed trace file {p}: {exc}") from exc
-    if len(trace.records) != trace.clients * trace.rounds:
-        raise InputError(
-            f"trace {p} has {len(trace.records)} records, "
-            f"expected {trace.clients * trace.rounds}"
-        )
     return trace
 
 

@@ -19,14 +19,12 @@ from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon
 from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.metrics import mutual_information, purity, rand_index
 from gradlink.model import (
-    Gradients,
     ModelConfig,
     forward_trace,
-    grads_norm,
     init_model,
-    iter_arrays,
     loss_and_grads,
     parse_selector,
+    views,
 )
 from gradlink.report import random_baseline
 from gradlink.traceio import truth_labels
@@ -106,22 +104,21 @@ def test_gradient_finite_difference_agreement():
         def relu_pattern():
             return [pre > 0 for pre in forward_trace(m, windows).block_pre]
 
-        for (name, p), (_, g) in zip(iter_arrays(m), iter_arrays(grads)):
-            flat, gflat = p.ravel(), g.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + h
-                lp, _ = loss_and_grads(m, windows, targets)
-                pat_p = relu_pattern()
-                flat[idx] = orig - h
-                lm, _ = loss_and_grads(m, windows, targets)
-                pat_m = relu_pattern()
-                flat[idx] = orig
-                if any(not np.array_equal(a, b) for a, b in zip(pat_p, pat_m)):
-                    continue  # ReLU kink inside the stencil
-                fd = (lp - lm) / (2 * h)
-                rel = abs(gflat[idx] - fd) / (abs(fd) + 1e-8)
-                assert rel < 1e-4, f"{name}[{idx}]"
+        flat = m.params
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            lp, _ = loss_and_grads(m, windows, targets)
+            pat_p = relu_pattern()
+            flat[idx] = orig - h
+            lm, _ = loss_and_grads(m, windows, targets)
+            pat_m = relu_pattern()
+            flat[idx] = orig
+            if any(not np.array_equal(a, b) for a, b in zip(pat_p, pat_m)):
+                continue  # ReLU kink inside the stencil
+            fd = (lp - lm) / (2 * h)
+            rel = abs(grads[idx] - fd) / (abs(fd) + 1e-8)
+            assert rel < 1e-4, f"coordinate {idx}"
 
 
 def test_batch1_gradients_are_outer_products():
@@ -132,17 +129,19 @@ def test_batch1_gradients_are_outer_products():
             rng = np.random.default_rng(seed)
             windows = rng.integers(0, cfg.vocab_size, size=(1, cfg.context))
             targets = rng.integers(0, cfg.vocab_size, size=1)
-            _, g = loss_and_grads(m, windows, targets)
+            _, flat = loss_and_grads(m, windows, targets)
+            g = views(cfg, flat)
             trace = forward_trace(m, windows)
-            for i, blk in enumerate(g.blocks):
+            for i in range(cfg.n_blocks):
+                b = f"block{i + 1}"
                 np.testing.assert_allclose(
-                    blk.fc_weight,
-                    np.outer(blk.fc_bias, trace.block_inputs[i][0]),
+                    g[b + ".fc.weight"],
+                    np.outer(g[b + ".fc.bias"], trace.block_inputs[i][0]),
                     atol=1e-10,
                 )
                 np.testing.assert_allclose(
-                    blk.proj_weight,
-                    np.outer(blk.proj_bias, trace.block_hidden[i][0]),
+                    g[b + ".proj.weight"],
+                    np.outer(g[b + ".proj.bias"], trace.block_hidden[i][0]),
                     atol=1e-10,
                 )
 
@@ -156,8 +155,7 @@ def test_shuffling_does_not_change_training():
         off = FedConfig(clients=5, rounds=5, seed=0, shuffle=False)
         _, _, _, m_on = run_simulation(on, mcfg, shards, return_final_model=True)
         _, _, _, m_off = run_simulation(off, mcfg, shards, return_final_model=True)
-        for (_, a), (_, b) in zip(iter_arrays(m_on), iter_arrays(m_off)):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.max(np.abs(m_on.params - m_off.params)) <= 1e-12
 
 
 def test_attack_succeeds_at_desk_scale():
@@ -213,16 +211,6 @@ def test_noise_defeats_the_attack_and_clipping_alone_does_not():
         assert abs(pur_clip - pur_plain) <= 0.05, f"{pur_clip} vs {pur_plain}"
 
 
-def _flat_gradients(vec):
-    vec = np.asarray(vec, dtype=np.float64)
-    return Gradients(
-        embedding=vec.reshape(1, -1),
-        blocks=[],
-        out_weight=np.zeros((0, 0)),
-        out_bias=np.zeros(0),
-    )
-
-
 def test_dp_mechanism_properties():
     with _criterion(
         "clipped norms <= C; noise std = sigma*C/L within 5%; epsilon decreasing in sigma"
@@ -232,13 +220,13 @@ def test_dp_mechanism_properties():
         scales = np.exp(rng.uniform(-3, 3, size=100_000))
         raw = rng.normal(size=(100_000, 8)) * scales[:, None]
         for row in raw:
-            assert grads_norm(clip_gradient(_flat_gradients(row), clip)) <= clip + 1e-12
+            assert np.linalg.norm(clip_gradient(row, clip)) <= clip + 1e-12
 
         cfg = DpConfig(clip=2.0, sigma=1.3)
         for l in (1, 4):
-            zeros = [_flat_gradients(np.zeros(100_000)) for _ in range(l)]
+            zeros = [np.zeros(100_000) for _ in range(l)]
             noised = privatize(zeros, cfg, np.random.default_rng(5))
-            std = float(np.std(noised.embedding))
+            std = float(np.std(noised))
             target = cfg.sigma * cfg.clip / l
             assert abs(std - target) / target < 0.05
 

@@ -104,6 +104,34 @@ def test_truncated_trace_rejected(tmp_path):
         read_trace(path)
 
 
+def _attack_edited_trace(tmp_path, edit):
+    """Write a 3x3 trace, apply `edit` to its second record, and return the
+    exit code of `attack` on it."""
+    trace, _, _ = _run_trace(k=3, t=3)
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, trace)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[2])
+    edit(rec)
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "assignment.json"
+    return main(["attack", "--trace", str(path), "--method", "greedy", "--out", str(out)])
+
+
+def test_trace_with_duplicated_slot_is_exit_2(tmp_path):
+    assert _attack_edited_trace(tmp_path, lambda rec: rec.update(slot=0)) == EXIT_USAGE
+
+
+def test_trace_with_round_out_of_range_is_exit_2(tmp_path):
+    assert _attack_edited_trace(tmp_path, lambda rec: rec.update(round=7)) == EXIT_USAGE
+
+
+def test_trace_record_missing_a_layer_is_exit_2(tmp_path):
+    code = _attack_edited_trace(tmp_path, lambda rec: rec["layers"].pop("block2.proj"))
+    assert code == EXIT_USAGE
+
+
 # ---------------------------------------------------------------- pipeline
 
 

@@ -7,35 +7,6 @@ from hypothesis import strategies as st
 
 from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon
 from gradlink.errors import UsageError
-from gradlink.model import (
-    FfnBlock,
-    Gradients,
-    grads_flatten,
-    grads_norm,
-)
-
-
-def _grads_from_flat(flat):
-    """Pack a flat vector into a small gradient tree (embedding 2x2, one
-    block, output 2x2 + 2)."""
-    flat = np.asarray(flat, dtype=np.float64)
-    need = 4 + 4 + 2 + 4 + 2 + 4 + 2
-    assert flat.size == need
-    it = iter(np.split(flat, np.cumsum([4, 4, 2, 4, 2, 4])))
-    return Gradients(
-        embedding=next(it).reshape(2, 2),
-        blocks=[
-            FfnBlock(
-                fc_weight=next(it).reshape(2, 2),
-                fc_bias=next(it),
-                proj_weight=next(it).reshape(2, 2),
-                proj_bias=next(it),
-            )
-        ],
-        out_weight=next(it).reshape(2, 2),
-        out_bias=next(it),
-    )
-
 
 FLAT_DIM = 22
 
@@ -44,27 +15,26 @@ def _random_grads(rng, norm=None):
     flat = rng.normal(size=FLAT_DIM)
     if norm is not None:
         flat = flat / np.linalg.norm(flat) * norm
-    return _grads_from_flat(flat)
+    return flat
 
 
 def test_clip_halves_oversized_gradient():
     rng = np.random.default_rng(0)
     g = _random_grads(rng, norm=10.0)
     clipped = clip_gradient(g, 5.0)
-    assert grads_norm(clipped) == pytest.approx(5.0, rel=1e-12)
-    np.testing.assert_allclose(grads_flatten(clipped), grads_flatten(g) / 2.0)
+    assert np.linalg.norm(clipped) == pytest.approx(5.0, rel=1e-12)
+    np.testing.assert_allclose(clipped, g / 2.0)
 
 
 def test_clip_passes_small_gradient_through_unchanged():
     rng = np.random.default_rng(1)
     g = _random_grads(rng, norm=3.0)
-    clipped = clip_gradient(g, 5.0)
-    np.testing.assert_array_equal(grads_flatten(clipped), grads_flatten(g))
+    assert clip_gradient(g, 5.0) is g
 
 
 def test_clip_zero_gradient():
-    g = _grads_from_flat(np.zeros(FLAT_DIM))
-    assert grads_norm(clip_gradient(g, 1.0)) == 0.0
+    g = np.zeros(FLAT_DIM)
+    assert np.linalg.norm(clip_gradient(g, 1.0)) == 0.0
 
 
 @settings(max_examples=200)
@@ -72,7 +42,7 @@ def test_clip_zero_gradient():
 def test_clip_norm_bound_property(norm_over_clip, seed):
     clip = 2.5
     g = _random_grads(np.random.default_rng(seed), norm=norm_over_clip * clip)
-    assert grads_norm(clip_gradient(g, clip)) <= clip + 1e-12
+    assert np.linalg.norm(clip_gradient(g, clip)) <= clip + 1e-12
 
 
 def test_privatize_sigma_zero_is_plain_clipped_average():
@@ -80,44 +50,32 @@ def test_privatize_sigma_zero_is_plain_clipped_average():
     grads = [_random_grads(rng, norm=0.5) for _ in range(4)]
     cfg = DpConfig(clip=5.0, sigma=0.0)
     out = privatize(grads, cfg, np.random.default_rng(0))
-    expected = np.mean([grads_flatten(g) for g in grads], axis=0)
-    np.testing.assert_array_equal(grads_flatten(out), expected)
+    expected = np.mean(grads, axis=0)
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_privatize_single_oversized_sample_is_halved():
     g = _random_grads(np.random.default_rng(3), norm=4.0)
     out = privatize([g], DpConfig(clip=2.0, sigma=0.0), np.random.default_rng(0))
-    np.testing.assert_allclose(grads_flatten(out), grads_flatten(g) / 2.0)
+    np.testing.assert_allclose(out, g / 2.0)
 
 
 def test_privatize_noise_is_fresh_per_call():
-    g = _grads_from_flat(np.zeros(FLAT_DIM))
+    g = np.zeros(FLAT_DIM)
     cfg = DpConfig(clip=1.0, sigma=1.0)
     rng = np.random.default_rng(4)
-    a = grads_flatten(privatize([g], cfg, rng))
-    b = grads_flatten(privatize([g], cfg, rng))
+    a = privatize([g], cfg, rng)
+    b = privatize([g], cfg, rng)
     assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("l", [1, 4])
 def test_privatize_noise_std_matches_sigma_clip_over_l(l):
-    # 1e5 coordinate draws via a large zero gradient tree
-    big = Gradients(
-        embedding=np.zeros((100, 500)),
-        blocks=[
-            FfnBlock(
-                fc_weight=np.zeros((100, 400)),
-                fc_bias=np.zeros(100),
-                proj_weight=np.zeros((20, 400)),
-                proj_bias=np.zeros(20),
-            )
-        ],
-        out_weight=np.zeros((2, 2)),
-        out_bias=np.zeros(2),
-    )
+    # 1e5 coordinate draws via a large zero gradient
+    big = np.zeros(100_000)
     cfg = DpConfig(clip=2.0, sigma=1.5)
     out = privatize([big] * l, cfg, np.random.default_rng(5))
-    sample_std = grads_flatten(out).std()
+    sample_std = out.std()
     expected = cfg.sigma * cfg.clip / l
     assert sample_std == pytest.approx(expected, rel=0.05)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradlink.corpus import SyntheticSpec, generate_synthetic
-from gradlink.errors import ConfigError, DivergedError
+from gradlink.errors import ConfigError, DivergedError, UsageError
 from gradlink.fedsim import (
     FedConfig,
     UpdatePacket,
@@ -14,15 +14,7 @@ from gradlink.fedsim import (
     run_simulation,
     shuffle_round,
 )
-from gradlink.model import (
-    ModelConfig,
-    grads_flatten,
-    grads_norm,
-    grads_scale,
-    init_model,
-    iter_arrays,
-    loss_and_grads,
-)
+from gradlink.model import ModelConfig, init_model, loss_and_grads
 from gradlink.rng import labeled_rng
 
 
@@ -41,7 +33,7 @@ def test_client_round_zero_epochs_gives_zero_payload():
     fed, mcfg, shards = _setup(local_epochs=0)
     model = init_model(mcfg, 0)
     pkt = client_round(model, shards[0], fed, 0)
-    assert grads_norm(pkt.payload) == 0.0
+    assert np.linalg.norm(pkt.payload) == 0.0
 
 
 def test_client_round_single_step_equals_lr_times_grads():
@@ -53,11 +45,7 @@ def test_client_round_single_step_equals_lr_times_grads():
     rng = labeled_rng(fed.seed, f"batch.client{shards[0].client_id}")
     (windows, targets), = list(batch_iter(shards[0], 10_000, mcfg.context, rng))
     _, grads = loss_and_grads(model, windows, targets)
-    np.testing.assert_allclose(
-        grads_flatten(pkt.payload),
-        fed.client_lr * grads_flatten(grads),
-        atol=1e-12,
-    )
+    np.testing.assert_allclose(pkt.payload, fed.client_lr * grads, atol=1e-12)
 
 
 def test_identical_shards_give_identical_payloads():
@@ -66,7 +54,7 @@ def test_identical_shards_give_identical_payloads():
     twin = dataclasses.replace(shards[0], client_id=shards[0].client_id)
     p1 = client_round(model, shards[0], fed, 0)
     p2 = client_round(model, twin, fed, 0)
-    np.testing.assert_array_equal(grads_flatten(p1.payload), grads_flatten(p2.payload))
+    np.testing.assert_array_equal(p1.payload, p2.payload)
 
 
 def test_client_round_empty_shard_is_config_error():
@@ -93,8 +81,8 @@ def test_shuffle_preserves_payload_multiset():
     pkts = _dummy_packets(3)
     shuffled, perm = shuffle_round(pkts, np.random.default_rng(1))
     assert sorted(perm) == [0, 1, 2]
-    before = sorted(tuple(grads_flatten(p.payload)[:4]) for p in pkts)
-    after = sorted(tuple(grads_flatten(p.payload)[:4]) for p in shuffled)
+    before = sorted(tuple(p.payload[:4]) for p in pkts)
+    after = sorted(tuple(p.payload[:4]) for p in shuffled)
     assert before == after
     assert [p.slot for p in shuffled] == [0, 1, 2]
 
@@ -117,10 +105,7 @@ def test_aggregate_single_packet():
     model = init_model(mcfg, 0)
     pkt = client_round(model, shards[0], fed, 0)
     out = aggregate(model, [pkt], server_lr=1.0)
-    for (name, p), (_, q), (_, g) in zip(
-        iter_arrays(model), iter_arrays(out), iter_arrays(pkt.payload)
-    ):
-        np.testing.assert_allclose(q, p - g, atol=0)
+    np.testing.assert_allclose(out.params, model.params - pkt.payload, atol=0)
 
 
 def test_aggregate_zero_payloads_leave_model_unchanged():
@@ -128,8 +113,7 @@ def test_aggregate_zero_payloads_leave_model_unchanged():
     model = init_model(mcfg, 0)
     pkts = [client_round(model, s, fed, 0) for s in shards]
     out = aggregate(model, pkts, server_lr=0.5)
-    for (_, p), (_, q) in zip(iter_arrays(model), iter_arrays(out)):
-        np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(model.params, out.params)
 
 
 def test_aggregate_invariant_under_packet_permutation():
@@ -139,8 +123,16 @@ def test_aggregate_invariant_under_packet_permutation():
     shuffled, _ = shuffle_round(pkts, np.random.default_rng(3))
     a = aggregate(model, pkts, server_lr=0.1)
     b = aggregate(model, shuffled, server_lr=0.1)
-    for (_, pa), (_, pb) in zip(iter_arrays(a), iter_arrays(b)):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(a.params, b.params)
+
+
+def test_aggregate_payload_of_wrong_length_is_usage_error():
+    fed, mcfg, shards = _setup()
+    model = init_model(mcfg, 0)
+    pkt = client_round(model, shards[0], fed, 0)
+    for bad in (pkt.payload[:-1], np.append(pkt.payload, 0.0)):
+        with pytest.raises(UsageError):
+            aggregate(model, [pkt, UpdatePacket(round=0, slot=1, payload=bad)], server_lr=0.1)
 
 
 def test_simulation_counts_and_slot_structure():
@@ -186,8 +178,7 @@ def test_shuffle_invariance_of_final_model():
     off = dataclasses.replace(fed, shuffle=False)
     _, _, _, m_on = run_simulation(fed, mcfg, shards, return_final_model=True)
     _, _, _, m_off = run_simulation(off, mcfg, shards, return_final_model=True)
-    for (_, a), (_, b) in zip(iter_arrays(m_on), iter_arrays(m_off)):
-        assert np.max(np.abs(a - b)) <= 1e-12
+    assert np.max(np.abs(m_on.params - m_off.params)) <= 1e-12
 
 
 def test_shard_count_mismatch_is_config_error():

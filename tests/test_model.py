@@ -5,18 +5,19 @@ from hypothesis import strategies as st
 
 from gradlink.corpus import SyntheticSpec, generate_synthetic, windows_from_sentences
 from gradlink.errors import UsageError
+from gradlink.fedsim import linear_layer_manifest
 from gradlink.model import (
+    GlobalModel,
     ModelConfig,
     eval_loss,
-    extract_linear_grads,
     forward_trace,
-    grads_flatten,
-    grads_zeros_like,
     init_model,
-    iter_arrays,
     loss_and_grads,
+    param_count,
+    param_layout,
     parse_selector,
     sgd_step,
+    views,
 )
 
 SMALL = ModelConfig(vocab_size=11, embed_dim=8, context=3, n_blocks=2, ffn_mult=2)
@@ -33,32 +34,29 @@ def test_init_deterministic_and_seed_sensitive():
     m1 = init_model(SMALL, 42)
     m2 = init_model(SMALL, 42)
     m3 = init_model(SMALL, 43)
-    for (_, a), (_, b) in zip(iter_arrays(m1), iter_arrays(m2)):
-        np.testing.assert_array_equal(a, b)
-    assert any(
-        not np.array_equal(a, b)
-        for (_, a), (_, b) in zip(iter_arrays(m1), iter_arrays(m3))
-    )
+    np.testing.assert_array_equal(m1.params, m2.params)
+    for name, _ in param_layout(SMALL):
+        if name.endswith("weight") or name == "embedding":
+            assert not np.array_equal(m1.views[name], m3.views[name])
 
 
 def test_init_biases_are_exactly_zero():
     m = init_model(SMALL, 0)
-    for name, arr in iter_arrays(m):
-        if name.endswith(".bias") or name == "output.bias":
+    for name, arr in m.views.items():
+        if name.endswith(".bias"):
             assert np.all(arr == 0.0)
 
 
 def test_init_weight_scale_follows_fan_in():
     m = init_model(ModelConfig(vocab_size=50, embed_dim=16, context=2, n_blocks=1), 0)
-    blk = m.blocks[0]
     fan_in = 2 * 16
-    assert np.max(np.abs(blk.fc_weight)) <= 1.0 / np.sqrt(fan_in)
+    assert np.max(np.abs(m.views["block1.fc.weight"])) <= 1.0 / np.sqrt(fan_in)
 
 
 def test_uniform_loss_anchor_with_zero_output_weights():
     m = init_model(SMALL, 0)
-    m.out_weight[:] = 0.0
-    m.out_bias[:] = 0.0
+    m.views["output.weight"][:] = 0.0
+    m.views["output.bias"][:] = 0.0
     windows, targets = _batch(SMALL, 6)
     loss, _ = loss_and_grads(m, windows, targets)
     assert loss == pytest.approx(np.log(SMALL.vocab_size), abs=1e-9)
@@ -82,7 +80,7 @@ def _finite_difference_check(cfg, seed, n_coords=25, h=1e-5):
     windows, targets = _batch(cfg, 4, seed)
     _, grads = loss_and_grads(m, windows, targets)
     pick = np.random.default_rng(seed + 1)
-    for (name, p), (_, g) in zip(iter_arrays(m), iter_arrays(grads)):
+    for (name, p), g in zip(m.views.items(), views(cfg, grads).values()):
         flat, gflat = p.ravel(), g.ravel()
         idxs = pick.choice(flat.size, size=min(n_coords, flat.size), replace=False)
         for idx in idxs:
@@ -115,22 +113,29 @@ def test_gradients_match_finite_differences(n_blocks, ffn_mult, seed):
 def test_batch1_weight_grads_are_outer_products():
     m = init_model(SMALL, 5)
     windows, targets = _batch(SMALL, 1, 5)
-    _, g = loss_and_grads(m, windows, targets)
+    _, flat = loss_and_grads(m, windows, targets)
+    g = views(SMALL, flat)
     trace = forward_trace(m, windows)
-    for i, blk in enumerate(g.blocks):
+    for i in range(SMALL.n_blocks):
         fc_in = trace.block_inputs[i][0]
         proj_in = trace.block_hidden[i][0]
-        np.testing.assert_allclose(blk.fc_weight, np.outer(blk.fc_bias, fc_in), atol=1e-10)
-        np.testing.assert_allclose(blk.proj_weight, np.outer(blk.proj_bias, proj_in), atol=1e-10)
+        b = f"block{i + 1}"
+        np.testing.assert_allclose(
+            g[b + ".fc.weight"], np.outer(g[b + ".fc.bias"], fc_in), atol=1e-10
+        )
+        np.testing.assert_allclose(
+            g[b + ".proj.weight"], np.outer(g[b + ".proj.bias"], proj_in), atol=1e-10
+        )
 
 
 def test_weight_grad_rank_bounded_by_batch_size():
     m = init_model(SMALL, 6)
     for b in (1, 2, 3):
         windows, targets = _batch(SMALL, b, 6)
-        _, g = loss_and_grads(m, windows, targets)
-        for blk in g.blocks:
-            sv = np.linalg.svd(blk.fc_weight, compute_uv=False)
+        _, flat = loss_and_grads(m, windows, targets)
+        g = views(SMALL, flat)
+        for i in range(1, SMALL.n_blocks + 1):
+            sv = np.linalg.svd(g[f"block{i}.fc.weight"], compute_uv=False)
             assert np.sum(sv > sv[0] * 1e-10) <= b
 
 
@@ -155,16 +160,15 @@ def test_sgd_step_lr_zero_is_identity():
     m = init_model(SMALL, 9)
     _, g = loss_and_grads(m, *_batch(SMALL, 4, 9))
     stepped = sgd_step(m, g, 0.0)
-    for (_, a), (_, b) in zip(iter_arrays(m), iter_arrays(stepped)):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(m.params, stepped.params)
 
 
 def test_sgd_step_scalar_arithmetic():
     m = init_model(SMALL, 10)
-    g = grads_zeros_like(m)
-    m.out_bias[0] = 1.0
-    g.out_bias[0] = 2.0
-    assert sgd_step(m, g, 0.1).out_bias[0] == pytest.approx(0.8)
+    g = np.zeros_like(m.params)
+    m.views["output.bias"][0] = 1.0
+    views(SMALL, g)["output.bias"][0] = 2.0
+    assert sgd_step(m, g, 0.1).views["output.bias"][0] == pytest.approx(0.8)
 
 
 def test_two_steps_equal_one_combined_step():
@@ -172,38 +176,67 @@ def test_two_steps_equal_one_combined_step():
     _, g1 = loss_and_grads(m, *_batch(SMALL, 4, 11))
     _, g2 = loss_and_grads(m, *_batch(SMALL, 4, 12))
     two = sgd_step(sgd_step(m, g1, 0.1), g2, 0.1)
-    from gradlink.model import grads_add
-
-    one = sgd_step(m, grads_add(g1, g2), 0.1)
-    for (_, a), (_, b) in zip(iter_arrays(two), iter_arrays(one)):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    one = sgd_step(m, g1 + g2, 0.1)
+    np.testing.assert_allclose(two.params, one.params, atol=1e-12)
 
 
 def test_sgd_step_shape_mismatch_is_usage_error():
     m = init_model(SMALL, 12)
-    g = grads_zeros_like(init_model(ModelConfig(vocab_size=5, embed_dim=8, context=3, n_blocks=2, ffn_mult=2), 0))
+    other = ModelConfig(vocab_size=5, embed_dim=8, context=3, n_blocks=2, ffn_mult=2)
     with pytest.raises(UsageError):
-        sgd_step(m, g, 0.1)
+        sgd_step(m, np.zeros(param_count(other)), 0.1)
+    with pytest.raises(UsageError):
+        sgd_step(m, np.zeros(param_count(SMALL) + 1), 0.1)
 
 
-def test_extract_linear_grads_lengths_and_ordering():
+def test_views_tile_the_flat_vector_in_layout_order():
+    for cfg in (SMALL, ModelConfig(vocab_size=9, embed_dim=4, context=2, n_blocks=3, ffn_mult=3)):
+        flat = np.arange(param_count(cfg), dtype=np.float64)
+        named = views(cfg, flat)
+        assert [(name, v.shape) for name, v in named.items()] == list(param_layout(cfg))
+        assert list(named)[-3:] == ["embedding", "output.weight", "output.bias"]
+        assert all(np.shares_memory(v, flat) for v in named.values())
+        # consecutive, in order, every coordinate exactly once
+        np.testing.assert_array_equal(
+            np.concatenate([v.ravel() for v in named.values()]), flat
+        )
+
+
+def test_views_of_wrong_length_are_usage_errors():
+    n = param_count(SMALL)
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+        with pytest.raises(UsageError):
+            views(SMALL, bad)
+        with pytest.raises(UsageError):
+            GlobalModel(SMALL, bad)
+
+
+def test_linear_layer_manifest_matches_layout_weight_shapes():
+    for cfg in (SMALL, ModelConfig(vocab_size=9, embed_dim=4, context=2, n_blocks=3, ffn_mult=3)):
+        shapes = dict(param_layout(cfg))
+        manifest = linear_layer_manifest(cfg)
+        assert [name for name, _, _ in manifest] == [
+            f"block{i}.{part}" for i in range(1, cfg.n_blocks + 1) for part in ("fc", "proj")
+        ]
+        for name, rows, cols in manifest:
+            assert shapes[name + ".weight"] == (rows, cols)
+
+
+def test_selector_layer_order_and_feature_length():
     cfg = ModelConfig(vocab_size=9, embed_dim=4, context=2, n_blocks=1, ffn_mult=3)
-    m = init_model(cfg, 0)
-    _, g = loss_and_grads(m, *_batch(cfg, 2))
+    shapes = dict(param_layout(cfg))
+    both = parse_selector("both").layer_names(cfg.n_blocks)
+    fc = parse_selector("fc").layer_names(cfg.n_blocks)
+    proj = parse_selector("proj").layer_names(cfg.n_blocks)
+    assert fc + proj == both
     hidden = cfg.hidden_dim
-    both = extract_linear_grads(g, parse_selector("both"))
-    assert both.size == hidden * cfg.block_input_dim(1) + cfg.embed_dim * hidden
-    fc = extract_linear_grads(g, parse_selector("fc"))
-    proj = extract_linear_grads(g, parse_selector("proj"))
-    np.testing.assert_array_equal(np.concatenate([fc, proj]), both)
+    size = sum(int(np.prod(shapes[name + ".weight"])) for name in both)
+    assert size == hidden * cfg.block_input_dim(1) + cfg.embed_dim * hidden
 
 
-def test_extract_linear_grads_zero_and_unknown_layer():
-    m = init_model(SMALL, 0)
-    zeros = grads_zeros_like(m)
-    assert np.all(extract_linear_grads(zeros, parse_selector("both")) == 0.0)
+def test_selector_unknown_block_is_usage_error():
     with pytest.raises(UsageError):
-        extract_linear_grads(zeros, parse_selector("fc@5"))
+        parse_selector("fc@5").layer_names(SMALL.n_blocks)
 
 
 def test_eval_loss_deterministic_and_training_reduces_it():

@@ -1,103 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from gradlink.errors import DegenerateInputError, UsageError
-from gradlink.numerics import (
-    cosine_similarity,
-    euclidean_distance,
-    l2_norm,
-    normalize,
-    symmetric_eigen,
-)
-
-finite_vecs = arrays(
-    np.float64,
-    st.integers(1, 30),
-    elements=st.floats(-1e6, 1e6, allow_nan=False),
-)
-
-
-def test_l2_norm_pythagorean():
-    assert l2_norm([3.0, 4.0]) == pytest.approx(5.0)
-
-
-def test_l2_norm_zero_vector():
-    assert l2_norm([0.0, 0.0, 0.0]) == 0.0
-
-
-def test_l2_norm_matches_summation_oracle():
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=100)
-    oracle = sum(x * x for x in v) ** 0.5
-    assert l2_norm(v) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_l2_norm_empty_vector_is_usage_error():
-    with pytest.raises(UsageError):
-        l2_norm([])
-
-
-def test_normalize_examples():
-    np.testing.assert_allclose(normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
-    np.testing.assert_allclose(normalize([5.0, 0.0]), [1.0, 0.0], atol=1e-15)
-
-
-def test_normalize_zero_vector_is_degenerate():
-    with pytest.raises(DegenerateInputError):
-        normalize([0.0, 0.0])
-
-
-@given(finite_vecs)
-def test_normalize_unit_norm_and_idempotent(v):
-    if l2_norm(v) == 0.0:
-        return
-    u = normalize(v)
-    assert abs(l2_norm(u) - 1.0) <= 1e-12
-    np.testing.assert_allclose(normalize(u), u, atol=1e-12)
-
-
-def test_cosine_examples():
-    assert cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine_similarity([1, 1], [-1, -1]) == pytest.approx(-1.0)
-
-
-def test_cosine_zero_vector_and_mismatch_are_usage_errors():
-    with pytest.raises(UsageError):
-        cosine_similarity([0, 0], [1, 0])
-    with pytest.raises(UsageError):
-        cosine_similarity([1, 0], [1, 0, 0])
-
-
-@given(finite_vecs, st.floats(0.1, 100.0), st.floats(0.1, 100.0))
-def test_cosine_symmetric_and_scale_invariant(v, a, b):
-    rng = np.random.default_rng(1)
-    u = rng.normal(size=v.shape[0])
-    if l2_norm(v) == 0.0:
-        return
-    c = cosine_similarity(u, v)
-    assert cosine_similarity(v, u) == pytest.approx(c, abs=1e-12)
-    assert cosine_similarity(a * u, b * v) == pytest.approx(c, abs=1e-12)
-
-
-def test_euclidean_examples():
-    assert euclidean_distance([0, 0], [3, 4]) == pytest.approx(5.0)
-    assert euclidean_distance([1.5, -2.0], [1.5, -2.0]) == 0.0
-    with pytest.raises(UsageError):
-        euclidean_distance([1], [1, 2])
-
-
-def test_euclidean_cosine_identity_on_unit_vectors():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        u = normalize(rng.normal(size=8))
-        v = normalize(rng.normal(size=8))
-        lhs = euclidean_distance(u, v) ** 2
-        rhs = 2.0 - 2.0 * cosine_similarity(u, v)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+from gradlink.errors import UsageError
+from gradlink.numerics import symmetric_eigen
 
 
 def test_eigen_identity():
