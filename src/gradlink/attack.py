@@ -7,7 +7,7 @@ Inputs are TraceStore only; nothing here can reach the truth sidecar.
 
 import logging
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -31,40 +31,35 @@ class FeatureMatrix:
 
 
 def build_features(trace: TraceStore, selector: LayerSelector) -> FeatureMatrix:
-    """Concatenate the selected FC/Proj layers of each record (row-major per
-    layer, selector order) and scale to unit length. A zero-gradient
-    record is replaced by the unit basis vector e1, with a warning."""
-    if not trace.records:
-        raise UsageError("empty trace")
-    manifest_names = [name for name, _, _ in trace.layer_manifest]
-    n_blocks = sum(1 for name in manifest_names if name.endswith(".fc"))
+    """Concatenate the selected FC/Proj layers of each trace row (row-major
+    per layer, selector order) and scale to unit length. A zero-gradient
+    row is replaced by the unit basis vector e1, with a warning."""
+    columns, start = {}, 0
+    for name, rows, cols in trace.layer_manifest:
+        columns[name] = slice(start, start + rows * cols)
+        start += rows * cols
+    if trace.updates.shape != (trace.clients * trace.rounds, start):
+        raise UsageError(f"trace updates of shape {trace.updates.shape} do not fit K, T and manifest")
+    n_blocks = sum(1 for name in columns if name.endswith(".fc"))
     selected = selector.layer_names(n_blocks)
     for name in selected:
-        if name not in manifest_names:
+        if name not in columns:
             raise UsageError(f"selector layer {name!r} not in trace manifest")
 
-    records = sorted(trace.records, key=lambda r: (r.round, r.slot))
-    rows = []
-    index = []
-    for rec in records:
-        vec = np.concatenate(
-            [rec.layers[name].astype(np.float64).ravel() for name in selected]
-        )
+    values = np.concatenate(
+        [trace.updates[:, columns[name]] for name in selected], axis=1, dtype=np.float64
+    )
+    index = [(t, slot) for t in range(trace.rounds) for slot in range(trace.clients)]
+    for vec, (t, slot) in zip(values, index):
         norm = np.sqrt(np.dot(vec, vec))
         if norm == 0.0:
-            log.warning(
-                "zero gradient record at round=%d slot=%d; substituting e1",
-                rec.round,
-                rec.slot,
-            )
-            vec = np.zeros_like(vec)
+            log.warning("zero gradient record at round=%d slot=%d; substituting e1", t, slot)
+            vec[:] = 0.0
             vec[0] = 1.0
         else:
-            vec = vec / norm
-        rows.append(vec)
-        index.append((rec.round, rec.slot))
+            vec /= norm
     return FeatureMatrix(
-        values=np.stack(rows),
+        values=values,
         index=index,
         clients=trace.clients,
         rounds=trace.rounds,

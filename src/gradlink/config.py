@@ -78,7 +78,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - top_allowed
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    seed = int(doc.get("seed", 0))
+    seed = doc.get("seed", 0)  # FedConfig checks it
 
     fed_doc = _section(
         doc,

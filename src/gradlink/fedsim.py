@@ -6,12 +6,13 @@ The attack path consumes TraceStore only; the TruthSidecar exists solely for
 evaluation and is never reachable from the attack module.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import ClientShard, windows_from_sentences
+from .corpus import ClientShard, batch_iter, windows_from_sentences
 from .dp import DpConfig, privatize
 from .errors import ConfigError, DivergedError, UsageError
 from .model import (
@@ -24,10 +25,7 @@ from .model import (
     sgd_step,
     views,
 )
-from .corpus import batch_iter
 from .rng import labeled_rng
-
-TRACE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -42,14 +40,13 @@ class FedConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.clients < 2:
-            raise ConfigError("need at least 2 clients")
-        if self.rounds < 2:
-            raise ConfigError("need at least 2 rounds")
+        minimums = {"clients": 2, "rounds": 2, "local_epochs": 0, "batch_size": 1, "seed": 0}
+        for name, minimum in minimums.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
         if self.client_lr <= 0 or self.server_lr < 0:
             raise ConfigError("learning rates must be positive")
-        if self.local_epochs < 0 or self.batch_size < 1:
-            raise ConfigError("bad local_epochs or batch_size")
 
 
 @dataclass
@@ -64,23 +61,17 @@ class UpdatePacket:
 
 
 @dataclass
-class TraceRecord:
-    """The server-visible part of one packet: the FC/Proj weight-gradient
-    layers, stored at 32-bit precision."""
-
-    round: int
-    slot: int
-    layers: dict  # name -> float32 ndarray
-
-
-@dataclass
 class TraceStore:
+    """The server's view of a run. Row `t * clients + slot` of `updates` is
+    the packet in slot `slot` of round `t`: its FC/Proj weight updates at
+    32-bit precision, each layer row-major, layers in manifest order."""
+
     clients: int
     rounds: int
     seed: int
     layer_manifest: List[Tuple[str, int, int]]  # (name, rows, cols)
     dp: Optional[DpConfig]
-    records: List[TraceRecord] = field(default_factory=list)
+    updates: np.ndarray  # (clients * rounds, sum of rows * cols) float32
     loss_curve: List[float] = field(default_factory=list)
     # advisory accounting inputs for the epsilon report
     dp_sample_rate: Optional[float] = None
@@ -174,15 +165,6 @@ def aggregate(
     return GlobalModel(model.config, model.params - server_lr * avg)
 
 
-def _trace_record(packet: UpdatePacket, config: ModelConfig) -> TraceRecord:
-    payload = views(config, packet.payload)
-    layers = {
-        name: payload[name + ".weight"].astype(np.float32)
-        for name, _, _ in linear_layer_manifest(config)
-    }
-    return TraceRecord(round=packet.round, slot=packet.slot, layers=layers)
-
-
 def _count_local_steps(shards, cfg: FedConfig, context: int) -> Tuple[int, float]:
     """Advisory DP accounting: per-client local steps over the run and the
     per-step sample rate, using the smallest client shard."""
@@ -224,12 +206,15 @@ def run_simulation(
     if vw.shape[0] == 0:
         raise ConfigError("no validation windows across all shards")
 
+    manifest = linear_layer_manifest(model_cfg)
+    dim = sum(rows * cols for _, rows, cols in manifest)
     trace = TraceStore(
         clients=fed_cfg.clients,
         rounds=fed_cfg.rounds,
         seed=fed_cfg.seed,
-        layer_manifest=linear_layer_manifest(model_cfg),
+        layer_manifest=manifest,
         dp=dp_cfg,
+        updates=np.empty((fed_cfg.rounds * fed_cfg.clients, dim), dtype=np.float32),
     )
     if dp_cfg is not None:
         trace.dp_steps, trace.dp_sample_rate = _count_local_steps(
@@ -256,7 +241,11 @@ def run_simulation(
         else:
             shuffled, perm = packets, list(range(fed_cfg.clients))
         sidecar.rounds.append(perm)
-        trace.records.extend(_trace_record(pkt, model_cfg) for pkt in shuffled)
+        for slot, pkt in enumerate(shuffled):
+            payload = views(model_cfg, pkt.payload)
+            trace.updates[t * fed_cfg.clients + slot] = np.concatenate(
+                [payload[name + ".weight"].ravel() for name, _, _ in manifest]
+            )
         model = aggregate(model, shuffled, fed_cfg.server_lr)
         trace.loss_curve.append(checked_loss(model))
 

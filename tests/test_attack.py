@@ -44,18 +44,26 @@ def test_feature_rows_unit_norm_and_ordered():
     assert f.index == [(r, s) for r in range(4) for s in range(3)]
 
 
+def _manifest_columns(trace, name):
+    """Columns of `name` in the update matrix, found through the manifest."""
+    offset = 0
+    for layer, rows, cols in trace.layer_manifest:
+        if layer == name:
+            return slice(offset, offset + rows * cols)
+        offset += rows * cols
+    raise KeyError(name)
+
+
 def test_feature_fc_is_prefix_of_both_pre_normalization():
     trace, _, _ = _small_trace()
     both = build_features(trace, parse_selector("both"))
     fc = build_features(trace, parse_selector("fc"))
     assert both.values.shape[1] > fc.values.shape[1]
-    rec = sorted(trace.records, key=lambda r: (r.round, r.slot))[0]
-    raw_fc = np.concatenate(
-        [rec.layers[f"block{i}.fc"].astype(np.float64).ravel() for i in (1, 2)]
-    )
+    row = trace.updates[0].astype(np.float64)
+    raw = {name: row[_manifest_columns(trace, name)] for name, _, _ in trace.layer_manifest}
+    raw_fc = np.concatenate([raw[f"block{i}.fc"] for i in (1, 2)])
     raw_both_prefix = both.values[0][: raw_fc.size] * np.linalg.norm(
-        np.concatenate([raw_fc, rec.layers["block1.proj"].astype(np.float64).ravel(),
-                        rec.layers["block2.proj"].astype(np.float64).ravel()])
+        np.concatenate([raw_fc, raw["block1.proj"], raw["block2.proj"]])
     )
     np.testing.assert_allclose(raw_both_prefix, raw_fc, rtol=1e-10, atol=1e-12)
 
@@ -68,12 +76,10 @@ def test_feature_selector_mismatch_is_usage_error():
 
 def test_zero_gradient_record_substitutes_e1(caplog):
     trace, _, _ = _small_trace()
-    rec = trace.records[0]
-    for name in rec.layers:
-        rec.layers[name] = np.zeros_like(rec.layers[name])
+    trace.updates[4] = 0.0  # round 1, slot 1
     with caplog.at_level(logging.WARNING, logger="gradlink.attack"):
         f = build_features(trace, parse_selector("both"))
-    row = f.values[f.index.index((rec.round, rec.slot))]
+    row = f.values[f.index.index((1, 1))]
     assert row[0] == 1.0 and np.all(row[1:] == 0.0)
     assert any("zero gradient" in m for m in caplog.messages)
 
@@ -281,16 +287,9 @@ def test_greedy_rejects_incomplete_rounds():
 
 def test_attacks_are_scale_invariant_in_one_record():
     trace, sidecar, _ = _small_trace(k=3, t=4)
-    scaled_records = [
-        dataclasses.replace(
-            rec,
-            layers={name: arr * 37.5 for name, arr in rec.layers.items()}
-            if i == 4
-            else rec.layers,
-        )
-        for i, rec in enumerate(trace.records)
-    ]
-    scaled = dataclasses.replace(trace, records=scaled_records)
+    updates = trace.updates.copy()
+    updates[4] *= 37.5
+    scaled = dataclasses.replace(trace, updates=updates)
     for method in ("greedy", "kmeans", "spectral"):
         f1 = build_features(trace, parse_selector("both"))
         f2 = build_features(scaled, parse_selector("both"))

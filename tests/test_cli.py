@@ -1,13 +1,20 @@
+import base64
 import csv
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from gradlink.corpus import SyntheticSpec, generate_synthetic
+from gradlink.dp import DpConfig
 from gradlink.errors import InputError
-from gradlink.fedsim import FedConfig, run_simulation
+from gradlink.fedsim import FedConfig, TraceStore, run_simulation
 from gradlink.model import ModelConfig
 from gradlink.report import read_report, render_report
 from gradlink.traceio import (
@@ -58,11 +65,12 @@ def test_trace_round_trip_is_exact(tmp_path):
     assert (back.clients, back.rounds, back.seed) == (trace.clients, trace.rounds, trace.seed)
     assert back.layer_manifest == trace.layer_manifest
     assert back.loss_curve == trace.loss_curve
-    assert len(back.records) == len(trace.records)
-    for a, b in zip(trace.records, back.records):
-        assert (a.round, a.slot) == (b.round, b.slot)
-        for name in a.layers:
-            np.testing.assert_array_equal(a.layers[name], b.layers[name])
+    assert (back.dp, back.dp_steps, back.dp_sample_rate) == (None, None, None)
+    assert back.updates.dtype == np.float32
+    np.testing.assert_array_equal(back.updates, trace.updates)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and json.loads(lines[0])["format_version"] == 2
+    assert path.read_bytes().isascii()
 
 
 def test_sidecar_round_trip_and_validation(tmp_path):
@@ -104,32 +112,184 @@ def test_truncated_trace_rejected(tmp_path):
         read_trace(path)
 
 
-def _attack_edited_trace(tmp_path, edit):
-    """Write a 3x3 trace, apply `edit` to its second record, and return the
-    exit code of `attack` on it."""
+def _attack_code(tmp_path, path, method="greedy"):
+    out = tmp_path / f"assignment_{method}.json"
+    return main(["attack", "--trace", str(path), "--method", method, "--out", str(out)])
+
+
+def _edited_trace(tmp_path, edit):
+    """Write a 3x3 trace, then replace its lines with the lines that
+    `edit(header_line, body_bytes, row_bytes)` returns."""
     trace, _, _ = _run_trace(k=3, t=3)
     path = tmp_path / "trace.jsonl"
     write_trace(path, trace)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    rec = json.loads(lines[2])
-    edit(rec)
-    lines[2] = json.dumps(rec)
+    header_line, body_line = path.read_text(encoding="utf-8").splitlines()
+    raw = base64.b64decode(json.loads(body_line))
+    path.write_text(
+        "\n".join(edit(header_line, raw, trace.updates.shape[1] * 4)) + "\n", encoding="utf-8"
+    )
+    return path
+
+
+def _b64(raw):
+    return json.dumps(base64.b64encode(raw).decode("ascii"))
+
+
+MALFORMED_TRACES = {
+    "body-one-row-short": lambda h, raw, row: [h, _b64(raw[:-row])],
+    "body-one-row-long": lambda h, raw, row: [h, _b64(raw + raw[:row])],
+    "body-not-whole-float32": lambda h, raw, row: [h, _b64(raw[:-1])],
+    "body-invalid-base64": lambda h, raw, row: [h, _b64(raw)[:9] + "*" + _b64(raw)[10:]],
+    "body-not-a-string": lambda h, raw, row: [h, "[1, 2, 3]"],
+    "third-line": lambda h, raw, row: [h, _b64(raw), _b64(raw)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+def test_malformed_v2_trace_is_exit_2(tmp_path, capsys, case):
+    path = _edited_trace(tmp_path, MALFORMED_TRACES[case])
+    assert _attack_code(tmp_path, path) == EXIT_USAGE
+    assert "malformed trace file" in capsys.readouterr().err
+
+
+def test_v1_trace_is_exit_2_and_says_to_simulate_again(tmp_path, capsys):
+    header = {"format_version": 1, "clients": 2, "rounds": 2, "seed": 0,
+              "layer_manifest": [{"name": "block1.fc", "rows": 1, "cols": 2}],
+              "dp": None, "dp_steps": None, "dp_sample_rate": None,
+              "loss_curve": [1.0, 0.9, 0.8]}
+    lines = [json.dumps(header)] + [
+        json.dumps({"round": t, "slot": s, "layers": {"block1.fc": [0.5, -0.25]}})
+        for t in range(2) for s in range(2)
+    ]
+    path = tmp_path / "trace.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out = tmp_path / "assignment.json"
-    return main(["attack", "--trace", str(path), "--method", "greedy", "--out", str(out)])
+    assert _attack_code(tmp_path, path) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "format version 1" in err and "gradlink simulate" in err
 
 
-def test_trace_with_duplicated_slot_is_exit_2(tmp_path):
-    assert _attack_edited_trace(tmp_path, lambda rec: rec.update(slot=0)) == EXIT_USAGE
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["kmeans", "spectral", "greedy"])
+def test_non_finite_trace_value_is_exit_2(tmp_path, capsys, method, value):
+    def put_value(header_line, raw, row):
+        body = np.frombuffer(raw, dtype="<f4").copy()
+        body[row // 4 + 7] = value  # round 0, slot 1
+        return [header_line, _b64(body.tobytes())]
+
+    path = _edited_trace(tmp_path, put_value)
+    assert _attack_code(tmp_path, path, method) == EXIT_USAGE
+    assert "round 0 slot 1 holds a non-finite value" in capsys.readouterr().err
 
 
-def test_trace_with_round_out_of_range_is_exit_2(tmp_path):
-    assert _attack_edited_trace(tmp_path, lambda rec: rec.update(round=7)) == EXIT_USAGE
+# ---------------------------------------------------------------- reader fuzz
 
 
-def test_trace_record_missing_a_layer_is_exit_2(tmp_path):
-    code = _attack_edited_trace(tmp_path, lambda rec: rec["layers"].pop("block2.proj"))
-    assert code == EXIT_USAGE
+def _file_bytes(write):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        write(path)
+        return path.read_bytes()
+
+
+@functools.cache
+def _valid_trace_bytes():
+    """A small valid trace file: K=2, T=3, DP on, 12 values per row."""
+    rng = np.random.default_rng(0)
+    trace = TraceStore(
+        clients=2, rounds=3, seed=5,
+        layer_manifest=[("block1.fc", 2, 4), ("block1.proj", 2, 2)],
+        dp=DpConfig(clip=1.0, sigma=0.5), updates=rng.normal(size=(6, 12)).astype(np.float32),
+        loss_curve=[2.0, 1.5, 1.25, 1.0], dp_steps=3, dp_sample_rate=0.5,
+    )
+    return _file_bytes(lambda path: write_trace(path, trace))
+
+
+@functools.cache
+def _valid_assignment_bytes():
+    return _file_bytes(lambda path: write_assignment(
+        path, [0, 1, 1, 0, 0, 1], clients=2, rounds=3, method="kmeans", selector="fc"
+    ))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def corrupted(draw, valid_bytes, kinds=("truncate", "overwrite", "replace")):
+    """A valid file truncated at a random byte, with a random byte
+    overwritten, with a random value of its first line's JSON replaced, or
+    (kind "value", traces only) with one body value set to a random float32."""
+    data = valid_bytes()
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "overwrite":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+    lines = data.split(b"\n")
+    if kind == "value":
+        body = np.frombuffer(base64.b64decode(json.loads(lines[1])), dtype="<f4").copy()
+        body[draw(st.integers(0, body.size - 1))] = draw(st.floats(width=32))
+        lines[1] = _b64(body.tobytes()).encode()
+        return b"\n".join(lines)
+    doc = json.loads(lines[0])
+    path = draw(st.sampled_from([p for p in _paths(doc) if p]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(json_values)
+    return b"\n".join([json.dumps(doc).encode()] + lines[1:])
+
+
+def _read_fuzzed(tmp_path_factory, data, reader):
+    path = tmp_path_factory.getbasetemp() / "fuzzed"
+    path.write_bytes(data)
+    try:
+        return reader(path)
+    except InputError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=corrupted(_valid_trace_bytes, ("truncate", "overwrite", "replace", "value")))
+def test_fuzzed_trace_is_valid_or_input_error(tmp_path_factory, data):
+    trace = _read_fuzzed(tmp_path_factory, data, read_trace)
+    if trace is None:
+        return
+    assert isinstance(trace, TraceStore)
+    for value in (trace.clients, trace.rounds, trace.seed):
+        assert isinstance(value, int) and not isinstance(value, bool)
+    assert trace.clients >= 2 and trace.rounds >= 2 and trace.seed >= 0
+    dim = sum(rows * cols for _, rows, cols in trace.layer_manifest)
+    assert trace.updates.shape == (trace.clients * trace.rounds, dim)
+    assert trace.updates.dtype == np.float32 and np.all(np.isfinite(trace.updates))
+    assert len(trace.loss_curve) == trace.rounds + 1
+    assert trace.dp is None or isinstance(trace.dp, DpConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=corrupted(_valid_assignment_bytes))
+def test_fuzzed_assignment_is_valid_or_input_error(tmp_path_factory, data):
+    doc = _read_fuzzed(tmp_path_factory, data, read_assignment)
+    if doc is None:
+        return
+    k, t = doc["clients"], doc["rounds"]
+    assert all(type(v) is int for v in (k, t, *doc["labels"]))
+    assert k >= 2 and t >= 2 and len(doc["labels"]) == k * t
+    assert all(0 <= v < k for v in doc["labels"])
+    assert isinstance(doc["method"], str) and isinstance(doc["selector"], str)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -197,6 +357,27 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("fed", "rounds", 2.5),
+    ("fed", "rounds", 4.0),
+    ("fed", "clients", "3"),
+    ("fed", "clients", True),
+    ("fed", "local_epochs", 1.5),
+    ("fed", "batch_size", "8"),
+    (None, "seed", "x"),
+    (None, "seed", 1.9),
+    (None, "seed", False),
+    (None, "seed", -1),
+])
+def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, value):
+    doc = _base_config()
+    (doc[section] if section else doc)[key] = value
+    cfg = _write_config(tmp_path, doc)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
+    assert code == EXIT_USAGE
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_missing_trace_is_exit_2(tmp_path, capsys):
     code = main([
         "attack", "--trace", str(tmp_path / "missing.jsonl"),
@@ -216,6 +397,46 @@ def test_mismatched_assignment_is_exit_2(tmp_path, capsys):
         "--sidecar", str(tmp_path / "trace.jsonl.sidecar.json"),
     ])
     assert code == EXIT_USAGE
+
+
+def _assignment_doc(**overrides):
+    doc = {"method": "greedy", "selector": "both", "clients": 3, "rounds": 2,
+           "labels": [0, 1, 2, 2, 1, 0]}
+    doc.update(overrides)
+    return doc
+
+
+MALFORMED_ASSIGNMENTS = {
+    "label-out-of-range": _assignment_doc(labels=[0, 1, 2, 9, 1, 0]),
+    "label-negative": _assignment_doc(labels=[0, 1, 2, -1, 1, 0]),
+    "label-float": _assignment_doc(labels=[0, 1, 2, 2, 1, 0.7]),
+    "label-integral-float": _assignment_doc(labels=[0, 1, 2, 2, 1, 1.0]),
+    "label-bool": _assignment_doc(labels=[True, 1, 2, 0, 1, 2]),
+    "label-string": _assignment_doc(labels=[0, 1, 2, 0, 1, "2"]),
+    "labels-too-few": _assignment_doc(labels=[0, 1, 2, 2, 1]),
+    "labels-too-many": _assignment_doc(labels=[0, 1, 2, 2, 1, 0, 1]),
+    "labels-not-a-list": _assignment_doc(labels="012210"),
+    "clients-float": _assignment_doc(clients=3.0),
+    "rounds-string": _assignment_doc(rounds="2"),
+    "clients-below-2": _assignment_doc(clients=1, labels=[0, 0]),
+    "method-not-a-string": _assignment_doc(method=["greedy"]),
+    "not-an-object": [0, 1, 2, 2, 1, 0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ASSIGNMENTS))
+def test_malformed_assignment_is_exit_2(tmp_path, capsys, case):
+    trace, sidecar, _ = _run_trace(k=3, t=2)
+    write_trace(tmp_path / "trace.jsonl", trace)
+    write_sidecar(tmp_path / "sidecar.json", sidecar)
+    bad = tmp_path / "assignment.json"
+    bad.write_text(json.dumps(MALFORMED_ASSIGNMENTS[case]), encoding="utf-8")
+    code = main([
+        "report", "--trace", str(tmp_path / "trace.jsonl"), "--assignment", str(bad),
+        "--sidecar", str(tmp_path / "sidecar.json"),
+    ])
+    assert code == EXIT_USAGE
+    assert "malformed assignment file" in capsys.readouterr().err
 
 
 def test_divergence_is_exit_3(tmp_path, capsys):

@@ -138,12 +138,12 @@ def test_aggregate_payload_of_wrong_length_is_usage_error():
 def test_simulation_counts_and_slot_structure():
     fed, mcfg, shards = _setup(k=3, t=4)
     trace, sidecar, losses = run_simulation(fed, mcfg, shards)
-    assert len(trace.records) == 12
+    dim = sum(rows * cols for _, rows, cols in trace.layer_manifest)
+    assert trace.updates.shape == (12, dim)
+    assert trace.updates.dtype == np.float32
     assert len(sidecar.rounds) == 4
     assert len(losses) == 5
     for t in range(4):
-        slots = sorted(r.slot for r in trace.records if r.round == t)
-        assert slots == [0, 1, 2]
         assert sorted(sidecar.rounds[t]) == [0, 1, 2]
 
 
@@ -151,12 +151,9 @@ def test_simulation_frozen_server_repeats_payloads():
     fed, mcfg, shards = _setup(k=3, t=3, server_lr=0.0)
     trace, _, losses = run_simulation(fed, mcfg, shards)
     assert losses[0] == losses[-1]
-    # same client's record payloads repeat across rounds (match by multiset)
+    # same client's payloads repeat across rounds (match by multiset of row prefixes)
     by_round = [
-        sorted(
-            tuple(rec.layers["block1.fc"].ravel()[:5]) for rec in trace.records
-            if rec.round == t
-        )
+        sorted(tuple(row[:5]) for row in trace.updates[t * 3 : (t + 1) * 3])
         for t in range(3)
     ]
     assert by_round[0] == by_round[1] == by_round[2]
@@ -167,10 +164,7 @@ def test_simulation_deterministic():
     t1, s1, _ = run_simulation(fed, mcfg, shards)
     t2, s2, _ = run_simulation(fed, mcfg, shards)
     assert s1.rounds == s2.rounds
-    for r1, r2 in zip(t1.records, t2.records):
-        assert (r1.round, r1.slot) == (r2.round, r2.slot)
-        for name in r1.layers:
-            np.testing.assert_array_equal(r1.layers[name], r2.layers[name])
+    assert t1.updates.tobytes() == t2.updates.tobytes()
 
 
 def test_shuffle_invariance_of_final_model():
