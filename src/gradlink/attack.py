@@ -14,7 +14,6 @@ import numpy as np
 from .errors import NumericalError, UsageError
 from .fedsim import TraceStore
 from .model import LayerSelector
-from .numerics import symmetric_eigen
 
 log = logging.getLogger(__name__)
 
@@ -143,6 +142,13 @@ def kmeans_points(
 def kmeans(features: FeatureMatrix, k: int, seed: int) -> np.ndarray:
     """Cluster all K*T feature rows with Euclidean k-means."""
     return kmeans_points(features.values, k, seed)
+
+
+def symmetric_eigen(a: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The `k` algebraically smallest eigenpairs of a symmetric matrix:
+    eigenvalues ascending and eigenvectors as the columns of an (n, k) array."""
+    vals, vecs = np.linalg.eigh(a)
+    return vals[:k], vecs[:, :k]
 
 
 def spectral_points(x: np.ndarray, k: int, seed: int) -> np.ndarray:

@@ -14,11 +14,11 @@ from pathlib import Path
 
 from . import attack as attack_mod
 from .config import METHODS, ExperimentConfig, FilesSpec, load_experiment, parse_experiment
-from .corpus import SyntheticSpec, generate_synthetic, load_text_shards
+from .corpus import generate_synthetic, load_text_shards
 from .errors import ConfigError, DivergedError, GradlinkError, InputError, UsageError
 from .fedsim import run_simulation
 from .model import ModelConfig, parse_selector
-from .report import build_report, read_report, render_report, write_report
+from .report import build_report, render_report, write_report
 from .traceio import (
     read_assignment,
     read_sidecar,
@@ -59,12 +59,10 @@ def _model_config(cfg: ExperimentConfig, vocab_size: int) -> ModelConfig:
 
 def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
     shards, vocab = _build_shards(cfg)
-    trace, sidecar, losses = run_simulation(
-        cfg.fed, _model_config(cfg, vocab.size), shards, cfg.dp
-    )
+    trace, sidecar, _ = run_simulation(cfg.fed, _model_config(cfg, vocab.size), shards, cfg.dp)
     write_trace(trace_path, trace)
     write_sidecar(sidecar_path, sidecar)
-    return losses
+    return trace.loss_curve
 
 
 def _default_sidecar(trace_path) -> Path:

@@ -10,7 +10,7 @@ from typing import List, Optional, Union
 from .corpus import SyntheticSpec
 from .dp import DpConfig
 from .errors import ConfigError, GradlinkError
-from .fedsim import FedConfig
+from .fedsim import FedConfig, require_integers
 from .model import LayerSelector, parse_selector
 
 METHODS = ("kmeans", "spectral", "greedy")
@@ -24,6 +24,9 @@ class ModelArch:
     context: int = 4
     n_blocks: int = 4
     ffn_mult: int = 4
+
+    def __post_init__(self):
+        require_integers(self, {"embed_dim": 1, "context": 1, "n_blocks": 1, "ffn_mult": 1})
 
 
 @dataclass(frozen=True)

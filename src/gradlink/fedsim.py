@@ -8,7 +8,7 @@ evaluation and is never reachable from the attack module.
 
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,15 @@ from .model import (
 from .rng import labeled_rng
 
 
+def require_integers(obj, minimums: Dict[str, int]) -> None:
+    """Raise ConfigError unless each named field of `obj` is an integer (not
+    a bool) at or above its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FedConfig:
     clients: int
@@ -40,30 +49,17 @@ class FedConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        minimums = {"clients": 2, "rounds": 2, "local_epochs": 0, "batch_size": 1, "seed": 0}
-        for name, minimum in minimums.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        require_integers(
+            self, {"clients": 2, "rounds": 2, "local_epochs": 0, "batch_size": 1, "seed": 0}
+        )
         if self.client_lr <= 0 or self.server_lr < 0:
             raise ConfigError("learning rates must be positive")
 
 
 @dataclass
-class UpdatePacket:
-    """One client's accumulated update for a round, identity-stripped once
-    shuffled; `slot` is its position in the round after shuffling. The
-    payload is a flat vector in the model's parameter layout."""
-
-    round: int
-    slot: int
-    payload: np.ndarray
-
-
-@dataclass
 class TraceStore:
     """The server's view of a run. Row `t * clients + slot` of `updates` is
-    the packet in slot `slot` of round `t`: its FC/Proj weight updates at
+    the payload in slot `slot` of round `t`: its FC/Proj weight updates at
     32-bit precision, each layer row-major, layers in manifest order."""
 
     clients: int
@@ -98,12 +94,12 @@ def client_round(
     snapshot: GlobalModel,
     shard: ClientShard,
     cfg: FedConfig,
-    round_idx: int,
     dp_cfg: Optional[DpConfig] = None,
     dp_rng: Optional[np.random.Generator] = None,
-) -> UpdatePacket:
+) -> np.ndarray:
     """Run local mini-batch SGD on a replica of the round's snapshot and
-    return the transmitted update theta_t - theta_local_final.
+    return the transmitted update theta_t - theta_local_final, a flat
+    vector in the model's parameter layout.
 
     The batch order stream depends only on (seed, client), so with a frozen
     global model the client emits an identical payload every round."""
@@ -124,44 +120,39 @@ def client_round(
             else:
                 _, grads = loss_and_grads(model, windows, targets)
             model = sgd_step(model, grads, cfg.client_lr)
-    payload = snapshot.params - model.params
-    return UpdatePacket(round=round_idx, slot=shard.client_id, payload=payload)
+    return snapshot.params - model.params
 
 
 def shuffle_round(
-    packets: Sequence[UpdatePacket], rng: np.random.Generator
-) -> Tuple[List[UpdatePacket], List[int]]:
-    """Fisher-Yates shuffle of a round's packets. Returns the shuffled
-    packets with slots reassigned to positions, and the permutation
-    slot -> original index (for the TruthSidecar only)."""
-    k = len(packets)
+    payloads: Sequence[np.ndarray], rng: np.random.Generator
+) -> Tuple[List[np.ndarray], List[int]]:
+    """Fisher-Yates shuffle of a round's payloads. Returns the payloads in
+    slot order and the permutation slot -> original index (for the
+    TruthSidecar only)."""
+    k = len(payloads)
     order = list(range(k))
     for i in range(k - 1, 0, -1):
         j = int(rng.integers(0, i + 1))
         order[i], order[j] = order[j], order[i]
-    shuffled = [
-        UpdatePacket(round=packets[src].round, slot=pos, payload=packets[src].payload)
-        for pos, src in enumerate(order)
-    ]
-    return shuffled, order
+    return [payloads[src] for src in order], order
 
 
 def aggregate(
-    model: GlobalModel, packets: Sequence[UpdatePacket], server_lr: float
+    model: GlobalModel, payloads: Sequence[np.ndarray], server_lr: float
 ) -> GlobalModel:
     """FedAvg step: Theta <- Theta - lambda * Avg(payloads).
 
     Summands are value-sorted per coordinate before reduction, so the result
-    is bit-identical under any permutation of the packets."""
-    if not packets:
-        raise UsageError("aggregate needs at least one packet")
-    for pkt in packets:
-        if pkt.payload.shape != model.params.shape:
+    is bit-identical under any permutation of the payloads."""
+    if not payloads:
+        raise UsageError("aggregate needs at least one payload")
+    for payload in payloads:
+        if payload.shape != model.params.shape:
             raise UsageError(
-                f"payload has shape {pkt.payload.shape}, parameters {model.params.shape}"
+                f"payload has shape {payload.shape}, parameters {model.params.shape}"
             )
-    stack = np.stack([pkt.payload for pkt in packets])
-    avg = np.sort(stack, axis=0, kind="stable").sum(axis=0) / len(packets)
+    stack = np.stack(payloads)
+    avg = np.sort(stack, axis=0, kind="stable").sum(axis=0) / len(payloads)
     return GlobalModel(model.config, model.params - server_lr * avg)
 
 
@@ -183,14 +174,14 @@ def run_simulation(
     model_cfg: ModelConfig,
     shards: Sequence[ClientShard],
     dp_cfg: Optional[DpConfig] = None,
-    *,
-    return_final_model: bool = False,
-):
-    """Run T federated rounds and record the anonymized trace.
+) -> Tuple[TraceStore, TruthSidecar, GlobalModel]:
+    """Run T federated rounds and record the anonymized trace. Returns the
+    trace, its truth sidecar and the final global model.
 
     Per round: snapshot -> K client rounds (DP-privatized if configured) ->
-    shuffle -> record packets -> aggregate. The loss curve holds eval_loss on
-    the union of validation shards, before training and after every round."""
+    shuffle -> record payloads -> aggregate. The trace's loss curve holds
+    eval_loss on the union of validation shards, before training and after
+    every round."""
     if len(shards) != fed_cfg.clients:
         raise ConfigError(
             f"config says {fed_cfg.clients} clients but got {len(shards)} shards"
@@ -232,23 +223,21 @@ def run_simulation(
 
     trace.loss_curve.append(checked_loss(model))
     for t in range(fed_cfg.rounds):
-        packets = [
-            client_round(model, shard, fed_cfg, t, dp_cfg, dp_rngs[shard.client_id])
+        payloads = [
+            client_round(model, shard, fed_cfg, dp_cfg, dp_rngs[shard.client_id])
             for shard in shards
         ]
         if fed_cfg.shuffle:
-            shuffled, perm = shuffle_round(packets, shuffle_rng)
+            shuffled, perm = shuffle_round(payloads, shuffle_rng)
         else:
-            shuffled, perm = packets, list(range(fed_cfg.clients))
+            shuffled, perm = payloads, list(range(fed_cfg.clients))
         sidecar.rounds.append(perm)
-        for slot, pkt in enumerate(shuffled):
-            payload = views(model_cfg, pkt.payload)
+        for slot, payload in enumerate(shuffled):
+            named = views(model_cfg, payload)
             trace.updates[t * fed_cfg.clients + slot] = np.concatenate(
-                [payload[name + ".weight"].ravel() for name, _, _ in manifest]
+                [named[name + ".weight"].ravel() for name, _, _ in manifest]
             )
         model = aggregate(model, shuffled, fed_cfg.server_lr)
         trace.loss_curve.append(checked_loss(model))
 
-    if return_final_model:
-        return trace, sidecar, list(trace.loss_curve), model
-    return trace, sidecar, list(trace.loss_curve)
+    return trace, sidecar, model

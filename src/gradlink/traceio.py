@@ -135,12 +135,14 @@ def read_sidecar(path) -> TruthSidecar:
     try:
         with open(p, encoding="utf-8") as fh:
             doc = json.load(fh)
-        rounds = [list(map(int, r)) for r in doc["rounds"]]
-    except (KeyError, ValueError, TypeError) as exc:
+        if not isinstance(doc, dict):
+            raise InputError("the document is not a JSON object")
+        rounds = _field(doc, "rounds", "a list of rounds, each a permutation of integers 0..K-1",
+                        lambda v: isinstance(v, list) and all(
+                            isinstance(r, list) and all(map(_int_from(0), r))
+                            and sorted(r) == list(range(len(r))) for r in v))
+    except (InputError, KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed sidecar file {p}: {exc}") from exc
-    for r in rounds:
-        if sorted(r) != list(range(len(r))):
-            raise InputError(f"sidecar round is not a permutation: {r}")
     return TruthSidecar(rounds=rounds)
 
 

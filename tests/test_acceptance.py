@@ -153,8 +153,8 @@ def test_shuffling_does_not_change_training():
         mcfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, context=3, n_blocks=2, ffn_mult=2)
         on = FedConfig(clients=5, rounds=5, seed=0, shuffle=True)
         off = FedConfig(clients=5, rounds=5, seed=0, shuffle=False)
-        _, _, _, m_on = run_simulation(on, mcfg, shards, return_final_model=True)
-        _, _, _, m_off = run_simulation(off, mcfg, shards, return_final_model=True)
+        _, _, m_on = run_simulation(on, mcfg, shards)
+        _, _, m_off = run_simulation(off, mcfg, shards)
         assert np.max(np.abs(m_on.params - m_off.params)) <= 1e-12
 
 

@@ -15,6 +15,7 @@ from gradlink.attack import (
     solve_lsap,
     spectral,
     spectral_points,
+    symmetric_eigen,
 )
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.errors import UsageError
@@ -140,6 +141,56 @@ def test_kmeans_matches_brute_force_on_sphere_bundles():
     assert rand_index(labels, best_labels) == 1.0
 
 
+# ---------------------------------------------------------------- eigensolver
+
+
+def test_eigen_identity():
+    vals, vecs = symmetric_eigen(np.eye(3), 3)
+    np.testing.assert_allclose(vals, [1, 1, 1], atol=1e-12)
+
+
+def test_eigen_diagonal():
+    vals, vecs = symmetric_eigen(np.diag([1.0, 2.0, 3.0]), 2)
+    np.testing.assert_allclose(vals, [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, :2], atol=1e-12)
+
+
+def _charpoly_roots(a):
+    """Characteristic polynomial coefficients via the Faddeev-LeVerrier
+    recurrence, then companion-matrix roots. Independent of the solver."""
+    n = a.shape[0]
+    coeffs = [1.0]
+    m = np.zeros_like(a)
+    for k in range(1, n + 1):
+        m = a @ m + coeffs[-1] * np.eye(n)
+        coeffs.append(-np.trace(a @ m) / k)
+    return np.sort(np.roots(coeffs).real)
+
+
+def test_eigen_matches_characteristic_polynomial_oracle():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 6))
+    a = (a + a.T) / 2.0
+    vals, _ = symmetric_eigen(a, 6)
+    np.testing.assert_allclose(vals, _charpoly_roots(a), atol=1e-6)
+
+
+def test_eigen_residual_and_orthonormality_bounds():
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        n = int(rng.integers(2, 33))
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2.0
+        k = int(rng.integers(1, n + 1))
+        vals, vecs = symmetric_eigen(a, k)
+        fro = np.linalg.norm(a)
+        resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+        assert np.all(resid <= 1e-8 * fro)
+        gram = vecs.T @ vecs
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
+        assert np.all(np.diff(vals) >= -1e-12)
+
+
 # ---------------------------------------------------------------- spectral
 
 
@@ -158,6 +209,13 @@ def test_spectral_k1_is_single_cluster():
     rng = np.random.default_rng(2)
     labels = spectral_points(rng.normal(size=(5, 3)), 1, seed=0)
     assert set(labels.tolist()) == {0}
+
+
+def test_spectral_rejects_k_out_of_range():
+    pts = np.random.default_rng(2).normal(size=(5, 3))
+    for k in (0, 6):
+        with pytest.raises(UsageError):
+            spectral_points(pts, k, seed=0)
 
 
 def test_spectral_duplicate_rows_share_a_cluster():

@@ -14,7 +14,7 @@ from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
 from gradlink.errors import InputError
-from gradlink.fedsim import FedConfig, TraceStore, run_simulation
+from gradlink.fedsim import FedConfig, TraceStore, TruthSidecar, run_simulation
 from gradlink.model import ModelConfig
 from gradlink.report import read_report, render_report
 from gradlink.traceio import (
@@ -78,9 +78,12 @@ def test_sidecar_round_trip_and_validation(tmp_path):
     path = tmp_path / "sidecar.json"
     write_sidecar(path, sidecar)
     assert read_sidecar(path).rounds == sidecar.rounds
-    path.write_text('{"rounds": [[0, 0, 2]]}', encoding="utf-8")
-    with pytest.raises(InputError):
-        read_sidecar(path)
+    for bad in ('{"rounds": [[0, 0, 2]]}', '{"rounds": [[0.9, 1, 2.2], [true, 0, 2]]}',
+                '{"rounds": [[0, 1.0]]}', '{"rounds": [["0", 1]]}', '{"rounds": [0, 1]}',
+                '{"rounds": {}}', '[[0, 1]]', '{}'):
+        path.write_text(bad, encoding="utf-8")
+        with pytest.raises(InputError):
+            read_sidecar(path)
 
 
 def test_truth_labels_order():
@@ -205,6 +208,12 @@ def _valid_trace_bytes():
 
 
 @functools.cache
+def _valid_sidecar_bytes():
+    sidecar = TruthSidecar(rounds=[[1, 0, 2], [2, 0, 1]])
+    return _file_bytes(lambda path: write_sidecar(path, sidecar))
+
+
+@functools.cache
 def _valid_assignment_bytes():
     return _file_bytes(lambda path: write_assignment(
         path, [0, 1, 1, 0, 0, 1], clients=2, rounds=3, method="kmeans", selector="fc"
@@ -292,6 +301,19 @@ def test_fuzzed_assignment_is_valid_or_input_error(tmp_path_factory, data):
     assert isinstance(doc["method"], str) and isinstance(doc["selector"], str)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=corrupted(_valid_sidecar_bytes))
+def test_fuzzed_sidecar_is_valid_or_input_error(tmp_path_factory, data):
+    sidecar = _read_fuzzed(tmp_path_factory, data, read_sidecar)
+    if sidecar is None:
+        return
+    stored = json.loads(data)["rounds"]
+    assert sidecar.rounds == stored
+    for r in stored:
+        assert all(type(v) is int for v in r)
+        assert sorted(r) == list(range(len(r)))
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -368,6 +390,10 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     (None, "seed", 1.9),
     (None, "seed", False),
     (None, "seed", -1),
+    ("model", "embed_dim", 2.5),
+    ("model", "context", True),
+    ("model", "n_blocks", "2"),
+    ("model", "ffn_mult", 0),
 ])
 def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, value):
     doc = _base_config()

@@ -8,7 +8,6 @@ from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.errors import ConfigError, DivergedError, UsageError
 from gradlink.fedsim import (
     FedConfig,
-    UpdatePacket,
     aggregate,
     client_round,
     run_simulation,
@@ -32,68 +31,69 @@ def _setup(k=3, t=4, seed=0, overlap=0.0, **fed_kwargs):
 def test_client_round_zero_epochs_gives_zero_payload():
     fed, mcfg, shards = _setup(local_epochs=0)
     model = init_model(mcfg, 0)
-    pkt = client_round(model, shards[0], fed, 0)
-    assert np.linalg.norm(pkt.payload) == 0.0
+    payload = client_round(model, shards[0], fed)
+    assert np.linalg.norm(payload) == 0.0
 
 
 def test_client_round_single_step_equals_lr_times_grads():
     fed, mcfg, shards = _setup(batch_size=10_000)  # one batch per epoch
     model = init_model(mcfg, 0)
-    pkt = client_round(model, shards[0], fed, 0)
+    payload = client_round(model, shards[0], fed)
     from gradlink.corpus import batch_iter
 
     rng = labeled_rng(fed.seed, f"batch.client{shards[0].client_id}")
     (windows, targets), = list(batch_iter(shards[0], 10_000, mcfg.context, rng))
     _, grads = loss_and_grads(model, windows, targets)
-    np.testing.assert_allclose(pkt.payload, fed.client_lr * grads, atol=1e-12)
+    np.testing.assert_allclose(payload, fed.client_lr * grads, atol=1e-12)
 
 
 def test_identical_shards_give_identical_payloads():
     fed, mcfg, shards = _setup()
     model = init_model(mcfg, 0)
     twin = dataclasses.replace(shards[0], client_id=shards[0].client_id)
-    p1 = client_round(model, shards[0], fed, 0)
-    p2 = client_round(model, twin, fed, 0)
-    np.testing.assert_array_equal(p1.payload, p2.payload)
+    p1 = client_round(model, shards[0], fed)
+    p2 = client_round(model, twin, fed)
+    np.testing.assert_array_equal(p1, p2)
 
 
 def test_client_round_empty_shard_is_config_error():
     fed, mcfg, shards = _setup()
     empty = dataclasses.replace(shards[0], train=[])
     with pytest.raises(ConfigError):
-        client_round(init_model(mcfg, 0), empty, fed, 0)
+        client_round(init_model(mcfg, 0), empty, fed)
 
 
-def _dummy_packets(k, seed=0):
+def _dummy_payloads(k, seed=0):
     fed, mcfg, shards = _setup(k=max(k, 2))
     model = init_model(mcfg, 0)
-    return [client_round(model, s, fed, 0) for s in shards[:k]]
+    return [client_round(model, s, fed) for s in shards[:k]]
 
 
 def test_shuffle_single_packet_is_identity():
-    pkts = _dummy_packets(2)[:1]
-    shuffled, perm = shuffle_round(pkts, np.random.default_rng(0))
+    payloads = _dummy_payloads(2)[:1]
+    shuffled, perm = shuffle_round(payloads, np.random.default_rng(0))
     assert perm == [0]
-    assert shuffled[0].slot == 0
+    assert len(shuffled) == 1 and shuffled[0] is payloads[0]
 
 
 def test_shuffle_preserves_payload_multiset():
-    pkts = _dummy_packets(3)
-    shuffled, perm = shuffle_round(pkts, np.random.default_rng(1))
+    payloads = _dummy_payloads(3)
+    shuffled, perm = shuffle_round(payloads, np.random.default_rng(1))
     assert sorted(perm) == [0, 1, 2]
-    before = sorted(tuple(p.payload[:4]) for p in pkts)
-    after = sorted(tuple(p.payload[:4]) for p in shuffled)
+    before = sorted(tuple(p[:4]) for p in payloads)
+    after = sorted(tuple(p[:4]) for p in shuffled)
     assert before == after
-    assert [p.slot for p in shuffled] == [0, 1, 2]
+    for slot, src in enumerate(perm):
+        assert shuffled[slot] is payloads[src]
 
 
 def test_shuffle_permutations_are_uniform():
     rng = np.random.default_rng(2)
-    pkts = [UpdatePacket(round=0, slot=i, payload=None) for i in range(3)]
+    payloads = [np.full(1, i) for i in range(3)]
     counts = Counter()
     draws = 10_000
     for _ in range(draws):
-        _, perm = shuffle_round(pkts, rng)
+        _, perm = shuffle_round(payloads, rng)
         counts[tuple(perm)] += 1
     assert len(counts) == 6
     for freq in counts.values():
@@ -103,25 +103,25 @@ def test_shuffle_permutations_are_uniform():
 def test_aggregate_single_packet():
     fed, mcfg, shards = _setup()
     model = init_model(mcfg, 0)
-    pkt = client_round(model, shards[0], fed, 0)
-    out = aggregate(model, [pkt], server_lr=1.0)
-    np.testing.assert_allclose(out.params, model.params - pkt.payload, atol=0)
+    payload = client_round(model, shards[0], fed)
+    out = aggregate(model, [payload], server_lr=1.0)
+    np.testing.assert_allclose(out.params, model.params - payload, atol=0)
 
 
 def test_aggregate_zero_payloads_leave_model_unchanged():
     fed, mcfg, shards = _setup(local_epochs=0)
     model = init_model(mcfg, 0)
-    pkts = [client_round(model, s, fed, 0) for s in shards]
-    out = aggregate(model, pkts, server_lr=0.5)
+    payloads = [client_round(model, s, fed) for s in shards]
+    out = aggregate(model, payloads, server_lr=0.5)
     np.testing.assert_array_equal(model.params, out.params)
 
 
 def test_aggregate_invariant_under_packet_permutation():
     fed, mcfg, shards = _setup()
     model = init_model(mcfg, 0)
-    pkts = [client_round(model, s, fed, 0) for s in shards]
-    shuffled, _ = shuffle_round(pkts, np.random.default_rng(3))
-    a = aggregate(model, pkts, server_lr=0.1)
+    payloads = [client_round(model, s, fed) for s in shards]
+    shuffled, _ = shuffle_round(payloads, np.random.default_rng(3))
+    a = aggregate(model, payloads, server_lr=0.1)
     b = aggregate(model, shuffled, server_lr=0.1)
     np.testing.assert_array_equal(a.params, b.params)
 
@@ -129,28 +129,28 @@ def test_aggregate_invariant_under_packet_permutation():
 def test_aggregate_payload_of_wrong_length_is_usage_error():
     fed, mcfg, shards = _setup()
     model = init_model(mcfg, 0)
-    pkt = client_round(model, shards[0], fed, 0)
-    for bad in (pkt.payload[:-1], np.append(pkt.payload, 0.0)):
+    payload = client_round(model, shards[0], fed)
+    for bad in (payload[:-1], np.append(payload, 0.0)):
         with pytest.raises(UsageError):
-            aggregate(model, [pkt, UpdatePacket(round=0, slot=1, payload=bad)], server_lr=0.1)
+            aggregate(model, [payload, bad], server_lr=0.1)
 
 
 def test_simulation_counts_and_slot_structure():
     fed, mcfg, shards = _setup(k=3, t=4)
-    trace, sidecar, losses = run_simulation(fed, mcfg, shards)
+    trace, sidecar, _ = run_simulation(fed, mcfg, shards)
     dim = sum(rows * cols for _, rows, cols in trace.layer_manifest)
     assert trace.updates.shape == (12, dim)
     assert trace.updates.dtype == np.float32
     assert len(sidecar.rounds) == 4
-    assert len(losses) == 5
+    assert len(trace.loss_curve) == 5
     for t in range(4):
         assert sorted(sidecar.rounds[t]) == [0, 1, 2]
 
 
 def test_simulation_frozen_server_repeats_payloads():
     fed, mcfg, shards = _setup(k=3, t=3, server_lr=0.0)
-    trace, _, losses = run_simulation(fed, mcfg, shards)
-    assert losses[0] == losses[-1]
+    trace, _, _ = run_simulation(fed, mcfg, shards)
+    assert trace.loss_curve[0] == trace.loss_curve[-1]
     # same client's payloads repeat across rounds (match by multiset of row prefixes)
     by_round = [
         sorted(tuple(row[:5]) for row in trace.updates[t * 3 : (t + 1) * 3])
@@ -170,8 +170,8 @@ def test_simulation_deterministic():
 def test_shuffle_invariance_of_final_model():
     fed, mcfg, shards = _setup(k=5, t=5)
     off = dataclasses.replace(fed, shuffle=False)
-    _, _, _, m_on = run_simulation(fed, mcfg, shards, return_final_model=True)
-    _, _, _, m_off = run_simulation(off, mcfg, shards, return_final_model=True)
+    _, _, m_on = run_simulation(fed, mcfg, shards)
+    _, _, m_off = run_simulation(off, mcfg, shards)
     assert np.max(np.abs(m_on.params - m_off.params)) <= 1e-12
 
 
