@@ -200,12 +200,18 @@ def _grid_cells(grid_doc: dict):
         raise ConfigError(f"unknown grid axes: {sorted(bad)} (allowed: {SWEEP_AXES})")
     if not grid or any(not vals for vals in grid.values()):
         raise ConfigError("grid is empty")
-    parse_experiment(base)  # fail before launching any cell
-    axes = sorted(grid)
     cells = [{}]
-    for axis in axes:
+    for axis in sorted(grid):
         cells = [dict(cell, **{axis: value}) for cell in cells for value in grid[axis]]
-    return cells
+    checked = []
+    for i, overrides in enumerate(cells):  # fail before launching any cell
+        try:
+            doc = _apply_cell(base, overrides)
+            parse_experiment(doc)
+        except (ConfigError, UsageError) as exc:
+            raise ConfigError(f"grid cell {i} {overrides}: {exc}") from exc
+        checked.append((overrides, doc))
+    return checked
 
 
 def cmd_sweep(args) -> int:
@@ -221,10 +227,9 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = []
-    for i, overrides in enumerate(cells):
+    for i, (overrides, doc) in enumerate(cells):
         desc = "_".join(f"{k}-{overrides[k]}" for k in sorted(overrides))
         cell_dir = out_dir / f"cell_{i:03d}_{desc}"
-        doc = _apply_cell(grid_doc["base"], overrides)
         jobs.append((i, overrides, str(cell_dir), doc))
 
     rows = {}

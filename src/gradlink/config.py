@@ -9,8 +9,8 @@ from typing import List, Optional, Union
 
 from .corpus import SyntheticSpec
 from .dp import DpConfig
-from .errors import ConfigError, GradlinkError
-from .fedsim import FedConfig, require_integers
+from .errors import ConfigError, GradlinkError, require_integers
+from .fedsim import FedConfig
 from .model import LayerSelector, parse_selector
 
 METHODS = ("kmeans", "spectral", "greedy")
@@ -36,6 +36,11 @@ class FilesSpec:
     valid_sentences: int = 8
     freq_cutoff: int = 1
 
+    def __post_init__(self):
+        if not isinstance(self.paths, list) or not all(isinstance(x, str) for x in self.paths):
+            raise ConfigError(f"paths must be a list of file names, got {self.paths!r}")
+        require_integers(self, {"train_sentences": 1, "valid_sentences": 1, "freq_cutoff": 1})
+
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -45,6 +50,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"attack method must be one of {METHODS}")
+        if not isinstance(self.selector, str):
+            raise ConfigError(f"attack selector must be a string, got {self.selector!r}")
         parse_selector(self.selector)  # validates
 
     def layer_selector(self) -> LayerSelector:

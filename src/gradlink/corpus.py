@@ -10,7 +10,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, UsageError
+from .errors import (
+    ConfigError,
+    InputError,
+    UsageError,
+    is_integer,
+    require_finite,
+    require_integers,
+)
 from .rng import labeled_rng
 
 PAD_ID = 0
@@ -60,6 +67,13 @@ class SyntheticSpec:
     overlap: float = 0.1  # fraction of tokens drawn from the shared vocabulary
 
     def __post_init__(self):
+        # types first; the ranges below keep their own messages
+        counts = ("n_clients", "train_sentences", "valid_sentences", "topic_vocab_size",
+                  "shared_vocab_size")
+        require_integers(self, dict.fromkeys(counts, 0))
+        require_finite(self, ("overlap",))
+        if len(self.sentence_len) != 2 or not all(map(is_integer, self.sentence_len)):
+            raise ConfigError(f"sentence_len must be two integers, got {self.sentence_len!r}")
         if self.n_clients < 2:
             raise UsageError("need at least 2 clients")
         if not 0.0 <= self.overlap <= 1.0:

@@ -1,20 +1,18 @@
-"""Client-side DP-SGD defense: per-sample clipping and Gaussian noising of
-gradients before an update leaves the client, plus an advisory privacy
-accountant.
+"""Client-side DP-SGD defense: Gaussian noising of clipped gradients before
+an update leaves the client, plus an advisory privacy accountant. The
+per-sample clipping itself happens in the model's batched backward pass.
 
 Noise convention: the mechanism averages L clipped per-sample gradients and
 adds Gaussian noise with per-coordinate std sigma * clip / L (noise drawn
 inside the average, the standard DP-SGD scaling).
 """
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_finite
 
 MAX_RDP_ORDER = 128
 
@@ -26,6 +24,7 @@ class DpConfig:
     delta: float = 1e-4
 
     def __post_init__(self):
+        require_finite(self, ("clip", "sigma", "delta"))
         if self.clip <= 0:
             raise UsageError("clip bound must be > 0")
         if self.sigma < 0:
@@ -36,7 +35,9 @@ class DpConfig:
 
 def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:
     """Rescale the flat gradient g to norm <= clip: g / max(1, ||g|| / clip).
-    A gradient already within the bound is returned as the same object."""
+    A gradient already within the bound is returned as the same object.
+    Training clips in `loss_and_grads(..., clip=...)`; this is the
+    one-gradient form of the same rule."""
     if clip <= 0:
         raise UsageError("clip bound must be > 0")
     factor = max(1.0, float(np.sqrt(g @ g)) / clip)
@@ -46,21 +47,19 @@ def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:
 
 
 def privatize(
-    per_sample_grads: Sequence[np.ndarray], cfg: DpConfig, rng: np.random.Generator
+    clipped_mean: np.ndarray, n_samples: int, cfg: DpConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Clipped average of flat per-sample gradients plus fresh Gaussian noise
-    with per-coordinate std sigma * clip / L, drawn in one call over the
-    whole vector."""
-    if len(per_sample_grads) == 0:
+    """The clipped average of `n_samples` per-sample gradients, as
+    `loss_and_grads(..., clip=cfg.clip)` returns it, plus fresh Gaussian
+    noise with per-coordinate std sigma * clip / n_samples, drawn in one
+    call over the whole vector."""
+    if n_samples < 1:
         raise UsageError("privatize needs at least one per-sample gradient")
-    l = len(per_sample_grads)
-    clipped = [clip_gradient(g, cfg.clip) for g in per_sample_grads]
-    # Summed left to right from the first sample: np.sum would start from
-    # +0.0 and turn a coordinate that is -0.0 in every sample into +0.0.
-    mean = functools.reduce(np.add, clipped) * (1.0 / l)
     if cfg.sigma == 0.0:
-        return mean
-    return mean + rng.normal(0.0, cfg.sigma * cfg.clip / l, size=mean.shape)
+        return clipped_mean
+    return clipped_mean + rng.normal(
+        0.0, cfg.sigma * cfg.clip / n_samples, size=clipped_mean.shape
+    )
 
 
 def _log_binom(n: int, k: int) -> float:

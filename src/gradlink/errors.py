@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the simulator, attacks, and CLI."""
+"""Exception hierarchy shared across the simulator, attacks, and CLI, and
+the field checks the config dataclasses raise them from."""
+
+import math
+import numbers
 
 
 class GradlinkError(Exception):
@@ -23,3 +27,27 @@ class ConfigError(GradlinkError):
 
 class DivergedError(GradlinkError):
     """Training produced a non-finite loss."""
+
+
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool (JSON true is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integers(obj, minimums) -> None:
+    """Raise ConfigError unless each named field of `obj` is an integer (not
+    a bool) at or above its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        if not is_integer(value) or value < minimum:
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_finite(obj, names) -> None:
+    """Raise ConfigError unless each named field of `obj` is a finite real
+    number (not a bool)."""
+    for name in names:
+        value = getattr(obj, name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not real or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")

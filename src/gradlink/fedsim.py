@@ -6,15 +6,14 @@ The attack path consumes TraceStore only; the TruthSidecar exists solely for
 evaluation and is never reachable from the attack module.
 """
 
-import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .corpus import ClientShard, batch_iter, windows_from_sentences
 from .dp import DpConfig, privatize
-from .errors import ConfigError, DivergedError, UsageError
+from .errors import ConfigError, DivergedError, UsageError, require_finite, require_integers
 from .model import (
     GlobalModel,
     ModelConfig,
@@ -26,15 +25,6 @@ from .model import (
     views,
 )
 from .rng import labeled_rng
-
-
-def require_integers(obj, minimums: Dict[str, int]) -> None:
-    """Raise ConfigError unless each named field of `obj` is an integer (not
-    a bool) at or above its minimum."""
-    for name, minimum in minimums.items():
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +42,9 @@ class FedConfig:
         require_integers(
             self, {"clients": 2, "rounds": 2, "local_epochs": 0, "batch_size": 1, "seed": 0}
         )
+        require_finite(self, ("client_lr", "server_lr"))
+        if not isinstance(self.shuffle, bool):
+            raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         if self.client_lr <= 0 or self.server_lr < 0:
             raise ConfigError("learning rates must be positive")
 
@@ -112,11 +105,8 @@ def client_round(
             shard, cfg.batch_size, snapshot.config.context, batch_rng
         ):
             if dp_cfg is not None:
-                per_sample = [
-                    loss_and_grads(model, windows[i : i + 1], targets[i : i + 1])[1]
-                    for i in range(windows.shape[0])
-                ]
-                grads = privatize(per_sample, dp_cfg, dp_rng)
+                _, grads = loss_and_grads(model, windows, targets, clip=dp_cfg.clip)
+                grads = privatize(grads, windows.shape[0], dp_cfg, dp_rng)
             else:
                 _, grads = loss_and_grads(model, windows, targets)
             model = sgd_step(model, grads, cfg.client_lr)

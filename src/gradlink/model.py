@@ -178,15 +178,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_and_grads(model: GlobalModel, windows, targets) -> Tuple[float, np.ndarray]:
+def loss_and_grads(
+    model: GlobalModel, windows, targets, clip: Optional[float] = None
+) -> Tuple[float, np.ndarray]:
     """Mean softmax cross-entropy (natural log) over the batch, with exact
     analytic gradients averaged over the batch, as one flat vector in the
-    layout of the model's parameters."""
+    layout of the model's parameters.
+
+    With `clip`, the gradient is instead the DP-SGD clipped average
+    (1/B) * sum_i g_i / max(1, ||g_i|| / clip) of the per-sample gradients
+    g_i, from the same batched backward pass (see `_clip_scales`)."""
+    if clip is not None and not clip > 0:
+        raise UsageError("clip bound must be > 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grads(model, windows, targets)
+        return _loss_and_grads(model, windows, targets, clip)
 
 
-def _loss_and_grads(model, windows, targets):
+def _loss_and_grads(model, windows, targets, clip):
     cfg = model.config
     windows, targets = _validate_batch(cfg, windows, targets)
     trace = forward_trace(model, windows)
@@ -196,29 +204,54 @@ def _loss_and_grads(model, windows, targets):
 
     dlogits = np.exp(logp)
     dlogits[np.arange(b), targets] -= 1.0
-    dlogits /= b
+    if clip is None:
+        dlogits /= b
 
+    # (layer, output gradient, input) of each linear layer; row i of both
+    # belongs to sample i, so the layer's gradient is dout.T @ a.
     p = model.views
-    flat = np.zeros_like(model.params)
-    g = views(cfg, flat)
-    g["output.weight"][...] = dlogits.T @ trace.final
-    g["output.bias"][...] = dlogits.sum(axis=0)
+    layers = [("output", dlogits, trace.final)]
     dx = dlogits @ p["output.weight"]
-
     for i in range(cfg.n_blocks, 0, -1):
-        g[f"block{i}.proj.weight"][...] = dx.T @ trace.block_hidden[i - 1]
-        g[f"block{i}.proj.bias"][...] = dx.sum(axis=0)
+        layers.append((f"block{i}.proj", dx, trace.block_hidden[i - 1]))
         dhid = dx @ p[f"block{i}.proj.weight"]
         dpre = dhid * (trace.block_pre[i - 1] > 0)
-        g[f"block{i}.fc.weight"][...] = dpre.T @ trace.block_inputs[i - 1]
-        g[f"block{i}.fc.bias"][...] = dpre.sum(axis=0)
+        layers.append((f"block{i}.fc", dpre, trace.block_inputs[i - 1]))
         dx_in = dpre @ p[f"block{i}.fc.weight"]
         if i > 1:
             dx_in = dx_in + dx  # residual passthrough
         dx = dx_in
+    demb = dx.reshape(b, cfg.context, cfg.embed_dim)
 
-    np.add.at(g["embedding"], windows, dx.reshape(b, cfg.context, cfg.embed_dim))
+    if clip is not None:
+        scale = _clip_scales(layers, windows, demb, clip)
+        layers = [(name, dout * scale[:, None], a) for name, dout, a in layers]
+        demb = demb * scale[:, None, None]
+
+    flat = np.zeros_like(model.params)
+    g = views(cfg, flat)
+    for name, dout, a in layers:
+        g[name + ".weight"][...] = dout.T @ a
+        g[name + ".bias"][...] = dout.sum(axis=0)
+    np.add.at(g["embedding"], windows, demb)
     return loss, flat
+
+
+def _clip_scales(layers, windows, demb, clip) -> np.ndarray:
+    """Per-sample factor 1 / max(1, ||g_i|| / clip) / B from the unscaled
+    per-sample rows of the backward pass (ghost norms), without forming
+    any g_i. A linear layer's share of g_i is the outer product
+    dout_i a_i^T plus the bias dout_i, so its squared norm is
+    ||dout_i||^2 (1 + ||a_i||^2). The embedding's share puts the row e_c of
+    context position c on token w_c, and a token can repeat in a window
+    (PAD often does), so its squared norm is sum_{c,c'} [w_c = w_c'] e_c.e_c'."""
+    sq = sum(
+        np.einsum("ij,ij->i", dout, dout) * (1.0 + np.einsum("ij,ij->i", a, a))
+        for _, dout, a in layers
+    )
+    same_token = windows[:, :, None] == windows[:, None, :]
+    sq = sq + ((demb @ demb.transpose(0, 2, 1)) * same_token).sum(axis=(1, 2))
+    return 1.0 / np.maximum(1.0, np.sqrt(sq) / clip) / windows.shape[0]
 
 
 def sgd_step(model: GlobalModel, grads: np.ndarray, lr: float) -> GlobalModel:

@@ -224,8 +224,7 @@ def test_dp_mechanism_properties():
 
         cfg = DpConfig(clip=2.0, sigma=1.3)
         for l in (1, 4):
-            zeros = [np.zeros(100_000) for _ in range(l)]
-            noised = privatize(zeros, cfg, np.random.default_rng(5))
+            noised = privatize(np.zeros(100_000), l, cfg, np.random.default_rng(5))
             std = float(np.std(noised))
             target = cfg.sigma * cfg.clip / l
             assert abs(std - target) / target < 0.05

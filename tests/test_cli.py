@@ -2,6 +2,7 @@ import base64
 import csv
 import functools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from gradlink.config import METHODS, load_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
-from gradlink.errors import InputError
+from gradlink.errors import ConfigError, InputError, UsageError
 from gradlink.fedsim import FedConfig, TraceStore, TruthSidecar, run_simulation
 from gradlink.model import ModelConfig
 from gradlink.report import read_report, render_report
@@ -262,12 +264,12 @@ def corrupted(draw, valid_bytes, kinds=("truncate", "overwrite", "replace")):
     return b"\n".join([json.dumps(doc).encode()] + lines[1:])
 
 
-def _read_fuzzed(tmp_path_factory, data, reader):
+def _read_fuzzed(tmp_path_factory, data, reader, errors=InputError):
     path = tmp_path_factory.getbasetemp() / "fuzzed"
     path.write_bytes(data)
     try:
         return reader(path)
-    except InputError:
+    except errors:
         return None
 
 
@@ -312,6 +314,41 @@ def test_fuzzed_sidecar_is_valid_or_input_error(tmp_path_factory, data):
     for r in stored:
         assert all(type(v) is int for v in r)
         assert sorted(r) == list(range(len(r)))
+
+
+@functools.cache
+def _valid_config_bytes():
+    return json.dumps(_base_config(dp={"clip": 1.0, "sigma": 0.5})).encode()
+
+
+def _is_int(value, minimum):
+    return type(value) is int and value >= minimum
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=corrupted(_valid_config_bytes))
+def test_fuzzed_config_parses_or_is_config_error(tmp_path_factory, data):
+    cfg = _read_fuzzed(tmp_path_factory, data, load_experiment, (ConfigError, UsageError))
+    if cfg is None:
+        return
+    fed, model, spec = cfg.fed, cfg.model, cfg.data
+    assert _is_int(cfg.seed, 0) and cfg.seed == fed.seed
+    assert all(_is_int(getattr(fed, k), m) for k, m in
+               [("clients", 2), ("rounds", 2), ("local_epochs", 0), ("batch_size", 1)])
+    assert all(_is_int(getattr(model, k), 1) for k in
+               ("embed_dim", "context", "n_blocks", "ffn_mult"))
+    for value in (fed.client_lr, fed.server_lr):
+        assert type(value) in (int, float) and math.isfinite(value)
+    assert fed.client_lr > 0 and fed.server_lr >= 0 and type(fed.shuffle) is bool
+    assert isinstance(spec, SyntheticSpec) and spec.n_clients == fed.clients
+    assert all(_is_int(getattr(spec, k), 0) for k in
+               ("train_sentences", "valid_sentences", "topic_vocab_size", "shared_vocab_size"))
+    assert all(_is_int(v, 2) for v in spec.sentence_len) and 0.0 <= spec.overlap <= 1.0
+    if cfg.dp is not None:
+        dp = cfg.dp
+        assert all(type(v) in (int, float) and math.isfinite(v) for v in (dp.clip, dp.sigma, dp.delta))
+        assert dp.clip > 0 and dp.sigma >= 0 and 0 < dp.delta < 1
+    assert cfg.attack.method in METHODS and isinstance(cfg.attack.selector, str)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -394,11 +431,41 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     ("model", "context", True),
     ("model", "n_blocks", "2"),
     ("model", "ffn_mult", 0),
+    ("fed", "client_lr", float("nan")),
+    ("fed", "client_lr", True),
+    ("fed", "server_lr", float("inf")),
+    ("fed", "shuffle", "no"),
+    ("fed", "shuffle", 0),
+    ("dp", "clip", float("nan")),
+    ("dp", "clip", float("inf")),
+    ("dp", "clip", True),
+    ("dp", "sigma", float("nan")),
+    ("dp", "sigma", float("inf")),
+    ("dp", "delta", "0.1"),
 ])
 def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, value):
-    doc = _base_config()
+    doc = _base_config(dp={"clip": 1.0, "sigma": 0.1})
     (doc[section] if section else doc)[key] = value
     cfg = _write_config(tmp_path, doc)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
+    assert code == EXIT_USAGE
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("paths", "a.txt"),
+    ("paths", ["a.txt", 3]),
+    ("train_sentences", 2.5),
+    ("valid_sentences", True),
+    ("freq_cutoff", "1"),
+])
+def test_malformed_files_config_is_exit_2(tmp_path, capsys, key, value):
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"client{i}.txt"))
+        Path(paths[-1]).write_text("a b c d e\nb c d e f\nc d e f g\n", encoding="utf-8")
+    files = {"paths": paths, key: value}
+    cfg = _write_config(tmp_path, _base_config(data={"files": files}))
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
     assert code == EXIT_USAGE
     assert f"{key} must be" in capsys.readouterr().err
@@ -475,6 +542,18 @@ def test_divergence_is_exit_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_dp_divergence_is_exit_3(tmp_path, capsys):
+    # Clipping bounds each step by client_lr * clip, so only a huge rate
+    # overflows; the non-finite per-sample norms that follow must still end
+    # the run as a divergence.
+    doc = _base_config(dp={"clip": 1.0, "sigma": 0.5})
+    doc["fed"]["client_lr"] = 1e100
+    cfg = _write_config(tmp_path, doc)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
+    assert code == EXIT_DIVERGED
+    assert "diverged" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -503,6 +582,18 @@ def test_sweep_sigma_axis(tmp_path, capsys):
 def test_sweep_empty_grid_is_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {}}, "grid.json")
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
+
+
+def test_sweep_with_an_invalid_cell_is_exit_2_before_any_cell_runs(tmp_path, capsys):
+    doc = {
+        "base": _base_config(dp={"clip": 1.0, "sigma": 0.0}),
+        "grid": {"sigma": [0.1, -1.0, "x"]},
+    }
+    cfg = _write_config(tmp_path, doc, "grid.json")
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+    assert "grid cell 1 {'sigma': -1.0}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_sweep_clients_axis_mi_bounded_by_log_k(tmp_path):

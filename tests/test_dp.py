@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradlink.corpus import PAD_ID
 from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon
-from gradlink.errors import UsageError
+from gradlink.errors import ConfigError, UsageError
+from gradlink.model import ModelConfig, init_model, loss_and_grads
 
 FLAT_DIM = 22
 
@@ -45,27 +48,80 @@ def test_clip_norm_bound_property(norm_over_clip, seed):
     assert np.linalg.norm(clip_gradient(g, clip)) <= clip + 1e-12
 
 
+def _model_and_batch(n_blocks, size=8, seed=0):
+    """A small model and a batch whose windows repeat tokens: ids come from
+    {PAD, 1, 2, 3}, and the first window is all PAD."""
+    cfg = ModelConfig(vocab_size=13, embed_dim=6, context=4, n_blocks=n_blocks, ffn_mult=2)
+    rng = np.random.default_rng(seed)
+    windows = rng.integers(0, 4, size=(size, cfg.context))
+    windows[0] = PAD_ID
+    targets = rng.integers(0, cfg.vocab_size, size=size)
+    return init_model(cfg, seed), windows, targets
+
+
+def _per_sample_grads(model, windows, targets):
+    return [
+        loss_and_grads(model, windows[i : i + 1], targets[i : i + 1])[1]
+        for i in range(windows.shape[0])
+    ]
+
+
+def _loop_clipped_average(per_sample, clip):
+    """Reference for batched clipping: clip each batch-1 gradient, sum left
+    to right, divide by B."""
+    clipped = [clip_gradient(g, clip) for g in per_sample]
+    return functools.reduce(np.add, clipped) / len(clipped)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+@pytest.mark.parametrize("regime", ["all", "none", "mix"])
+def test_batched_clipping_matches_batch1_loop(n_blocks, regime):
+    for seed in range(5):
+        model, windows, targets = _model_and_batch(n_blocks, seed=seed)
+        assert any(len(set(row)) < len(row) for row in windows.tolist())
+        per_sample = _per_sample_grads(model, windows, targets)
+        norms = np.array([np.linalg.norm(g) for g in per_sample])
+        clip = {"all": norms.min() / 2, "none": norms.max() * 2, "mix": np.median(norms)}[regime]
+        low, high = {"all": (8, 8), "none": (0, 0), "mix": (1, 7)}[regime]
+        assert low <= (norms > clip).sum() <= high
+        _, batched = loss_and_grads(model, windows, targets, clip=clip)
+        np.testing.assert_allclose(
+            batched, _loop_clipped_average(per_sample, clip), rtol=0, atol=1e-12
+        )
+
+
+def test_loss_and_grads_rejects_non_positive_clip():
+    model, windows, targets = _model_and_batch(1)
+    for clip in (0.0, -1.0, float("nan")):
+        with pytest.raises(UsageError):
+            loss_and_grads(model, windows, targets, clip=clip)
+
+
 def test_privatize_sigma_zero_is_plain_clipped_average():
-    rng = np.random.default_rng(2)
-    grads = [_random_grads(rng, norm=0.5) for _ in range(4)]
-    cfg = DpConfig(clip=5.0, sigma=0.0)
-    out = privatize(grads, cfg, np.random.default_rng(0))
-    expected = np.mean(grads, axis=0)
-    np.testing.assert_array_equal(out, expected)
+    model, windows, targets = _model_and_batch(2, size=4)
+    per_sample = _per_sample_grads(model, windows, targets)
+    clip = 2.0 * max(np.linalg.norm(g) for g in per_sample)  # clips nothing
+    _, clipped_mean = loss_and_grads(model, windows, targets, clip=clip)
+    out = privatize(clipped_mean, 4, DpConfig(clip=clip, sigma=0.0), np.random.default_rng(0))
+    np.testing.assert_array_equal(out, clipped_mean)
+    np.testing.assert_allclose(out, np.mean(per_sample, axis=0), rtol=0, atol=1e-12)
 
 
 def test_privatize_single_oversized_sample_is_halved():
-    g = _random_grads(np.random.default_rng(3), norm=4.0)
-    out = privatize([g], DpConfig(clip=2.0, sigma=0.0), np.random.default_rng(0))
-    np.testing.assert_allclose(out, g / 2.0)
+    model, windows, targets = _model_and_batch(2, size=1, seed=3)
+    (g,) = _per_sample_grads(model, windows, targets)
+    cfg = DpConfig(clip=np.linalg.norm(g) / 2.0, sigma=0.0)
+    _, clipped_mean = loss_and_grads(model, windows, targets, clip=cfg.clip)
+    out = privatize(clipped_mean, 1, cfg, np.random.default_rng(0))
+    np.testing.assert_allclose(out, g / 2.0, rtol=1e-12)
 
 
 def test_privatize_noise_is_fresh_per_call():
     g = np.zeros(FLAT_DIM)
     cfg = DpConfig(clip=1.0, sigma=1.0)
     rng = np.random.default_rng(4)
-    a = privatize([g], cfg, rng)
-    b = privatize([g], cfg, rng)
+    a = privatize(g, 1, cfg, rng)
+    b = privatize(g, 1, cfg, rng)
     assert not np.array_equal(a, b)
 
 
@@ -74,7 +130,7 @@ def test_privatize_noise_std_matches_sigma_clip_over_l(l):
     # 1e5 coordinate draws via a large zero gradient
     big = np.zeros(100_000)
     cfg = DpConfig(clip=2.0, sigma=1.5)
-    out = privatize([big] * l, cfg, np.random.default_rng(5))
+    out = privatize(big, l, cfg, np.random.default_rng(5))
     sample_std = out.std()
     expected = cfg.sigma * cfg.clip / l
     assert sample_std == pytest.approx(expected, rel=0.05)
@@ -101,3 +157,7 @@ def test_dp_config_validation():
         DpConfig(clip=1.0, sigma=-0.1)
     with pytest.raises(UsageError):
         DpConfig(clip=1.0, sigma=1.0, delta=1.5)
+    for bad in (float("nan"), float("inf"), True, "1"):
+        for field in ("clip", "sigma", "delta"):
+            with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+                DpConfig(**dict({"clip": 1.0, "sigma": 1.0}, **{field: bad}))
