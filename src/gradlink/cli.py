@@ -1,6 +1,7 @@
 """Experiment runner CLI: simulate | attack | report | sweep.
 
-Exit codes: 0 ok, 2 usage/config error, 3 numerical divergence.
+Exit codes: 0 ok, 2 usage/config error or unreadable/unwritable path,
+3 numerical divergence.
 """
 
 import argparse
@@ -58,6 +59,9 @@ def _model_config(cfg: ExperimentConfig, vocab_size: int) -> ModelConfig:
 
 
 def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
+    for path in (trace_path, sidecar_path):  # fail before training, not after
+        if not Path(path).parent.is_dir():
+            raise UsageError(f"no directory to write {path} into: {Path(path).parent}")
     shards, vocab = _build_shards(cfg)
     trace, sidecar, _ = run_simulation(cfg.fed, _model_config(cfg, vocab.size), shards, cfg.dp)
     write_trace(trace_path, trace)
@@ -98,28 +102,36 @@ def run_attack(trace, method: str, selector_text: str):
     raise UsageError(f"unknown attack method {method!r}")
 
 
-def cmd_attack(args) -> int:
-    trace = read_trace(args.trace)
-    labels = run_attack(trace, args.method, args.selector)
+def attack_to_file(trace_path, method: str, selector: str, assignment_path) -> None:
+    trace = read_trace(trace_path)
+    labels = run_attack(trace, method, selector)
     write_assignment(
-        args.out,
+        assignment_path,
         labels,
         clients=trace.clients,
         rounds=trace.rounds,
-        method=args.method,
-        selector=args.selector,
+        method=method,
+        selector=selector,
     )
+
+
+def report_from_files(trace_path, assignment_path, sidecar_path, report_path=None) -> dict:
+    report = build_report(
+        read_trace(trace_path), read_assignment(assignment_path), read_sidecar(sidecar_path)
+    )
+    if report_path:
+        write_report(report_path, report)
+    return report
+
+
+def cmd_attack(args) -> int:
+    attack_to_file(args.trace, args.method, args.selector, args.out)
     print(f"assignment: {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    trace = read_trace(args.trace)
-    assignment = read_assignment(args.assignment)
-    sidecar = read_sidecar(args.sidecar)
-    report = build_report(trace, assignment, sidecar, baseline_seed=trace.seed)
-    if args.out:
-        write_report(args.out, report)
+    report = report_from_files(args.trace, args.assignment, args.sidecar, args.out)
     sys.stdout.write(render_report(report))
     return EXIT_OK
 
@@ -161,21 +173,8 @@ def run_sweep_cell(cell_dir: str, doc: dict) -> dict:
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     simulate_to_files(cfg, trace_path, sidecar_path)
-    trace = read_trace(trace_path)
-    labels = run_attack(trace, cfg.attack.method, cfg.attack.selector)
-    write_assignment(
-        assignment_path,
-        labels,
-        clients=trace.clients,
-        rounds=trace.rounds,
-        method=cfg.attack.method,
-        selector=cfg.attack.selector,
-    )
-    report = build_report(
-        trace, read_assignment(assignment_path), read_sidecar(sidecar_path),
-        baseline_seed=cfg.seed,
-    )
-    write_report(report_path, report)
+    attack_to_file(trace_path, cfg.attack.method, cfg.attack.selector, assignment_path)
+    report = report_from_files(trace_path, assignment_path, sidecar_path, report_path)
     return {
         "seed": cfg.seed,
         "config_hash": _config_hash(doc),
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
     except DivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, UsageError, InputError) as exc:
+    except (ConfigError, UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GradlinkError as exc:

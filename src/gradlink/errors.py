@@ -34,6 +34,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def require_integers(obj, minimums) -> None:
     """Raise ConfigError unless each named field of `obj` is an integer (not
     a bool) at or above its minimum."""
@@ -48,6 +53,5 @@ def require_finite(obj, names) -> None:
     number (not a bool)."""
     for name in names:
         value = getattr(obj, name)
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not real or not math.isfinite(value):
+        if not is_finite_number(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -1,5 +1,9 @@
 """Clustering evaluation: purity, Rand index, and mutual information
 (natural log) of a predicted partition against the ground truth.
+
+Each metric is a closed form over the pred x true contingency table. `pred`
+is one labeling of shape (n,), scored to a float, or a stack of labelings of
+shape (trials, n), scored to one value per row.
 """
 
 import numpy as np
@@ -8,57 +12,62 @@ from .errors import UsageError
 
 
 def _contingency(pred, true):
+    """Count tables of shape pred.shape[:-1] + (clusters, classes), all built
+    by one bincount over (row, pred, true)."""
     pred = np.asarray(pred, dtype=np.int64)
     true = np.asarray(true, dtype=np.int64)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise UsageError("pred and true must be 1-d arrays of equal length")
+    if true.ndim != 1 or pred.ndim not in (1, 2) or pred.shape[-1] != true.shape[0]:
+        raise UsageError("pred must be 1-d or 2-d with rows as long as the 1-d true")
     if pred.size == 0:
         raise UsageError("empty partition")
     if pred.min() < 0 or true.min() < 0:
         raise UsageError("labels must be non-negative integers")
-    table = np.zeros((pred.max() + 1, true.max() + 1), dtype=np.int64)
-    np.add.at(table, (pred, true), 1)
-    return table
+    rows = pred.reshape(-1, true.size)
+    k, j = int(rows.max()) + 1, int(true.max()) + 1
+    cells = (np.arange(rows.shape[0])[:, None] * k + rows) * j + true
+    table = np.bincount(cells.ravel(), minlength=rows.shape[0] * k * j)
+    return table.reshape(pred.shape[:-1] + (k, j))
 
 
-def purity(pred, true) -> float:
+def _value(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def purity(pred, true):
     """Fraction of points in the dominant true class of their predicted
     cluster: (1/N) * sum over clusters of max true-class overlap."""
     table = _contingency(pred, true)
-    return float(table.max(axis=1).sum() / table.sum())
+    return _value(table.max(axis=-1).sum(axis=-1) / len(true))
 
 
-def rand_index(pred, true) -> float:
+def rand_index(pred, true):
     """Fraction of point pairs on which the two partitions agree (together
     in both, or apart in both)."""
     table = _contingency(pred, true)
-    n = int(table.sum())
+    n = len(true)
     if n < 2:
         raise UsageError("rand index needs at least 2 points")
 
-    def pairs(counts):
-        counts = counts.astype(np.float64)
-        return float((counts * (counts - 1) / 2).sum())
+    def pairs(counts, axis):
+        return (counts * (counts - 1) // 2).sum(axis=axis)
 
-    total = n * (n - 1) / 2
-    same_same = pairs(table.ravel())
-    pred_pairs = pairs(table.sum(axis=1))
-    true_pairs = pairs(table.sum(axis=0))
-    agreeing = total + 2 * same_same - pred_pairs - true_pairs
-    return float(agreeing / total)
+    total = n * (n - 1) // 2
+    same_same = pairs(table, (-2, -1))
+    pred_pairs = pairs(table.sum(axis=-1), -1)
+    true_pairs = pairs(table.sum(axis=-2), -1)
+    return _value((total + 2 * same_same - pred_pairs - true_pairs) / total)
 
 
-def mutual_information(pred, true) -> float:
+def mutual_information(pred, true):
     """Raw mutual information in nats: sum over non-empty intersections of
     (n_kj/N) * ln(N * n_kj / (n_k * n_j)). Empty intersections contribute
     zero."""
-    table = _contingency(pred, true).astype(np.float64)
-    n = table.sum()
-    pk = table.sum(axis=1)
-    pj = table.sum(axis=0)
-    mi = 0.0
-    rows, cols = np.nonzero(table)
-    for k, j in zip(rows, cols):
-        nkj = table[k, j]
-        mi += (nkj / n) * np.log(n * nkj / (pk[k] * pj[j]))
-    return float(max(mi, 0.0))
+    table = _contingency(pred, true)
+    n = float(len(true))
+    present = table > 0
+    logs = n * table
+    np.divide(logs, table.sum(axis=-1, keepdims=True) * table.sum(axis=-2, keepdims=True),
+              out=logs, where=present)
+    np.log(logs, out=logs, where=present)  # empty cells keep 0
+    logs *= table / n
+    return _value(np.maximum(logs.sum(axis=(-2, -1)), 0.0))

@@ -18,6 +18,7 @@ RANDOM_BASELINE_TRIALS = 1000
 
 
 def score(pred, true) -> dict:
+    """The three metrics of one labeling, or arrays of them for a stack."""
     return {
         "purity": purity(pred, true),
         "rand_index": rand_index(pred, true),
@@ -27,27 +28,16 @@ def score(pred, true) -> dict:
 
 def random_baseline(true, clients: int, trials: int, seed: int) -> dict:
     """Mean metrics of uniformly random labels in [0, K) over `trials`
-    independent assignments."""
-    rng = np.random.default_rng(seed)
+    independent assignments, drawn as the rows of one (trials, n) array."""
     true = np.asarray(true)
-    sums = {"purity": 0.0, "rand_index": 0.0, "mutual_information": 0.0}
-    for _ in range(trials):
-        pred = rng.integers(0, clients, size=true.shape[0])
-        for key, val in score(pred, true).items():
-            sums[key] += val
-    out = {key: val / trials for key, val in sums.items()}
+    preds = np.random.default_rng(seed).integers(0, clients, size=(trials, true.shape[0]))
+    out = {key: float(vals.mean()) for key, vals in score(preds, true).items()}
     out["trials"] = trials
     out["procedure"] = "uniform random label per record"
     return out
 
 
-def build_report(
-    trace: TraceStore,
-    assignment: dict,
-    sidecar: TruthSidecar,
-    *,
-    baseline_seed: int = 0,
-) -> dict:
+def build_report(trace: TraceStore, assignment: dict, sidecar: TruthSidecar) -> dict:
     if assignment["clients"] != trace.clients or assignment["rounds"] != trace.rounds:
         raise InputError(
             "assignment was produced for a different trace "
@@ -71,7 +61,7 @@ def build_report(
         "selector": assignment["selector"],
         "metrics": score(pred, true),
         "random_baseline": random_baseline(
-            true, trace.clients, RANDOM_BASELINE_TRIALS, baseline_seed
+            true, trace.clients, RANDOM_BASELINE_TRIALS, trace.seed
         ),
         "loss_curve": trace.loss_curve,
         "dp": None,
@@ -126,8 +116,3 @@ def write_report(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

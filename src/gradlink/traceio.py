@@ -12,14 +12,12 @@ document; keeping it in a separate file is the de-anonymization boundary.
 import base64
 import dataclasses
 import json
-import math
-import numbers
 from pathlib import Path
 
 import numpy as np
 
 from .dp import DpConfig
-from .errors import InputError, UsageError
+from .errors import InputError, UsageError, is_finite_number, is_integer
 from .fedsim import TraceStore, TruthSidecar
 
 TRACE_FORMAT_VERSION = 2
@@ -46,11 +44,7 @@ def write_trace(path, trace: TraceStore) -> None:
 
 
 def _int_from(minimum: int):
-    return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= minimum
-
-
-def _finite(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    return lambda v: is_integer(v) and v >= minimum
 
 
 def _field(doc: dict, key: str, expected: str, ok):
@@ -78,7 +72,8 @@ def _trace_fields(header) -> dict:
         for entry in entries
     ]
     dp = _field(header, "dp", "null or an object of finite numbers",
-                lambda v: v is None or isinstance(v, dict) and all(map(_finite, v.values())))
+                lambda v: v is None
+                or isinstance(v, dict) and all(map(is_finite_number, v.values())))
     return {
         "clients": _field(header, "clients", "an integer >= 2", _int_from(2)),
         "rounds": rounds,
@@ -88,10 +83,10 @@ def _trace_fields(header) -> dict:
         "dp_steps": _field(header, "dp_steps", "null or an integer >= 0",
                            lambda v: v is None or _int_from(0)(v)),
         "dp_sample_rate": _field(header, "dp_sample_rate", "null or in (0, 1]",
-                                 lambda v: v is None or _finite(v) and 0.0 < v <= 1.0),
+                                 lambda v: v is None or is_finite_number(v) and 0.0 < v <= 1.0),
         "loss_curve": _field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
                              lambda v: isinstance(v, list) and len(v) == rounds + 1
-                             and all(map(_finite, v))),
+                             and all(map(is_finite_number, v))),
     }
 
 

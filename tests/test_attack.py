@@ -102,28 +102,29 @@ def test_kmeans_k_equals_n_gives_singletons():
     assert len(set(labels.tolist())) == 5
 
 
-def _brute_force_min_inertia(pts, k):
+def _brute_force_min_inertia(pts, k, chunk=1 << 15):
     """Minimum inertia over every assignment of points to k groups, via the
-    sum-of-squares decomposition total - sum_k |sum_k|^2 / count_k."""
+    sum-of-squares decomposition total - sum_k |sum_k|^2 / count_k. Labelings
+    are enumerated in itertools.product order, `chunk` at a time; those with
+    an empty group are rejected, and the first minimum wins ties."""
     n = pts.shape[0]
     total = float(np.sum(pts**2))
+    place = k ** np.arange(n - 1, -1, -1)
     best = np.inf
     best_labels = None
-    for labels in itertools.product(range(k), repeat=n):
-        labels = np.asarray(labels)
-        inertia = total
-        ok = True
-        for c in range(k):
-            mask = labels == c
-            cnt = int(mask.sum())
-            if cnt == 0:
-                ok = False
-                break
-            s = pts[mask].sum(axis=0)
-            inertia -= float(np.dot(s, s)) / cnt
-        if ok and inertia < best:
-            best = inertia
-            best_labels = labels
+    for start in range(0, k**n, chunk):
+        index = np.arange(start, min(start + chunk, k**n))
+        labels = index[:, None] // place % k  # (m, n), the last point varies fastest
+        onehot = (labels[:, None, :] == np.arange(k)[None, :, None]).astype(np.float64)
+        counts = onehot.sum(axis=2)  # (m, k)
+        sums = onehot @ pts  # (m, k, dim)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inertia = total - ((sums**2).sum(axis=2) / counts).sum(axis=1)
+        inertia[(counts == 0).any(axis=1)] = np.inf
+        i = int(np.argmin(inertia))
+        if inertia[i] < best:
+            best = float(inertia[i])
+            best_labels = labels[i]
     return best, best_labels
 
 

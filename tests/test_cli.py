@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradlink import cli
 from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from gradlink.config import METHODS, load_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
@@ -18,7 +19,7 @@ from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
 from gradlink.fedsim import FedConfig, TraceStore, TruthSidecar, run_simulation
 from gradlink.model import ModelConfig
-from gradlink.report import read_report, render_report
+from gradlink.report import render_report
 from gradlink.traceio import (
     read_assignment,
     read_sidecar,
@@ -376,10 +377,10 @@ def test_full_pipeline_and_report_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Pur." in out and "random" in out
 
-    report = read_report(report_path)
+    report = json.loads(report_path.read_text())
     assert report["metrics"]["purity"] == pytest.approx(1.0)
     rendered = render_report(report)
-    assert rendered == render_report(read_report(report_path))
+    assert rendered == render_report(json.loads(report_path.read_text()))
 
 
 def test_attack_runs_without_sidecar(tmp_path):
@@ -492,6 +493,35 @@ def test_mismatched_assignment_is_exit_2(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def _must_not_train(*args, **kwargs):
+    raise AssertionError("simulate trained before checking its output paths")
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-sidecar", "attack", "report"])
+def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypatch, command):
+    bad = tmp_path / "nodir" / "out.json"
+    cfg = _write_config(tmp_path, _base_config())
+    trace, sidecar, _ = _run_trace(k=3, t=2)
+    write_trace(tmp_path / "trace.jsonl", trace)
+    write_sidecar(tmp_path / "sidecar.json", sidecar)
+    write_assignment(tmp_path / "a.json", [0, 1, 2] * 2, clients=3, rounds=2,
+                     method="greedy", selector="both")
+    monkeypatch.setattr(cli, "run_simulation", _must_not_train)
+    argv = {
+        "simulate": ["simulate", "--config", str(cfg), "--out", str(bad)],
+        "simulate-sidecar": ["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "t.jsonl"), "--sidecar", str(bad)],
+        "attack": ["attack", "--trace", str(tmp_path / "trace.jsonl"),
+                   "--method", "greedy", "--out", str(bad)],
+        "report": ["report", "--trace", str(tmp_path / "trace.jsonl"),
+                   "--assignment", str(tmp_path / "a.json"),
+                   "--sidecar", str(tmp_path / "sidecar.json"), "--out", str(bad)],
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def _assignment_doc(**overrides):
     doc = {"method": "greedy", "selector": "both", "clients": 3, "rounds": 2,
            "labels": [0, 1, 2, 2, 1, 0]}
@@ -574,7 +604,7 @@ def test_sweep_sigma_axis(tmp_path, capsys):
     cells = sorted(out_dir.glob("cell_*"))
     assert len(cells) == 4
     for cell in cells:
-        report = read_report(cell / "report.json")
+        report = json.loads((cell / "report.json").read_text())
         assert report["dp"] is not None
         assert 0.0 <= report["metrics"]["purity"] <= 1.0
 
@@ -602,6 +632,17 @@ def test_sweep_clients_axis_mi_bounded_by_log_k(tmp_path):
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_OK
     for cell in sorted(out_dir.glob("cell_*")):
-        report = read_report(cell / "report.json")
+        report = json.loads((cell / "report.json").read_text())
         k = report["clients"]
         assert report["metrics"]["mutual_information"] <= np.log(k) + 1e-9
+
+
+GRIDS = Path(__file__).resolve().parents[1] / "grids"
+
+
+@pytest.mark.parametrize("name, n_cells", [("client_scale", 9), ("dp_grid", 8), ("lr_sweep", 4)])
+def test_checked_in_grids_are_valid(name, n_cells):
+    grid_doc = json.loads((GRIDS / f"{name}.json").read_text(encoding="utf-8"))
+    cells = cli._grid_cells(grid_doc)
+    assert len(cells) == n_cells
+    assert all(doc["seed"] == 0 for _, doc in cells)

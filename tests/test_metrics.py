@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gradlink.errors import UsageError
 from gradlink.metrics import mutual_information, purity, rand_index
+from gradlink.report import random_baseline, score
 
 
 # ---------------------------------------------------------------- hand examples
@@ -174,3 +175,44 @@ def test_purity_never_decreases_under_refinement():
         # split each coarse cluster in two: a strictly finer partition
         fine = coarse * 2 + rng.integers(0, 2, size=n)
         assert purity(fine, true) >= purity(coarse, true)
+
+
+# ---------------------------------------------------------------- batched scoring
+
+
+def test_score_rows_of_a_stack_equal_one_dimensional_calls():
+    rng = np.random.default_rng(2)
+    for k, n in ((2, 2), (3, 7), (5, 15), (20, 120)):
+        true = rng.integers(0, k, size=n)
+        preds = rng.integers(0, k + 2, size=(40, n))
+        preds[0] = 0  # one cluster only
+        batched = score(preds, true)
+        for i, pred in enumerate(preds):
+            single = score(pred, true)
+            assert batched["purity"][i] == single["purity"]
+            assert batched["rand_index"][i] == single["rand_index"]
+            assert batched["mutual_information"][i] == pytest.approx(
+                single["mutual_information"], abs=1e-12
+            )
+
+
+def _random_baseline_loop(true, clients, trials, seed):
+    """Mean of per-trial 1-d scores, summed trial by trial."""
+    rng = np.random.default_rng(seed)
+    sums = {"purity": 0.0, "rand_index": 0.0, "mutual_information": 0.0}
+    for _ in range(trials):
+        pred = rng.integers(0, clients, size=len(true))
+        for key, val in score(pred, true).items():
+            sums[key] += val
+    return {key: val / trials for key, val in sums.items()}
+
+
+@pytest.mark.parametrize("clients, rounds", [(3, 5), (5, 3), (5, 4), (20, 6)])
+def test_random_baseline_equals_the_per_trial_loop(clients, rounds):
+    true = np.tile(np.arange(clients), rounds)
+    for seed in (0, 7):
+        got = random_baseline(true, clients, 300, seed)
+        want = _random_baseline_loop(true, clients, 300, seed)
+        assert got["trials"] == 300
+        for key, val in want.items():
+            assert got[key] == pytest.approx(val, abs=1e-12)
