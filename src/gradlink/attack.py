@@ -65,75 +65,81 @@ def build_features(trace: TraceStore, selector: LayerSelector) -> FeatureMatrix:
     )
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for i in range(1, k):
-        total = d2.sum()
-        if total == 0.0:
-            centers[i] = x[rng.integers(n)]
-            continue
-        probs = d2 / total
-        centers[i] = x[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
-    return centers
-
-
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int):
-    k = centers.shape[0]
-    labels = None
-    prev_inertia = np.inf
-    for _ in range(max_iter):
-        d2 = (
-            np.sum(x**2, axis=1)[:, None]
-            + np.sum(centers**2, axis=1)[None, :]
-            - 2.0 * (x @ centers.T)
-        )
-        new_labels = np.argmin(d2, axis=1)
-        # repair empty clusters with the point farthest from its own centroid
-        for c in range(k):
-            if not np.any(new_labels == c):
-                resid = np.sqrt(np.sum((x - centers[new_labels]) ** 2, axis=1))
-                far = int(np.argmax(resid))
-                new_labels[far] = c
-                centers[c] = x[far]
-        inertia = float(np.sum((x - centers[new_labels]) ** 2))
-        if inertia > prev_inertia + 1e-9:
-            raise NumericalError(
-                f"k-means inertia increased from {prev_inertia} to {inertia}"
-            )
-        if labels is not None and np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-        for c in range(k):
-            centers[c] = x[labels == c].mean(axis=0)
-        prev_inertia = inertia
-    final_inertia = float(np.sum((x - centers[labels]) ** 2))
-    return labels, final_inertia
-
-
-def kmeans_points(
-    x: np.ndarray,
-    k: int,
-    seed: int,
-    n_restarts: int = 10,
-    max_iter: int = 300,
-) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding on raw points; best of
-    `n_restarts` by inertia, deterministic under seed."""
+def _gram(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix g = x xᵀ of points to split into k clusters, and the
+    points' pairwise squared distances."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise UsageError("points must be a 2-d array")
     if not 1 <= k <= x.shape[0]:
         raise UsageError(f"k={k} out of range for {x.shape[0]} points")
+    g = x @ x.T
+    return g, np.clip(_sq_dists(g, np.eye(len(g))), 0.0, None)
+
+
+def _sq_dists(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared distances from every point to each centre `w @ x` (one weight
+    row per centre), from the Gram matrix g = x xᵀ alone:
+    d2[i, c] = G_ii + w_cᵀ G w_c - 2 (G w_c)_i."""
+    gw = g @ w.T
+    return np.diag(g)[:, None] + np.sum(w * gw.T, axis=1)[None, :] - 2.0 * gw
+
+
+def _kmeans_pp_init(pair_d2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: a one-hot weight row per chosen point."""
+    n = pair_d2.shape[0]
+    chosen = [rng.integers(n)]
+    d2 = pair_d2[:, chosen[0]]
+    for _ in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            chosen.append(rng.integers(n))
+            continue
+        chosen.append(rng.choice(n, p=d2 / total))
+        d2 = np.minimum(d2, pair_d2[:, chosen[-1]])
+    return np.eye(n)[chosen]
+
+
+def _lloyd(g: np.ndarray, w: np.ndarray, max_iter: int):
+    """Lloyd's loop on the Gram matrix. Each centre is a weight row `w[c]`:
+    one-hot after seeding or repair, 1/|S| on its members after an update."""
+    k = w.shape[0]
+    rows = np.arange(g.shape[0])
+    labels = None
+    prev_inertia = np.inf
+    for _ in range(max_iter):
+        d2 = _sq_dists(g, w)
+        new_labels = np.argmin(d2, axis=1)
+        # repair empty clusters with the point farthest from its own centroid
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(d2[rows, new_labels]))
+                new_labels[far] = c
+                w[c] = rows == far
+                d2[:, c] = _sq_dists(g, w[c : c + 1])[:, 0]
+        inertia = float(d2[rows, new_labels].sum())
+        if inertia > prev_inertia + 1e-9:
+            raise NumericalError(f"k-means inertia increased from {prev_inertia} to {inertia}")
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        members = labels[None, :] == np.arange(k)[:, None]
+        w = members / members.sum(axis=1, keepdims=True)
+        prev_inertia = inertia
+    return labels, float(_sq_dists(g, w)[rows, labels].sum())
+
+
+def kmeans_points(
+    x: np.ndarray, k: int, seed: int, n_restarts: int = 10, max_iter: int = 300
+) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding on raw points; best of
+    `n_restarts` by inertia, deterministic under seed. Every distance comes
+    from the (n, n) Gram matrix, built once (kernel k-means)."""
+    g, pair_d2 = _gram(x, k)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(n_restarts):
-        centers = _kmeans_pp_init(x, k, rng)
-        labels, inertia = _lloyd(x, centers.copy(), max_iter)
+        labels, inertia = _lloyd(g, _kmeans_pp_init(pair_d2, k, rng), max_iter)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels
@@ -155,16 +161,8 @@ def spectral_points(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Spectral clustering: Gaussian affinity with median-distance bandwidth,
     symmetric normalized Laplacian, k smallest eigenvectors, row-normalized
     embedding, then k-means."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise UsageError(f"k={k} out of range for {n} points")
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(x**2, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
-    np.clip(d2, 0.0, None, out=d2)
+    _, d2 = _gram(x, k)
+    n = len(d2)
     dist = np.sqrt(d2)
     iu = np.triu_indices(n, k=1)
     gamma = float(np.median(dist[iu])) if iu[0].size else 0.0
@@ -262,6 +260,5 @@ def greedy_match(features: FeatureMatrix) -> np.ndarray:
         # rows are unit-normalized, so cosine distance is 1 - dot
         dist = 1.0 - by_round[r] @ by_round[r + 1].T
         alignment, _ = solve_lsap(dist)
-        for i in range(k):
-            labels[r + 1, alignment[i]] = labels[r, i]
+        labels[r + 1, alignment] = labels[r]
     return labels.reshape(-1)

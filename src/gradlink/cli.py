@@ -214,6 +214,8 @@ def _grid_cells(grid_doc: dict):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     p = Path(args.config)
     if not p.is_file():
         raise ConfigError(f"missing grid config file: {p}")

@@ -299,6 +299,8 @@ class LayerSelector:
                 raise UsageError("selector block list must not be empty")
             if any(b < 1 for b in self.blocks):
                 raise UsageError("selector block indices are 1-based")
+            if len(set(self.blocks)) != len(self.blocks):
+                raise UsageError(f"selector names a block twice: {self.blocks}")
 
     def resolve_blocks(self, n_blocks: int) -> Tuple[int, ...]:
         blocks = self.blocks if self.blocks is not None else tuple(range(1, n_blocks + 1))
@@ -321,9 +323,9 @@ class LayerSelector:
 
 def parse_selector(text: str) -> LayerSelector:
     """Parse "fc" | "proj" | "both", optionally with "@1,3" block suffix."""
-    part, _, rest = text.strip().lower().partition("@")
+    part, at, rest = text.strip().lower().partition("@")
     blocks = None
-    if rest:
+    if at:
         try:
             blocks = tuple(int(tok) for tok in rest.split(","))
         except ValueError as exc:

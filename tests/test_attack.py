@@ -8,6 +8,8 @@ from scipy.sparse.csgraph import connected_components
 
 from gradlink.attack import (
     FeatureMatrix,
+    _gram,
+    _lloyd,
     build_features,
     greedy_match,
     kmeans,
@@ -18,7 +20,7 @@ from gradlink.attack import (
     symmetric_eigen,
 )
 from gradlink.corpus import SyntheticSpec, generate_synthetic
-from gradlink.errors import UsageError
+from gradlink.errors import NumericalError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.metrics import purity, rand_index
 from gradlink.model import ModelConfig, parse_selector
@@ -140,6 +142,117 @@ def test_kmeans_matches_brute_force_on_sphere_bundles():
     labels = kmeans_points(pts, 3, seed=1)
     _, best_labels = _brute_force_min_inertia(pts, 3)
     assert rand_index(labels, best_labels) == 1.0
+
+
+def _oracle_kmeans_pp_init(x, k, rng):
+    """k-means++ seeding on the points themselves: the point-space code that
+    Gram k-means replaced, kept verbatim as its oracle."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            centers[i] = x[rng.integers(n)]
+            continue
+        probs = d2 / total
+        centers[i] = x[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def _oracle_lloyd(x, centers, max_iter):
+    k = centers.shape[0]
+    labels = None
+    prev_inertia = np.inf
+    for _ in range(max_iter):
+        d2 = (
+            np.sum(x**2, axis=1)[:, None]
+            + np.sum(centers**2, axis=1)[None, :]
+            - 2.0 * (x @ centers.T)
+        )
+        new_labels = np.argmin(d2, axis=1)
+        # repair empty clusters with the point farthest from its own centroid
+        for c in range(k):
+            if not np.any(new_labels == c):
+                resid = np.sqrt(np.sum((x - centers[new_labels]) ** 2, axis=1))
+                far = int(np.argmax(resid))
+                new_labels[far] = c
+                centers[c] = x[far]
+        inertia = float(np.sum((x - centers[new_labels]) ** 2))
+        if inertia > prev_inertia + 1e-9:
+            raise NumericalError(
+                f"k-means inertia increased from {prev_inertia} to {inertia}"
+            )
+        if labels is not None and np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = x[labels == c].mean(axis=0)
+        prev_inertia = inertia
+    final_inertia = float(np.sum((x - centers[labels]) ** 2))
+    return labels, final_inertia
+
+
+def _oracle_kmeans_points(x, k, seed, n_restarts=10, max_iter=300):
+    x = np.asarray(x, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(n_restarts):
+        centers = _oracle_kmeans_pp_init(x, k, rng)
+        labels, inertia = _oracle_lloyd(x, centers.copy(), max_iter)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gram_kmeans_matches_point_space_oracle_on_sphere_bundles(seed):
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(10, 61)), int(rng.integers(2, 501))
+    bundles = rng.normal(size=(int(rng.integers(2, 8)), dim))
+    spread = (0.05, 0.3, 1.0, 3.0)[seed % 4]
+    pts = bundles[rng.integers(len(bundles), size=n)] + spread * rng.normal(size=(n, dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    for k in (1, 2, len(bundles), int(rng.integers(1, n + 1)), n):
+        np.testing.assert_array_equal(
+            kmeans_points(pts, k, seed), _oracle_kmeans_points(pts, k, seed)
+        )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_kmeans_matches_oracle_with_duplicate_rows(seed):
+    """Every row twice. With k above the number of distinct rows, k-means++
+    must seed two centres on equal points; their argmin tie leaves a cluster
+    empty, so the repair runs. Small-integer coordinates keep every sum and
+    product exact in both codes, so each exact tie breaks to the lowest index
+    in both instead of by rounding."""
+    rng = np.random.default_rng(100 + seed)
+    distinct = 3 + seed
+    base = np.unique(rng.integers(-3, 4, size=(distinct, 6)), axis=0).astype(np.float64)
+    pts = np.repeat(base, 2, axis=0)[rng.permutation(2 * len(base))]
+    for k in (1, len(base) - 1, len(base), len(base) + 1):
+        np.testing.assert_array_equal(
+            kmeans_points(pts, k, seed), _oracle_kmeans_points(pts, k, seed)
+        )
+
+
+def test_gram_lloyd_matches_oracle_from_centres_inside_the_hull():
+    """Lloyd's loop alone, from centres that are random mixtures of the
+    points. Many of them start with no member, so the empty-cluster repair
+    runs, often several times in one pass, on points at positive distance
+    from their centres; k-means++ seeding almost never leads there."""
+    for seed in range(24):
+        rng = np.random.default_rng(200 + seed)
+        n, k = int(rng.integers(30, 61)), int(rng.integers(4, 13))
+        pts = rng.normal(size=(n, int(rng.integers(2, 30))))
+        weights = rng.dirichlet(np.ones(n), size=k)
+        g, _ = _gram(pts, k)
+        labels, _ = _lloyd(g, weights.copy(), 300)
+        oracle_labels, _ = _oracle_lloyd(pts, weights @ pts, 300)
+        np.testing.assert_array_equal(labels, oracle_labels)
 
 
 # ---------------------------------------------------------------- eigensolver

@@ -472,6 +472,27 @@ def test_malformed_files_config_is_exit_2(tmp_path, capsys, key, value):
     assert f"{key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selector", ["fc@", "fc@1,1"])
+@pytest.mark.parametrize("where", ["cli", "config"])
+def test_malformed_selector_block_list_is_exit_2(tmp_path, capsys, where, selector):
+    """An empty block list and a block named twice are usage errors, whether
+    the selector comes from `attack --selector` or from a config."""
+    trace = tmp_path / "trace.jsonl"
+    if where == "cli":
+        cfg = _write_config(tmp_path, _base_config())
+        assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_OK
+        out = tmp_path / "assignment.json"
+        argv = ["attack", "--trace", str(trace), "--method", "kmeans",
+                "--selector", selector, "--out", str(out)]
+    else:
+        cfg = _write_config(tmp_path, _base_config(attack={"method": "kmeans", "selector": selector}))
+        out = trace
+        argv = ["simulate", "--config", str(cfg), "--out", str(trace)]
+    assert main(argv) == EXIT_USAGE
+    assert "selector" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_trace_is_exit_2(tmp_path, capsys):
     code = main([
         "attack", "--trace", str(tmp_path / "missing.jsonl"),
@@ -623,6 +644,16 @@ def test_sweep_with_an_invalid_cell_is_exit_2_before_any_cell_runs(tmp_path, cap
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
     assert "grid cell 1 {'sigma': -1.0}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_non_positive_jobs_is_exit_2_before_any_cell_runs(tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": [0.1]}}, "grid.json")
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs]
+    assert main(argv) == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
