@@ -110,10 +110,12 @@ def _lloyd(g: np.ndarray, w: np.ndarray, max_iter: int):
     for _ in range(max_iter):
         d2 = _sq_dists(g, w)
         new_labels = np.argmin(d2, axis=1)
-        # repair empty clusters with the point farthest from its own centroid
+        # repair empty clusters with the point farthest from its own centroid,
+        # among clusters of two or more, so no repair empties another cluster
         for c in range(k):
             if not np.any(new_labels == c):
-                far = int(np.argmax(d2[rows, new_labels]))
+                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                far = int(np.argmax(np.where(shared, d2[rows, new_labels], -np.inf)))
                 new_labels[far] = c
                 w[c] = rows == far
                 d2[:, c] = _sq_dists(g, w[c : c + 1])[:, 0]

@@ -24,6 +24,7 @@ from .traceio import (
     read_assignment,
     read_sidecar,
     read_trace,
+    read_trace_header,
     write_assignment,
     write_sidecar,
     write_trace,
@@ -117,7 +118,7 @@ def attack_to_file(trace_path, method: str, selector: str, assignment_path) -> N
 
 def report_from_files(trace_path, assignment_path, sidecar_path, report_path=None) -> dict:
     report = build_report(
-        read_trace(trace_path), read_assignment(assignment_path), read_sidecar(sidecar_path)
+        read_trace_header(trace_path), read_assignment(assignment_path), read_sidecar(sidecar_path)
     )
     if report_path:
         write_report(report_path, report)

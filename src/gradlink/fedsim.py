@@ -6,6 +6,7 @@ The attack path consumes TraceStore only; the TruthSidecar exists solely for
 evaluation and is never reachable from the attack module.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,9 +18,11 @@ from .errors import ConfigError, DivergedError, UsageError, require_finite, requ
 from .model import (
     GlobalModel,
     ModelConfig,
+    check_tokens,
     eval_loss,
     init_model,
     loss_and_grads,
+    param_count,
     param_layout,
     sgd_step,
     views,
@@ -83,34 +86,87 @@ def linear_layer_manifest(config: ModelConfig) -> List[Tuple[str, int, int]]:
     ]
 
 
+@dataclass
+class LocalTraining:
+    """A run's local-training state, built once: every client's batches,
+    checked against the vocabulary, plus the (K, P) replica stack and one
+    gradient buffer that every round reuses.
+
+    Row r of the stack trains shard `order[r]`. Shards are sorted by
+    training-window count, largest first, ties by position, so at each local
+    step the clients with the same batch size are one contiguous slice of
+    rows: all full batches first, then the last partial batches, largest
+    first. `steps` lists one local epoch's slices in step order, each as
+    (replicas, gradient rows, windows (n, b, context), targets (n, b),
+    shard positions), where the first two are views into the stack and the
+    buffer."""
+
+    order: np.ndarray
+    window_counts: List[int]  # per shard, in shard order
+    params: np.ndarray
+    grads: np.ndarray
+    steps: List[Tuple[GlobalModel, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def local_training(
+    shards: Sequence[ClientShard], cfg: FedConfig, model_cfg: ModelConfig
+) -> LocalTraining:
+    """Build each shard's batches once. A client's batch order depends only
+    on (seed, client) and is drawn afresh from that stream every epoch, so
+    every epoch of every round visits the same batches."""
+    batches = []
+    for shard in shards:
+        if not shard.train:
+            raise ConfigError(f"client {shard.client_id} has an empty shard")
+        rng = labeled_rng(cfg.seed, f"batch.client{shard.client_id}")
+        batches.append(list(batch_iter(shard, cfg.batch_size, model_cfg.context, rng)))
+    counts = [sum(len(t) for _, t in b) for b in batches]
+    order = np.array(sorted(range(len(shards)), key=lambda i: -counts[i]), dtype=np.int64)
+    params = np.empty((len(shards), param_count(model_cfg)))
+    grads = np.empty_like(params)
+    steps = []
+    for j in range(max(map(len, batches), default=0)):
+        active = [i for i in order if len(batches[i]) > j]
+        lo = 0
+        for _, group in itertools.groupby(active, key=lambda i: len(batches[i][j][1])):
+            members = np.array(list(group), dtype=np.int64)
+            hi = lo + len(members)
+            windows = np.stack([batches[i][j][0] for i in members])
+            targets = np.stack([batches[i][j][1] for i in members])
+            check_tokens(model_cfg, windows, targets)
+            steps.append(
+                (GlobalModel(model_cfg, params[lo:hi]), grads[lo:hi], windows, targets, members)
+            )
+            lo = hi
+    return LocalTraining(order, counts, params, grads, steps)
+
+
 def client_round(
     snapshot: GlobalModel,
-    shard: ClientShard,
+    clients: LocalTraining,
     cfg: FedConfig,
     dp_cfg: Optional[DpConfig] = None,
-    dp_rng: Optional[np.random.Generator] = None,
+    dp_rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> np.ndarray:
-    """Run local mini-batch SGD on a replica of the round's snapshot and
-    return the transmitted update theta_t - theta_local_final, a flat
-    vector in the model's parameter layout.
+    """Run local mini-batch SGD for all K clients in lockstep, each on a
+    replica of the round's snapshot, and return the (K, P) stack of
+    transmitted updates theta_t - theta_local_final. Row r is the update of
+    shard `clients.order[r]`; the stack is `clients.params`, overwritten
+    by the next round. `dp_rngs[i]` is shard i's DP noise stream.
 
-    The batch order stream depends only on (seed, client), so with a frozen
-    global model the client emits an identical payload every round."""
-    if not shard.train:
-        raise ConfigError(f"client {shard.client_id} has an empty shard")
-    model = snapshot
+    With a frozen global model a client emits an identical payload every
+    round."""
+    params, clip = clients.params, None if dp_cfg is None else dp_cfg.clip
+    params[...] = snapshot.params
     for _ in range(cfg.local_epochs):
-        batch_rng = labeled_rng(cfg.seed, f"batch.client{shard.client_id}")
-        for windows, targets in batch_iter(
-            shard, cfg.batch_size, snapshot.config.context, batch_rng
-        ):
+        for replicas, grads, windows, targets, shard_ids in clients.steps:
+            loss_and_grads(replicas, windows, targets, clip=clip, out=grads)
             if dp_cfg is not None:
-                _, grads = loss_and_grads(model, windows, targets, clip=dp_cfg.clip)
-                grads = privatize(grads, windows.shape[0], dp_cfg, dp_rng)
-            else:
-                _, grads = loss_and_grads(model, windows, targets)
-            model = sgd_step(model, grads, cfg.client_lr)
-    return snapshot.params - model.params
+                for i, row in zip(shard_ids, grads):
+                    row[...] = privatize(row, windows.shape[1], dp_cfg, dp_rngs[i])
+            sgd_step(replicas.params, grads, cfg.client_lr)
+    np.subtract(snapshot.params, params, out=params)
+    return params
 
 
 def shuffle_round(
@@ -127,31 +183,25 @@ def shuffle_round(
     return [payloads[src] for src in order], order
 
 
-def aggregate(
-    model: GlobalModel, payloads: Sequence[np.ndarray], server_lr: float
-) -> GlobalModel:
-    """FedAvg step: Theta <- Theta - lambda * Avg(payloads).
+def aggregate(model: GlobalModel, payloads: np.ndarray, server_lr: float) -> GlobalModel:
+    """FedAvg step: Theta <- Theta - lambda * Avg(payloads), over a (K, P)
+    stack of payloads.
 
     Summands are value-sorted per coordinate before reduction, so the result
-    is bit-identical under any permutation of the payloads."""
-    if not payloads:
+    is bit-identical under any permutation of the payload rows."""
+    if payloads.ndim != 2 or payloads.shape[1:] != model.params.shape:
+        raise UsageError(
+            f"payloads have shape {payloads.shape}, expected (K, {model.params.shape[0]})"
+        )
+    if len(payloads) == 0:
         raise UsageError("aggregate needs at least one payload")
-    for payload in payloads:
-        if payload.shape != model.params.shape:
-            raise UsageError(
-                f"payload has shape {payload.shape}, parameters {model.params.shape}"
-            )
-    stack = np.stack(payloads)
-    avg = np.sort(stack, axis=0, kind="stable").sum(axis=0) / len(payloads)
+    avg = np.sort(payloads, axis=0, kind="stable").sum(axis=0) / len(payloads)
     return GlobalModel(model.config, model.params - server_lr * avg)
 
 
-def _count_local_steps(shards, cfg: FedConfig, context: int) -> Tuple[int, float]:
+def _count_local_steps(window_counts: Sequence[int], cfg: FedConfig) -> Tuple[int, float]:
     """Advisory DP accounting: per-client local steps over the run and the
     per-step sample rate, using the smallest client shard."""
-    window_counts = [
-        windows_from_sentences(s.train, context)[0].shape[0] for s in shards
-    ]
     n = min(window_counts)
     batches = max(1, -(-n // cfg.batch_size))
     steps = cfg.rounds * cfg.local_epochs * batches
@@ -178,17 +228,20 @@ def run_simulation(
         )
     model = init_model(model_cfg, fed_cfg.seed)
     shuffle_rng = labeled_rng(fed_cfg.seed, "shuffle")
-    dp_rngs = {
-        s.client_id: labeled_rng(fed_cfg.seed, f"dp.client{s.client_id}") for s in shards
-    }
+    dp_rngs = [labeled_rng(fed_cfg.seed, f"dp.client{s.client_id}") for s in shards]
 
     valid_sentences = [sent for s in shards for sent in s.valid]
     vw, vt = windows_from_sentences(valid_sentences, model_cfg.context)
     if vw.shape[0] == 0:
         raise ConfigError("no validation windows across all shards")
+    clients = local_training(shards, fed_cfg, model_cfg)
+    row_of_shard = np.argsort(clients.order)
 
     manifest = linear_layer_manifest(model_cfg)
-    dim = sum(rows * cols for _, rows, cols in manifest)
+    # positions of the FC/Proj weights in a flat vector, in trace-row order
+    positions = views(model_cfg, np.arange(param_count(model_cfg)))
+    columns = np.concatenate([positions[name + ".weight"].ravel() for name, _, _ in manifest])
+    dim = len(columns)
     trace = TraceStore(
         clients=fed_cfg.clients,
         rounds=fed_cfg.rounds,
@@ -198,9 +251,7 @@ def run_simulation(
         updates=np.empty((fed_cfg.rounds * fed_cfg.clients, dim), dtype=np.float32),
     )
     if dp_cfg is not None:
-        trace.dp_steps, trace.dp_sample_rate = _count_local_steps(
-            shards, fed_cfg, model_cfg.context
-        )
+        trace.dp_steps, trace.dp_sample_rate = _count_local_steps(clients.window_counts, fed_cfg)
     sidecar = TruthSidecar(rounds=[])
 
     def checked_loss(m):
@@ -213,21 +264,16 @@ def run_simulation(
 
     trace.loss_curve.append(checked_loss(model))
     for t in range(fed_cfg.rounds):
-        payloads = [
-            client_round(model, shard, fed_cfg, dp_cfg, dp_rngs[shard.client_id])
-            for shard in shards
-        ]
+        stack = client_round(model, clients, fed_cfg, dp_cfg, dp_rngs)
+        payloads = [stack[row] for row in row_of_shard]
         if fed_cfg.shuffle:
             shuffled, perm = shuffle_round(payloads, shuffle_rng)
         else:
             shuffled, perm = payloads, list(range(fed_cfg.clients))
         sidecar.rounds.append(perm)
         for slot, payload in enumerate(shuffled):
-            named = views(model_cfg, payload)
-            trace.updates[t * fed_cfg.clients + slot] = np.concatenate(
-                [named[name + ".weight"].ravel() for name, _, _ in manifest]
-            )
-        model = aggregate(model, shuffled, fed_cfg.server_lr)
+            trace.updates[t * fed_cfg.clients + slot] = payload[columns]
+        model = aggregate(model, stack, fed_cfg.server_lr)
         trace.loss_curve.append(checked_loss(model))
 
     return trace, sidecar, model

@@ -2,7 +2,11 @@
 the fingerprint attack consumes, plus exact analytic gradients.
 
 Parameters, gradients and client updates are each one flat float64 vector;
-`param_layout` names its pieces and `views` exposes them as arrays.
+`param_layout` names its pieces and `views` exposes them as arrays. A round's
+K client replicas are one (K, P) stack of such vectors, and the forward and
+backward passes take that leading client axis: a (K, P) stack with (K, B,
+context) windows runs K independent batches as one batched `matmul`, and a
+flat vector with (B, context) windows is the same code with no client axis.
 
 Architecture: token embeddings for a fixed left context are concatenated and
 fed through a stack of feedforward blocks (FC -> ReLU -> Proj, residual from
@@ -13,7 +17,7 @@ absent, the attack only needs linear layers.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,18 +82,22 @@ def param_count(config: ModelConfig) -> int:
 
 
 def views(config: ModelConfig, flat: np.ndarray) -> Dict[str, np.ndarray]:
-    """Named reshaped views into a flat parameter (or gradient) vector;
+    """Named reshaped views into a flat parameter (or gradient) vector, or
+    into each row of a (K, P) stack of them, with the client axis leading;
     writing to a view writes to `flat`."""
     size, segments = _segments(config)
-    if flat.shape != (size,):
-        raise UsageError(f"flat vector has shape {flat.shape}, expected ({size},)")
-    return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in segments}
+    if flat.ndim not in (1, 2) or flat.shape[-1] != size:
+        raise UsageError(f"flat vector has shape {flat.shape}, expected ({size},) or (K, {size})")
+    lead = flat.shape[:-1]
+    return {
+        name: flat[..., start:stop].reshape(lead + shape) for name, start, stop, shape in segments
+    }
 
 
 @dataclass
 class GlobalModel:
-    """All parameters as one flat float64 vector; `views` names its pieces
-    and is built once per vector."""
+    """All parameters as one flat float64 vector, or a (K, P) stack of
+    client replicas; `views` names its pieces and is built once per vector."""
 
     config: ModelConfig
     params: np.ndarray
@@ -119,7 +127,8 @@ def init_model(config: ModelConfig, seed: int) -> GlobalModel:
 @dataclass
 class ForwardTrace:
     """Intermediate activations of one forward pass (used by backprop and by
-    tests of the outer-product gradient structure)."""
+    tests of the outer-product gradient structure). Each array carries the
+    client axis of the parameters, if any, in front of the batch axis."""
 
     windows: np.ndarray
     flat_input: np.ndarray  # (B, context*embed_dim)
@@ -130,80 +139,122 @@ class ForwardTrace:
     logits: np.ndarray  # (B, vocab)
 
 
-def _validate_batch(config: ModelConfig, windows, targets):
+def check_tokens(config: ModelConfig, *arrays) -> None:
+    """UsageError unless every id in `arrays` lies in [0, vocab_size).
+    Training checks each shard's windows once per run; `loss_and_grads`
+    does not scan its batch again."""
+    for arr in arrays:
+        arr = np.asarray(arr)
+        if arr.size and (arr.min() < 0 or arr.max() >= config.vocab_size):
+            raise UsageError("token id out of vocabulary range")
+
+
+def _check_batch(model: GlobalModel, windows, targets):
     windows = np.asarray(windows)
     targets = np.asarray(targets)
-    if windows.ndim != 2 or windows.shape[1] != config.context:
-        raise UsageError(f"windows must have shape (B, {config.context})")
-    if windows.shape[0] == 0:
+    lead = model.params.shape[:-1]
+    if windows.shape[:-2] != lead or windows.shape[-1:] != (model.config.context,) or (
+        windows.ndim != len(lead) + 2
+    ):
+        raise UsageError(
+            f"windows have shape {windows.shape}; parameters of shape {model.params.shape} "
+            f"need {lead + ('B', model.config.context)}"
+        )
+    if windows.shape[-2] == 0:
         raise UsageError("empty batch")
-    if targets.shape != (windows.shape[0],):
-        raise UsageError("targets must have shape (B,)")
-    for arr in (windows, targets):
-        if arr.min() < 0 or arr.max() >= config.vocab_size:
-            raise UsageError("token id out of vocabulary range")
+    if targets.shape != windows.shape[:-1]:
+        raise UsageError(f"targets have shape {targets.shape}, windows {windows.shape}")
     return windows, targets
+
+
+def _table_index(windows: np.ndarray):
+    """Index into a (..., vocab, dim) table that picks each window's rows
+    from its own client's table: (windows,) without a client axis."""
+    lead = np.indices(windows.shape[:-2], sparse=True)
+    return tuple(i[..., None, None] for i in lead) + (windows,)
+
+
+def _t(w: np.ndarray) -> np.ndarray:
+    return w.swapaxes(-1, -2)
 
 
 def forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
     # Overflow to inf/nan is tolerated here; divergence is detected from the
     # loss value by the simulation loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_trace(model, windows)
+        return _forward_trace(model, np.asarray(windows))
 
 
 def _forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
-    windows = np.asarray(windows)
     p = model.views
-    b = windows.shape[0]
-    x = p["embedding"][windows].reshape(b, -1)
+    x = p["embedding"][_table_index(windows)].reshape(*windows.shape[:-1], -1)
     flat_input = x
     inputs, pres, hiddens = [], [], []
     for i in range(1, model.config.n_blocks + 1):
         inputs.append(x)
-        pre = x @ p[f"block{i}.fc.weight"].T + p[f"block{i}.fc.bias"]
+        pre = x @ _t(p[f"block{i}.fc.weight"]) + p[f"block{i}.fc.bias"][..., None, :]
         hid = np.maximum(pre, 0.0)
-        out = hid @ p[f"block{i}.proj.weight"].T + p[f"block{i}.proj.bias"]
+        out = hid @ _t(p[f"block{i}.proj.weight"]) + p[f"block{i}.proj.bias"][..., None, :]
         if i > 1:
             out = x + out
         pres.append(pre)
         hiddens.append(hid)
         x = out
-    logits = x @ p["output.weight"].T + p["output.bias"]
+    logits = x @ _t(p["output.weight"])
+    logits += p["output.bias"][..., None, :]
     return ForwardTrace(windows, flat_input, inputs, pres, hiddens, x, logits)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax over the last axis, in place: it returns `logits`. On the
+    (K, B, vocab) logits of a large client stack, each fresh array costs
+    more in page faults than its arithmetic."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
 def loss_and_grads(
-    model: GlobalModel, windows, targets, clip: Optional[float] = None
-) -> Tuple[float, np.ndarray]:
+    model: GlobalModel,
+    windows,
+    targets,
+    clip: Optional[float] = None,
+    out: Optional[np.ndarray] = None,
+) -> Tuple[Union[float, np.ndarray], np.ndarray]:
     """Mean softmax cross-entropy (natural log) over the batch, with exact
     analytic gradients averaged over the batch, as one flat vector in the
     layout of the model's parameters.
 
     With `clip`, the gradient is instead the DP-SGD clipped average
     (1/B) * sum_i g_i / max(1, ||g_i|| / clip) of the per-sample gradients
-    g_i, from the same batched backward pass (see `_clip_scales`)."""
+    g_i, from the same batched backward pass (see `_clip_scales`).
+
+    For a (K, P) stack of parameters, `windows` is (K, B, context) and
+    `targets` (K, B): row k of the result is bitwise the call on replica k
+    alone, and the loss is a (K,) array. The gradient is written into `out`
+    if given (shaped like the parameters). Token ids are not checked here;
+    see `check_tokens`."""
     if clip is not None and not clip > 0:
         raise UsageError("clip bound must be > 0")
+    windows, targets = _check_batch(model, windows, targets)
+    if out is None:
+        out = np.empty_like(model.params)
+    elif out.shape != model.params.shape:
+        raise UsageError(f"gradient buffer has shape {out.shape}, parameters {model.params.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grads(model, windows, targets, clip)
+        return _loss_and_grads(model, windows, targets, clip, out)
 
 
-def _loss_and_grads(model, windows, targets, clip):
+def _loss_and_grads(model, windows, targets, clip, out):
     cfg = model.config
-    windows, targets = _validate_batch(cfg, windows, targets)
-    trace = forward_trace(model, windows)
-    b = windows.shape[0]
+    trace = _forward_trace(model, windows)
+    b = windows.shape[-2]
     logp = _log_softmax(trace.logits)
-    loss = float(-logp[np.arange(b), targets].mean())
+    picks = (*np.indices(targets.shape, sparse=True), targets)
+    loss = -logp[picks].mean(axis=-1)
 
-    dlogits = np.exp(logp)
-    dlogits[np.arange(b), targets] -= 1.0
+    dlogits = np.exp(logp, out=logp)  # logp is not needed again
+    dlogits[picks] -= 1.0
     if clip is None:
         dlogits /= b
 
@@ -221,20 +272,21 @@ def _loss_and_grads(model, windows, targets, clip):
         if i > 1:
             dx_in = dx_in + dx  # residual passthrough
         dx = dx_in
-    demb = dx.reshape(b, cfg.context, cfg.embed_dim)
+    demb = dx.reshape(*windows.shape, cfg.embed_dim)
 
     if clip is not None:
         scale = _clip_scales(layers, windows, demb, clip)
-        layers = [(name, dout * scale[:, None], a) for name, dout, a in layers]
-        demb = demb * scale[:, None, None]
+        for _, dout, _ in layers:
+            dout *= scale[..., None]
+        demb *= scale[..., None, None]
 
-    flat = np.zeros_like(model.params)
-    g = views(cfg, flat)
+    g = views(cfg, out)
     for name, dout, a in layers:
-        g[name + ".weight"][...] = dout.T @ a
-        g[name + ".bias"][...] = dout.sum(axis=0)
-    np.add.at(g["embedding"], windows, demb)
-    return loss, flat
+        np.matmul(_t(dout), a, out=g[name + ".weight"])
+        dout.sum(axis=-2, out=g[name + ".bias"])
+    g["embedding"][...] = 0.0
+    np.add.at(g["embedding"], _table_index(windows), demb)
+    return (float(loss) if loss.ndim == 0 else loss), out
 
 
 def _clip_scales(layers, windows, demb, clip) -> np.ndarray:
@@ -246,23 +298,26 @@ def _clip_scales(layers, windows, demb, clip) -> np.ndarray:
     context position c on token w_c, and a token can repeat in a window
     (PAD often does), so its squared norm is sum_{c,c'} [w_c = w_c'] e_c.e_c'."""
     sq = sum(
-        np.einsum("ij,ij->i", dout, dout) * (1.0 + np.einsum("ij,ij->i", a, a))
+        np.einsum("...ij,...ij->...i", dout, dout)
+        * (1.0 + np.einsum("...ij,...ij->...i", a, a))
         for _, dout, a in layers
     )
-    same_token = windows[:, :, None] == windows[:, None, :]
-    sq = sq + ((demb @ demb.transpose(0, 2, 1)) * same_token).sum(axis=(1, 2))
-    return 1.0 / np.maximum(1.0, np.sqrt(sq) / clip) / windows.shape[0]
+    same_token = windows[..., :, None] == windows[..., None, :]
+    sq = sq + ((demb @ _t(demb)) * same_token).sum(axis=(-2, -1))
+    return 1.0 / np.maximum(1.0, np.sqrt(sq) / clip) / windows.shape[-2]
 
 
-def sgd_step(model: GlobalModel, grads: np.ndarray, lr: float) -> GlobalModel:
-    """One plain SGD step: p <- p - lr * g. No momentum, no weight decay."""
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """One plain SGD step in place: p <- p - lr * g, computed as g *= lr;
+    p -= g, which rounds exactly as p - lr * g does and overwrites `grads`.
+    No momentum, no weight decay. Works row by row on a (K, P) stack."""
     if lr < 0:
         raise UsageError("lr must be >= 0")
-    if grads.shape != model.params.shape:
-        raise UsageError(
-            f"gradient has shape {grads.shape}, parameters {model.params.shape}"
-        )
-    return GlobalModel(model.config, model.params - lr * grads)
+    if grads.shape != params.shape:
+        raise UsageError(f"gradient has shape {grads.shape}, parameters {params.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in loss_and_grads
+        grads *= lr
+        params -= grads
 
 
 def eval_loss(model: GlobalModel, windows, targets, chunk: int = 512) -> float:
@@ -275,7 +330,9 @@ def eval_loss(model: GlobalModel, windows, targets, chunk: int = 512) -> float:
     for start in range(0, windows.shape[0], chunk):
         w = windows[start : start + chunk]
         t = targets[start : start + chunk]
-        logp = _log_softmax(forward_trace(model, w).logits)
+        # a diverged model gives inf logits here; callers check the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            logp = _log_softmax(_forward_trace(model, w).logits)
         total += float(-logp[np.arange(w.shape[0]), t].sum())
     return total / windows.shape[0]
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .dp import rdp_epsilon
 from .errors import InputError
-from .fedsim import TraceStore, TruthSidecar
+from .fedsim import TruthSidecar
 from .metrics import mutual_information, purity, rand_index
 from .traceio import truth_labels
 
@@ -37,16 +37,18 @@ def random_baseline(true, clients: int, trials: int, seed: int) -> dict:
     return out
 
 
-def build_report(trace: TraceStore, assignment: dict, sidecar: TruthSidecar) -> dict:
-    if assignment["clients"] != trace.clients or assignment["rounds"] != trace.rounds:
+def build_report(header: dict, assignment: dict, sidecar: TruthSidecar) -> dict:
+    """Score an assignment against the truth. `header` holds a trace's
+    fields as `traceio.read_trace_header` returns them: scoring needs no
+    update rows."""
+    clients, rounds = header["clients"], header["rounds"]
+    if assignment["clients"] != clients or assignment["rounds"] != rounds:
         raise InputError(
             "assignment was produced for a different trace "
             f"(K={assignment['clients']}, T={assignment['rounds']} vs "
-            f"K={trace.clients}, T={trace.rounds})"
+            f"K={clients}, T={rounds})"
         )
-    if len(sidecar.rounds) != trace.rounds or any(
-        len(r) != trace.clients for r in sidecar.rounds
-    ):
+    if len(sidecar.rounds) != rounds or any(len(r) != clients for r in sidecar.rounds):
         raise InputError("sidecar shape does not match the trace")
     true = truth_labels(sidecar)
     pred = np.asarray(assignment["labels"], dtype=np.int64)
@@ -54,28 +56,27 @@ def build_report(trace: TraceStore, assignment: dict, sidecar: TruthSidecar) -> 
         raise InputError("assignment length does not match the trace")
 
     report = {
-        "clients": trace.clients,
-        "rounds": trace.rounds,
-        "seed": trace.seed,
+        "clients": clients,
+        "rounds": rounds,
+        "seed": header["seed"],
         "method": assignment["method"],
         "selector": assignment["selector"],
         "metrics": score(pred, true),
         "random_baseline": random_baseline(
-            true, trace.clients, RANDOM_BASELINE_TRIALS, trace.seed
+            true, clients, RANDOM_BASELINE_TRIALS, header["seed"]
         ),
-        "loss_curve": trace.loss_curve,
+        "loss_curve": header["loss_curve"],
         "dp": None,
     }
-    if trace.dp is not None:
+    dp, rate, steps = header["dp"], header["dp_sample_rate"], header["dp_steps"]
+    if dp is not None:
         epsilon = None
-        if trace.dp_sample_rate is not None and trace.dp_steps is not None:
-            epsilon = rdp_epsilon(
-                trace.dp.sigma, trace.dp_sample_rate, trace.dp_steps, trace.dp.delta
-            )
+        if rate is not None and steps is not None:
+            epsilon = rdp_epsilon(dp.sigma, rate, steps, dp.delta)
         report["dp"] = {
-            "clip": trace.dp.clip,
-            "sigma": trace.dp.sigma,
-            "delta": trace.dp.delta,
+            "clip": dp.clip,
+            "sigma": dp.sigma,
+            "delta": dp.delta,
             "advisory_epsilon": None if epsilon is None else epsilon,
         }
     return report

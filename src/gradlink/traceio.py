@@ -90,19 +90,40 @@ def _trace_fields(header) -> dict:
     }
 
 
+def _read_header(fh) -> dict:
+    line = fh.readline()
+    if not line:
+        raise InputError("the file is empty")
+    return _trace_fields(json.loads(line))
+
+
+_TRACE_ERRORS = (InputError, UsageError, KeyError, ValueError, TypeError)
+
+
+def read_trace_header(path) -> dict:
+    """The TraceStore fields of a trace file, all but `updates`, from its
+    header line alone: the body is neither read nor checked."""
+    p = Path(path)
+    if not p.is_file():
+        raise InputError(f"missing trace file: {p}")
+    try:
+        with open(p, encoding="utf-8") as fh:
+            return _read_header(fh)
+    except _TRACE_ERRORS as exc:
+        raise InputError(f"malformed trace file {p}: {exc}") from exc
+
+
 def read_trace(path) -> TraceStore:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"missing trace file: {p}")
     try:
         with open(p, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            raise InputError("the file is empty")
-        fields = _trace_fields(json.loads(lines[0]))
-        if len(lines) != 2:
-            raise InputError(f"expected a header line and a body line, found {len(lines)} lines")
-        raw = base64.b64decode(json.loads(lines[1]), validate=True)  # TypeError if not a string
+            fields = _read_header(fh)
+            rest = fh.read().splitlines()
+        if len(rest) != 1:
+            raise InputError(f"expected a header line and a body line, found {1 + len(rest)} lines")
+        raw = base64.b64decode(json.loads(rest[0]), validate=True)  # TypeError if not a string
         n_rows = fields["clients"] * fields["rounds"]
         dim = sum(rows * cols for _, rows, cols in fields["layer_manifest"])
         if len(raw) != n_rows * dim * _BODY_DTYPE.itemsize:
@@ -112,7 +133,7 @@ def read_trace(path) -> TraceStore:
         if bad.size:
             t, slot = divmod(int(bad[0]), fields["clients"])
             raise InputError(f"round {t} slot {slot} holds a non-finite value")
-    except (InputError, UsageError, KeyError, ValueError, TypeError) as exc:
+    except _TRACE_ERRORS as exc:
         raise InputError(f"malformed trace file {p}: {exc}") from exc
     return TraceStore(updates=updates, **fields)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,19 @@ def test_kmeans_k_equals_n_gives_singletons():
     pts = np.arange(5, dtype=float).reshape(-1, 1) * 3.0
     labels = kmeans_points(pts, 5, seed=0)
     assert len(set(labels.tolist())) == 5
+
+
+@pytest.mark.parametrize("distinct, copies, k", [(3, 2, 5), (3, 2, 6), (2, 4, 7), (4, 3, 9)])
+def test_kmeans_repair_never_empties_another_cluster(distinct, copies, k):
+    """With k two or more above the distinct rows, every distance is 0 after
+    the first repair; a repair that took the only member of a cluster left
+    it empty, and Lloyd then ran on NaN weights (a divide warning per pass)."""
+    pts = np.repeat(np.eye(distinct), copies, axis=0)
+    for seed in range(3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = kmeans_points(pts, k, seed)
+        assert np.all(np.bincount(labels, minlength=k) > 0)
 
 
 def _brute_force_min_inertia(pts, k, chunk=1 << 15):

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import csv
 import functools
 import json
@@ -24,6 +25,7 @@ from gradlink.traceio import (
     read_assignment,
     read_sidecar,
     read_trace,
+    read_trace_header,
     truth_labels,
     write_assignment,
     write_sidecar,
@@ -274,21 +276,32 @@ def _read_fuzzed(tmp_path_factory, data, reader, errors=InputError):
         return None
 
 
+def _check_trace_fields(fields):
+    for value in (fields["clients"], fields["rounds"], fields["seed"]):
+        assert isinstance(value, int) and not isinstance(value, bool)
+    assert fields["clients"] >= 2 and fields["rounds"] >= 2 and fields["seed"] >= 0
+    assert len(fields["loss_curve"]) == fields["rounds"] + 1
+    assert fields["dp"] is None or isinstance(fields["dp"], DpConfig)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=corrupted(_valid_trace_bytes, ("truncate", "overwrite", "replace", "value")))
 def test_fuzzed_trace_is_valid_or_input_error(tmp_path_factory, data):
+    """Both readers: the full read, and the header read `report` uses,
+    which must agree with it wherever the full read succeeds."""
     trace = _read_fuzzed(tmp_path_factory, data, read_trace)
+    header = _read_fuzzed(tmp_path_factory, data, read_trace_header)
+    if header is not None:
+        _check_trace_fields(header)
     if trace is None:
         return
     assert isinstance(trace, TraceStore)
-    for value in (trace.clients, trace.rounds, trace.seed):
-        assert isinstance(value, int) and not isinstance(value, bool)
-    assert trace.clients >= 2 and trace.rounds >= 2 and trace.seed >= 0
+    assert header == {
+        f.name: getattr(trace, f.name) for f in dataclasses.fields(trace) if f.name != "updates"
+    }
     dim = sum(rows * cols for _, rows, cols in trace.layer_manifest)
     assert trace.updates.shape == (trace.clients * trace.rounds, dim)
     assert trace.updates.dtype == np.float32 and np.all(np.isfinite(trace.updates))
-    assert len(trace.loss_curve) == trace.rounds + 1
-    assert trace.dp is None or isinstance(trace.dp, DpConfig)
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,6 +9,7 @@ from gradlink.fedsim import linear_layer_manifest
 from gradlink.model import (
     GlobalModel,
     ModelConfig,
+    check_tokens,
     eval_loss,
     forward_trace,
     init_model,
@@ -63,11 +64,43 @@ def test_uniform_loss_anchor_with_zero_output_weights():
 
 
 def test_out_of_range_token_is_usage_error():
+    # training checks a shard's windows once per run; loss_and_grads checks shapes
+    for windows, targets in (([[0, 1, SMALL.vocab_size]], [0]), ([[0, 1, 2]], [-1])):
+        with pytest.raises(UsageError):
+            check_tokens(SMALL, windows, targets)
+    check_tokens(SMALL, [[0, 1, SMALL.vocab_size - 1]], [0])
     m = init_model(SMALL, 0)
     with pytest.raises(UsageError):
-        loss_and_grads(m, [[0, 1, SMALL.vocab_size]], [0])
-    with pytest.raises(UsageError):
         loss_and_grads(m, np.zeros((0, 3), dtype=int), np.zeros(0, dtype=int))
+    stack = GlobalModel(SMALL, np.stack([m.params] * 2))
+    for windows, targets in (
+        (np.zeros(3, dtype=int), np.zeros(1, dtype=int)),  # no batch axis
+        (np.zeros((2, 3), dtype=int), np.zeros(2, dtype=int)),  # 2-d batch on a stack
+        (np.zeros((3, 2, 3), dtype=int), np.zeros((3, 2), dtype=int)),  # 3 batches, 2 replicas
+        (np.zeros((2, 2, 3), dtype=int), np.zeros(2, dtype=int)),
+    ):
+        with pytest.raises(UsageError):
+            loss_and_grads(m if windows.ndim < 2 else stack, windows, targets)
+
+
+@pytest.mark.parametrize("clip", [None, 1e-3, 0.3, 1e3])
+def test_stacked_loss_and_grads_rows_equal_single_calls(clip):
+    """Row k of a (K, P) call equals the call on replica k alone, bitwise,
+    for loss, plain gradient and clipped gradient. Small token ids make
+    windows repeat tokens, as the clipping's embedding term must handle."""
+    for seed, cfg in enumerate([SMALL, ModelConfig(vocab_size=9, embed_dim=5, context=2, n_blocks=3)]):
+        k, b = 4, 5
+        rng = np.random.default_rng(seed)
+        stack = np.stack([init_model(cfg, seed * 10 + i).params for i in range(k)])
+        windows = rng.integers(0, 4, size=(k, b, cfg.context))
+        targets = rng.integers(0, cfg.vocab_size, size=(k, b))
+        out = np.full_like(stack, np.nan)
+        losses, grads = loss_and_grads(GlobalModel(cfg, stack), windows, targets, clip, out=out)
+        assert grads is out and losses.shape == (k,)
+        for i in range(k):
+            loss, g = loss_and_grads(GlobalModel(cfg, stack[i].copy()), windows[i], targets[i], clip)
+            assert losses[i] == loss
+            np.testing.assert_array_equal(grads[i], g)
 
 
 def _relu_pattern(m, windows):
@@ -166,8 +199,9 @@ def test_forward_is_pure():
 def test_sgd_step_lr_zero_is_identity():
     m = init_model(SMALL, 9)
     _, g = loss_and_grads(m, *_batch(SMALL, 4, 9))
-    stepped = sgd_step(m, g, 0.0)
-    np.testing.assert_array_equal(m.params, stepped.params)
+    before = m.params.copy()
+    sgd_step(m.params, g, 0.0)
+    np.testing.assert_array_equal(m.params, before)
 
 
 def test_sgd_step_scalar_arithmetic():
@@ -175,25 +209,38 @@ def test_sgd_step_scalar_arithmetic():
     g = np.zeros_like(m.params)
     m.views["output.bias"][0] = 1.0
     views(SMALL, g)["output.bias"][0] = 2.0
-    assert sgd_step(m, g, 0.1).views["output.bias"][0] == pytest.approx(0.8)
+    sgd_step(m.params, g, 0.1)
+    assert m.views["output.bias"][0] == pytest.approx(0.8)
+
+
+def test_sgd_step_in_place_rounds_as_p_minus_lr_g():
+    m = init_model(SMALL, 13)
+    _, g = loss_and_grads(m, *_batch(SMALL, 4, 13))
+    stack = np.stack([m.params, -m.params])
+    expected = stack - 0.37 * np.stack([g, 2 * g])
+    sgd_step(stack, np.stack([g, 2 * g]), 0.37)
+    np.testing.assert_array_equal(stack, expected)
 
 
 def test_two_steps_equal_one_combined_step():
     m = init_model(SMALL, 11)
     _, g1 = loss_and_grads(m, *_batch(SMALL, 4, 11))
     _, g2 = loss_and_grads(m, *_batch(SMALL, 4, 12))
-    two = sgd_step(sgd_step(m, g1, 0.1), g2, 0.1)
-    one = sgd_step(m, g1 + g2, 0.1)
-    np.testing.assert_allclose(two.params, one.params, atol=1e-12)
+    one = m.params - 0.1 * (g1 + g2)
+    sgd_step(m.params, g1, 0.1)
+    sgd_step(m.params, g2, 0.1)
+    np.testing.assert_allclose(m.params, one, atol=1e-12)
 
 
 def test_sgd_step_shape_mismatch_is_usage_error():
     m = init_model(SMALL, 12)
     other = ModelConfig(vocab_size=5, embed_dim=8, context=3, n_blocks=2, ffn_mult=2)
     with pytest.raises(UsageError):
-        sgd_step(m, np.zeros(param_count(other)), 0.1)
+        sgd_step(m.params, np.zeros(param_count(other)), 0.1)
     with pytest.raises(UsageError):
-        sgd_step(m, np.zeros(param_count(SMALL) + 1), 0.1)
+        sgd_step(m.params, np.zeros(param_count(SMALL) + 1), 0.1)
+    with pytest.raises(UsageError):
+        sgd_step(np.stack([m.params] * 2), np.zeros(param_count(SMALL)), 0.1)
 
 
 def test_views_tile_the_flat_vector_in_layout_order():
@@ -209,9 +256,19 @@ def test_views_tile_the_flat_vector_in_layout_order():
         )
 
 
+def test_views_of_a_stack_are_the_views_of_each_row():
+    n = param_count(SMALL)
+    stack = np.arange(3 * n, dtype=np.float64).reshape(3, n)
+    named = views(SMALL, stack)
+    for k in range(3):
+        for name, arr in views(SMALL, stack[k]).items():
+            np.testing.assert_array_equal(named[name][k], arr)
+    assert all(np.shares_memory(v, stack) for v in named.values())
+
+
 def test_views_of_wrong_length_are_usage_errors():
     n = param_count(SMALL)
-    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((2, n + 1)), np.zeros((1, 1, n))):
         with pytest.raises(UsageError):
             views(SMALL, bad)
         with pytest.raises(UsageError):
@@ -260,7 +317,7 @@ def test_eval_loss_deterministic_and_training_reduces_it():
     for _ in range(200):
         idx = rng.choice(windows.shape[0], size=16, replace=False)
         _, g = loss_and_grads(m, windows[idx], targets[idx])
-        m = sgd_step(m, g, 0.1)
+        sgd_step(m.params, g, 0.1)
     assert eval_loss(m, windows, targets) < initial
 
 
@@ -272,5 +329,5 @@ def test_memorizes_deterministic_corpus():
     windows, targets = windows_from_sentences([sent], cfg.context)
     for _ in range(500):
         _, g = loss_and_grads(m, windows, targets)
-        m = sgd_step(m, g, 0.5)
+        sgd_step(m.params, g, 0.5)
     assert eval_loss(m, windows, targets) < 0.1
