@@ -7,7 +7,7 @@ from .corpus import SyntheticSpec, generate_synthetic, load_text_shards
 from .dp import DpConfig, clip_gradient, privatize, rdp_epsilon
 from .fedsim import FedConfig, TraceStore, TruthSidecar, run_simulation
 from .metrics import mutual_information, purity, rand_index
-from .model import LayerSelector, ModelConfig, init_model, loss_and_grads, sgd_step
+from .model import ModelConfig, init_model, loss_and_grads, sgd_step
 
 __all__ = [
     "SyntheticSpec",
@@ -24,7 +24,6 @@ __all__ = [
     "mutual_information",
     "purity",
     "rand_index",
-    "LayerSelector",
     "ModelConfig",
     "init_model",
     "loss_and_grads",

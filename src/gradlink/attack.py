@@ -7,15 +7,19 @@ Inputs are TraceStore only; nothing here can reach the truth sidecar.
 
 import logging
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import NumericalError, UsageError
 from .fedsim import TraceStore
-from .model import LayerSelector
+from .model import layer_names
 
 log = logging.getLogger(__name__)
+
+# k-means++ restarts per clustering, and the cap on Lloyd iterations per restart
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
 
 
 @dataclass
@@ -24,15 +28,15 @@ class FeatureMatrix:
     by (round asc, slot asc)."""
 
     values: np.ndarray  # (K*T, dim) float64
-    index: List[Tuple[int, int]]  # row -> (round, slot)
     clients: int
     rounds: int
 
 
-def build_features(trace: TraceStore, selector: LayerSelector) -> FeatureMatrix:
-    """Concatenate the selected FC/Proj layers of each trace row (row-major
-    per layer, selector order) and scale to unit length. A zero-gradient
-    row is replaced by the unit basis vector e1, with a warning."""
+def build_features(trace: TraceStore, selector: str) -> FeatureMatrix:
+    """Concatenate the FC/Proj layers that `selector` picks (see
+    `layer_names`) of each trace row (row-major per layer, selector order)
+    and scale to unit length. A zero-gradient row is replaced by the unit
+    basis vector e1, with a warning."""
     columns, start = {}, 0
     for name, rows, cols in trace.layer_manifest:
         columns[name] = slice(start, start + rows * cols)
@@ -40,7 +44,9 @@ def build_features(trace: TraceStore, selector: LayerSelector) -> FeatureMatrix:
     if trace.updates.shape != (trace.clients * trace.rounds, start):
         raise UsageError(f"trace updates of shape {trace.updates.shape} do not fit K, T and manifest")
     n_blocks = sum(1 for name in columns if name.endswith(".fc"))
-    selected = selector.layer_names(n_blocks)
+    selected = layer_names(selector, n_blocks)
+    if not selected:
+        raise UsageError("trace manifest holds no block FC layer")
     for name in selected:
         if name not in columns:
             raise UsageError(f"selector layer {name!r} not in trace manifest")
@@ -48,21 +54,16 @@ def build_features(trace: TraceStore, selector: LayerSelector) -> FeatureMatrix:
     values = np.concatenate(
         [trace.updates[:, columns[name]] for name in selected], axis=1, dtype=np.float64
     )
-    index = [(t, slot) for t in range(trace.rounds) for slot in range(trace.clients)]
-    for vec, (t, slot) in zip(values, index):
+    for i, vec in enumerate(values):
         norm = np.sqrt(np.dot(vec, vec))
         if norm == 0.0:
+            t, slot = divmod(i, trace.clients)
             log.warning("zero gradient record at round=%d slot=%d; substituting e1", t, slot)
             vec[:] = 0.0
             vec[0] = 1.0
         else:
             vec /= norm
-    return FeatureMatrix(
-        values=values,
-        index=index,
-        clients=trace.clients,
-        rounds=trace.rounds,
-    )
+    return FeatureMatrix(values=values, clients=trace.clients, rounds=trace.rounds)
 
 
 def _gram(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -100,14 +101,14 @@ def _kmeans_pp_init(pair_d2: np.ndarray, k: int, rng: np.random.Generator) -> np
     return np.eye(n)[chosen]
 
 
-def _lloyd(g: np.ndarray, w: np.ndarray, max_iter: int):
+def _lloyd(g: np.ndarray, w: np.ndarray):
     """Lloyd's loop on the Gram matrix. Each centre is a weight row `w[c]`:
     one-hot after seeding or repair, 1/|S| on its members after an update."""
     k = w.shape[0]
     rows = np.arange(g.shape[0])
     labels = None
     prev_inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _sq_dists(g, w)
         new_labels = np.argmin(d2, axis=1)
         # repair empty clusters with the point farthest from its own centroid,
@@ -131,17 +132,15 @@ def _lloyd(g: np.ndarray, w: np.ndarray, max_iter: int):
     return labels, float(_sq_dists(g, w)[rows, labels].sum())
 
 
-def kmeans_points(
-    x: np.ndarray, k: int, seed: int, n_restarts: int = 10, max_iter: int = 300
-) -> np.ndarray:
+def kmeans_points(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding on raw points; best of
-    `n_restarts` by inertia, deterministic under seed. Every distance comes
-    from the (n, n) Gram matrix, built once (kernel k-means)."""
+    `KMEANS_RESTARTS` by inertia, deterministic under seed. Every distance
+    comes from the (n, n) Gram matrix, built once (kernel k-means)."""
     g, pair_d2 = _gram(x, k)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_restarts):
-        labels, inertia = _lloyd(g, _kmeans_pp_init(pair_d2, k, rng), max_iter)
+    for _ in range(KMEANS_RESTARTS):
+        labels, inertia = _lloyd(g, _kmeans_pp_init(pair_d2, k, rng))
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

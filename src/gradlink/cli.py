@@ -8,17 +8,26 @@ import argparse
 import concurrent.futures
 import copy
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
 
 from . import attack as attack_mod
-from .config import METHODS, ExperimentConfig, FilesSpec, load_experiment, parse_experiment
+from .config import (
+    METHODS,
+    ExperimentConfig,
+    FilesSpec,
+    load_experiment,
+    load_json,
+    parse_experiment,
+)
 from .corpus import generate_synthetic, load_text_shards
 from .errors import ConfigError, DivergedError, GradlinkError, InputError, UsageError
 from .fedsim import run_simulation
-from .model import ModelConfig, parse_selector
+from .model import ModelConfig
 from .report import build_report, render_report, write_report
 from .traceio import (
     read_assignment,
@@ -46,7 +55,7 @@ def _build_shards(cfg: ExperimentConfig):
             cfg.data.valid_sentences,
             cfg.data.freq_cutoff,
         )
-    return generate_synthetic(cfg.data, cfg.seed)
+    return generate_synthetic(cfg.data, cfg.fed.seed)
 
 
 def _model_config(cfg: ExperimentConfig, vocab_size: int) -> ModelConfig:
@@ -77,9 +86,7 @@ def _default_sidecar(trace_path) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_experiment(args.config)
     if args.seed is not None:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        doc["seed"] = args.seed
-        cfg = parse_experiment(doc)
+        cfg = dataclasses.replace(cfg, fed=dataclasses.replace(cfg.fed, seed=args.seed))
     sidecar_path = args.sidecar or _default_sidecar(args.out)
     losses = simulate_to_files(cfg, args.out, sidecar_path)
     print(
@@ -91,8 +98,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def run_attack(trace, method: str, selector_text: str):
-    selector = parse_selector(selector_text)
+def run_attack(trace, method: str, selector: str):
     features = attack_mod.build_features(trace, selector)
     if method == "kmeans":
         return attack_mod.kmeans(features, trace.clients, seed=trace.seed)
@@ -177,7 +183,7 @@ def run_sweep_cell(cell_dir: str, doc: dict) -> dict:
     attack_to_file(trace_path, cfg.attack.method, cfg.attack.selector, assignment_path)
     report = report_from_files(trace_path, assignment_path, sidecar_path, report_path)
     return {
-        "seed": cfg.seed,
+        "seed": cfg.fed.seed,
         "config_hash": _config_hash(doc),
         "purity": report["metrics"]["purity"],
         "rand_index": report["metrics"]["rand_index"],
@@ -217,48 +223,21 @@ def _grid_cells(grid_doc: dict):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    p = Path(args.config)
-    if not p.is_file():
-        raise ConfigError(f"missing grid config file: {p}")
-    try:
-        grid_doc = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"grid config {p} is not valid JSON: {exc}") from exc
-    cells = _grid_cells(grid_doc)
+    cells = _grid_cells(load_json(args.config, "grid config"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
+    runs = []
     for i, (overrides, doc) in enumerate(cells):
         desc = "_".join(f"{k}-{overrides[k]}" for k in sorted(overrides))
-        cell_dir = out_dir / f"cell_{i:03d}_{desc}"
-        jobs.append((i, overrides, str(cell_dir), doc))
+        runs.append((str(out_dir / f"cell_{i:03d}_{desc}"), doc))
+    results = _sweep_results(runs, args.jobs)
+    rows = [
+        dict({"cell": i}, **overrides, **result)
+        for i, ((overrides, _), result) in enumerate(zip(cells, results))
+    ]
 
-    rows = {}
-
-    def record(i, overrides, result):
-        rows[i] = dict({"cell": i}, **overrides, **result)
-
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(run_sweep_cell, cell_dir, doc): (i, overrides)
-                for i, overrides, cell_dir, doc in jobs
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                i, overrides = futures[fut]
-                try:
-                    record(i, overrides, fut.result())
-                except Exception as exc:  # cell failures must not stop the sweep
-                    record(i, overrides, _failure_row(exc))
-    else:
-        for i, overrides, cell_dir, doc in jobs:
-            try:
-                record(i, overrides, run_sweep_cell(cell_dir, doc))
-            except Exception as exc:
-                record(i, overrides, _failure_row(exc))
-
-    axes = sorted({k for _, overrides, _, _ in jobs for k in overrides})
+    axes = sorted({k for overrides, _ in cells for k in overrides})
     fieldnames = (
         ["cell"]
         + axes
@@ -268,24 +247,39 @@ def cmd_sweep(args) -> int:
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for i in sorted(rows):
-            writer.writerow(rows[i])
-    failures = sum(1 for r in rows.values() if r["status"] != "ok")
+        writer.writerows(rows)
+    failures = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep: {len(rows)} cells, {failures} failed")
     print(f"summary: {summary_path}")
     return EXIT_OK
 
 
-def _failure_row(exc: Exception) -> dict:
-    return {
-        "seed": "",
-        "config_hash": "",
-        "purity": "",
-        "rand_index": "",
-        "mutual_information": "",
-        "status": "failed",
-        "error": f"{type(exc).__name__}: {exc}",
-    }
+def _sweep_results(runs, jobs: int) -> list:
+    """The row of each (cell_dir, doc) run, in order. One job runs the cells
+    in this process; more run them in a pool of that many worker processes,
+    where a worker that dies fails its cells with `BrokenProcessPool`."""
+    if jobs == 1:
+        return [_cell_row(functools.partial(run_sweep_cell, *run)) for run in runs]
+    with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
+        futures = [pool.submit(run_sweep_cell, *run) for run in runs]
+        return [_cell_row(future.result) for future in futures]
+
+
+def _cell_row(run_cell) -> dict:
+    """The row `run_cell()` returns, or a failed row naming the exception it
+    raises: a failed cell must not stop the sweep."""
+    try:
+        return run_cell()
+    except Exception as exc:
+        return {
+            "seed": "",
+            "config_hash": "",
+            "purity": "",
+            "rand_index": "",
+            "mutual_information": "",
+            "status": "failed",
+            "error": f"{type(exc).__name__}: {exc}",
+        }
 
 
 def build_parser() -> argparse.ArgumentParser:

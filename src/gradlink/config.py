@@ -11,7 +11,7 @@ from .corpus import SyntheticSpec
 from .dp import DpConfig
 from .errors import ConfigError, GradlinkError, require_integers
 from .fedsim import FedConfig
-from .model import LayerSelector, parse_selector
+from .model import layer_names
 
 METHODS = ("kmeans", "spectral", "greedy")
 
@@ -52,16 +52,11 @@ class AttackSpec:
             raise ConfigError(f"attack method must be one of {METHODS}")
         if not isinstance(self.selector, str):
             raise ConfigError(f"attack selector must be a string, got {self.selector!r}")
-        parse_selector(self.selector)  # validates
-
-    def layer_selector(self) -> LayerSelector:
-        return parse_selector(self.selector)
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int
-    fed: FedConfig
+    fed: FedConfig  # holds the seed
     model: ModelArch
     data: Union[SyntheticSpec, FilesSpec]
     dp: Optional[DpConfig]
@@ -88,7 +83,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - top_allowed
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    seed = doc.get("seed", 0)  # FedConfig checks it
 
     fed_doc = _section(
         doc,
@@ -105,7 +99,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     if not isinstance(data_doc, dict) or len(data_doc) > 1:
         raise ConfigError("config.data must hold exactly one of 'synthetic' or 'files'")
     try:
-        fed = FedConfig(seed=seed, **fed_doc)
+        fed = FedConfig(seed=doc.get("seed", 0), **fed_doc)
         model = ModelArch(**model_doc)
         if "files" in data_doc:
             files_doc = _section(
@@ -155,20 +149,21 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"config.fed.clients={fed.clients} but data provides {n_data_clients} clients"
         )
-    blocks = attack.layer_selector().blocks
-    if blocks is not None and max(blocks) > model.n_blocks:
-        raise ConfigError(
-            f"attack selector names block {max(blocks)} but model has {model.n_blocks}"
-        )
-    return ExperimentConfig(seed=seed, fed=fed, model=model, data=data, dp=dp, attack=attack)
+    layer_names(attack.selector, model.n_blocks)  # UsageError unless the selector fits the model
+    return ExperimentConfig(fed=fed, model=model, data=data, dp=dp, attack=attack)
+
+
+def load_json(path, what: str):
+    """The JSON document in the file at `path`, a `what` ("config" or
+    "grid config"); ConfigError if the file is missing or not JSON."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"missing {what} file: {p}")
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{what} file {p} is not valid JSON: {exc}") from exc
 
 
 def load_experiment(path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"missing config file: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    return parse_experiment(doc)
+    return parse_experiment(load_json(path, "config"))

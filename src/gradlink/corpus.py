@@ -45,9 +45,6 @@ class Vocab:
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         return np.array([self.token_to_id.get(t, UNK_ID) for t in tokens], dtype=np.int64)
 
-    def decode(self, ids: Sequence[int]) -> List[str]:
-        return [self.id_to_token[i] for i in ids]
-
 
 @dataclass
 class ClientShard:
@@ -185,21 +182,14 @@ def windows_from_sentences(sentences: Sequence[np.ndarray], context: int):
     return np.stack(windows).astype(np.int64), np.asarray(targets, dtype=np.int64)
 
 
-def batch_iter(
-    shard: ClientShard,
-    batch_size: int,
-    context: int,
-    rng: np.random.Generator,
-    split: str = "train",
-):
-    """Yield (windows, targets) mini-batches in a deterministic shuffled
-    order; the final partial batch is included."""
+def batch_iter(shard: ClientShard, batch_size: int, context: int, rng: np.random.Generator):
+    """Yield (windows, targets) training mini-batches in a deterministic
+    shuffled order; the final partial batch is included."""
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
-    sentences = shard.train if split == "train" else shard.valid
-    if not sentences:
-        raise UsageError(f"shard {shard.client_id} has no {split} sentences")
-    windows, targets = windows_from_sentences(sentences, context)
+    if not shard.train:
+        raise UsageError(f"shard {shard.client_id} has no train sentences")
+    windows, targets = windows_from_sentences(shard.train, context)
     order = rng.permutation(windows.shape[0])
     for start in range(0, windows.shape[0], batch_size):
         idx = order[start : start + batch_size]

@@ -66,6 +66,31 @@ def param_layout(config: ModelConfig) -> Tuple[Tuple[str, Tuple[int, ...]], ...]
     return tuple(layout)
 
 
+def layer_names(selector: str, n_blocks: int) -> Tuple[str, ...]:
+    """The linear layers whose gradients feed the attack, named as in
+    `param_layout` without ".weight". `selector` is "fc", "proj" or "both",
+    optionally with a list of 1-based blocks as in "fc@1,3" (default: all
+    blocks). FC layers come first, blocks ascending, then Proj layers, so
+    that FC + Proj concatenated equals Both. UsageError for a bad part, an
+    empty or non-integer block list, a block named twice or a block outside
+    1..n_blocks."""
+    part, at, rest = selector.strip().lower().partition("@")
+    if part not in ("fc", "proj", "both"):
+        raise UsageError(f"selector part must be fc, proj or both, got {part!r}")
+    blocks = range(1, n_blocks + 1)
+    if at:
+        try:
+            blocks = sorted(int(tok) for tok in rest.split(","))
+        except ValueError as exc:
+            raise UsageError(f"bad selector block list: {rest!r}") from exc
+        if len(set(blocks)) != len(blocks):
+            raise UsageError(f"selector names a block twice: {rest!r}")
+        if not 1 <= blocks[0] <= blocks[-1] <= n_blocks:
+            raise UsageError(f"selector blocks {rest!r} are not all in 1..{n_blocks}")
+    parts = ("fc", "proj") if part == "both" else (part,)
+    return tuple(f"block{b}.{p}" for p in parts for b in blocks)
+
+
 @lru_cache(maxsize=None)
 def _segments(config: ModelConfig) -> Tuple[int, tuple]:
     """Total length and (name, start, stop, shape) of each layout entry."""
@@ -130,8 +155,6 @@ class ForwardTrace:
     tests of the outer-product gradient structure). Each array carries the
     client axis of the parameters, if any, in front of the batch axis."""
 
-    windows: np.ndarray
-    flat_input: np.ndarray  # (B, context*embed_dim)
     block_inputs: Sequence[np.ndarray]  # input x to each block
     block_pre: Sequence[np.ndarray]  # FC pre-activation
     block_hidden: Sequence[np.ndarray]  # ReLU output
@@ -188,7 +211,6 @@ def forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
 def _forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
     p = model.views
     x = p["embedding"][_table_index(windows)].reshape(*windows.shape[:-1], -1)
-    flat_input = x
     inputs, pres, hiddens = [], [], []
     for i in range(1, model.config.n_blocks + 1):
         inputs.append(x)
@@ -202,7 +224,7 @@ def _forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
         x = out
     logits = x @ _t(p["output.weight"])
     logits += p["output.bias"][..., None, :]
-    return ForwardTrace(windows, flat_input, inputs, pres, hiddens, x, logits)
+    return ForwardTrace(inputs, pres, hiddens, x, logits)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -320,71 +342,22 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         params -= grads
 
 
-def eval_loss(model: GlobalModel, windows, targets, chunk: int = 512) -> float:
-    """Mean cross-entropy over a full dataset of windows, deterministic."""
+EVAL_CHUNK = 512
+
+
+def eval_loss(model: GlobalModel, windows, targets) -> float:
+    """Mean cross-entropy over a full dataset of windows, deterministic;
+    evaluated `EVAL_CHUNK` windows at a time."""
     windows = np.asarray(windows)
     targets = np.asarray(targets)
     if windows.shape[0] == 0:
         raise UsageError("empty evaluation dataset")
     total = 0.0
-    for start in range(0, windows.shape[0], chunk):
-        w = windows[start : start + chunk]
-        t = targets[start : start + chunk]
+    for start in range(0, windows.shape[0], EVAL_CHUNK):
+        w = windows[start : start + EVAL_CHUNK]
+        t = targets[start : start + EVAL_CHUNK]
         # a diverged model gives inf logits here; callers check the result
         with np.errstate(over="ignore", invalid="ignore"):
             logp = _log_softmax(_forward_trace(model, w).logits)
         total += float(-logp[np.arange(w.shape[0]), t].sum())
     return total / windows.shape[0]
-
-
-PARTS = ("fc", "proj", "both")
-
-
-@dataclass(frozen=True)
-class LayerSelector:
-    """Which linear-layer gradients feed the attack: FC, Proj, or both, over
-    an optional subset of blocks (1-based; None means all)."""
-
-    part: str = "both"
-    blocks: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.part not in PARTS:
-            raise UsageError(f"selector part must be one of {PARTS}")
-        if self.blocks is not None:
-            if len(self.blocks) == 0:
-                raise UsageError("selector block list must not be empty")
-            if any(b < 1 for b in self.blocks):
-                raise UsageError("selector block indices are 1-based")
-            if len(set(self.blocks)) != len(self.blocks):
-                raise UsageError(f"selector names a block twice: {self.blocks}")
-
-    def resolve_blocks(self, n_blocks: int) -> Tuple[int, ...]:
-        blocks = self.blocks if self.blocks is not None else tuple(range(1, n_blocks + 1))
-        for b in blocks:
-            if b > n_blocks:
-                raise UsageError(f"selector names block {b} but model has {n_blocks}")
-        return tuple(sorted(blocks))
-
-    def layer_names(self, n_blocks: int) -> Tuple[str, ...]:
-        """Selected layer names: all FC layers (blocks ascending), then all
-        Proj layers, so that FC + Proj concatenated equals Both."""
-        blocks = self.resolve_blocks(n_blocks)
-        names = []
-        if self.part in ("fc", "both"):
-            names += [f"block{b}.fc" for b in blocks]
-        if self.part in ("proj", "both"):
-            names += [f"block{b}.proj" for b in blocks]
-        return tuple(names)
-
-
-def parse_selector(text: str) -> LayerSelector:
-    """Parse "fc" | "proj" | "both", optionally with "@1,3" block suffix."""
-    part, at, rest = text.strip().lower().partition("@")
-    blocks = None
-    if at:
-        try:
-            blocks = tuple(int(tok) for tok in rest.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad selector block list: {rest!r}") from exc
-    return LayerSelector(part=part, blocks=blocks)

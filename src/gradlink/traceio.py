@@ -97,44 +97,45 @@ def _read_header(fh) -> dict:
     return _trace_fields(json.loads(line))
 
 
-_TRACE_ERRORS = (InputError, UsageError, KeyError, ValueError, TypeError)
+def _read_input(path, kind: str, parse):
+    """`parse(fh)` of the open text file at `path`, a `kind` file: InputError
+    "missing" if there is no such file, "malformed" for any error of the
+    parse."""
+    p = Path(path)
+    if not p.is_file():
+        raise InputError(f"missing {kind} file: {p}")
+    try:
+        with open(p, encoding="utf-8") as fh:
+            return parse(fh)
+    except (InputError, UsageError, KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"malformed {kind} file {p}: {exc}") from exc
 
 
 def read_trace_header(path) -> dict:
     """The TraceStore fields of a trace file, all but `updates`, from its
     header line alone: the body is neither read nor checked."""
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"missing trace file: {p}")
-    try:
-        with open(p, encoding="utf-8") as fh:
-            return _read_header(fh)
-    except _TRACE_ERRORS as exc:
-        raise InputError(f"malformed trace file {p}: {exc}") from exc
+    return _read_input(path, "trace", _read_header)
 
 
 def read_trace(path) -> TraceStore:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"missing trace file: {p}")
-    try:
-        with open(p, encoding="utf-8") as fh:
-            fields = _read_header(fh)
-            rest = fh.read().splitlines()
-        if len(rest) != 1:
-            raise InputError(f"expected a header line and a body line, found {1 + len(rest)} lines")
-        raw = base64.b64decode(json.loads(rest[0]), validate=True)  # TypeError if not a string
-        n_rows = fields["clients"] * fields["rounds"]
-        dim = sum(rows * cols for _, rows, cols in fields["layer_manifest"])
-        if len(raw) != n_rows * dim * _BODY_DTYPE.itemsize:
-            raise InputError(f"the body holds {len(raw)} bytes, not {n_rows} rows of {dim} float32")
-        updates = np.frombuffer(raw, dtype=_BODY_DTYPE).reshape(n_rows, dim)
-        bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
-        if bad.size:
-            t, slot = divmod(int(bad[0]), fields["clients"])
-            raise InputError(f"round {t} slot {slot} holds a non-finite value")
-    except _TRACE_ERRORS as exc:
-        raise InputError(f"malformed trace file {p}: {exc}") from exc
+    return _read_input(path, "trace", _parse_trace)
+
+
+def _parse_trace(fh) -> TraceStore:
+    fields = _read_header(fh)
+    rest = fh.read().splitlines()
+    if len(rest) != 1:
+        raise InputError(f"expected a header line and a body line, found {1 + len(rest)} lines")
+    raw = base64.b64decode(json.loads(rest[0]), validate=True)  # TypeError if not a string
+    n_rows = fields["clients"] * fields["rounds"]
+    dim = sum(rows * cols for _, rows, cols in fields["layer_manifest"])
+    if len(raw) != n_rows * dim * _BODY_DTYPE.itemsize:
+        raise InputError(f"the body holds {len(raw)} bytes, not {n_rows} rows of {dim} float32")
+    updates = np.frombuffer(raw, dtype=_BODY_DTYPE).reshape(n_rows, dim)
+    bad = np.flatnonzero(~np.isfinite(updates).all(axis=1))
+    if bad.size:
+        t, slot = divmod(int(bad[0]), fields["clients"])
+        raise InputError(f"round {t} slot {slot} holds a non-finite value")
     return TraceStore(updates=updates, **fields)
 
 
@@ -145,20 +146,17 @@ def write_sidecar(path, sidecar: TruthSidecar) -> None:
 
 
 def read_sidecar(path) -> TruthSidecar:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"missing sidecar file: {p}")
-    try:
-        with open(p, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise InputError("the document is not a JSON object")
-        rounds = _field(doc, "rounds", "a list of rounds, each a permutation of integers 0..K-1",
-                        lambda v: isinstance(v, list) and all(
-                            isinstance(r, list) and all(map(_int_from(0), r))
-                            and sorted(r) == list(range(len(r))) for r in v))
-    except (InputError, KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed sidecar file {p}: {exc}") from exc
+    return _read_input(path, "sidecar", _parse_sidecar)
+
+
+def _parse_sidecar(fh) -> TruthSidecar:
+    doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError("the document is not a JSON object")
+    rounds = _field(doc, "rounds", "a list of rounds, each a permutation of integers 0..K-1",
+                    lambda v: isinstance(v, list) and all(
+                        isinstance(r, list) and all(map(_int_from(0), r))
+                        and sorted(r) == list(range(len(r))) for r in v))
     return TruthSidecar(rounds=rounds)
 
 
@@ -176,23 +174,20 @@ def write_assignment(path, labels, *, clients: int, rounds: int, method: str, se
 
 
 def read_assignment(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"missing assignment file: {p}")
-    try:
-        with open(p, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise InputError("the document is not a JSON object")
-        for key in ("method", "selector"):
-            _field(doc, key, "a string", lambda v: isinstance(v, str))
-        k = _field(doc, "clients", "an integer >= 2", _int_from(2))
-        t = _field(doc, "rounds", "an integer >= 2", _int_from(2))
-        _field(doc, "labels", f"a list of clients * rounds = {k * t} integers in [0, {k})",
-               lambda v: isinstance(v, list) and len(v) == k * t
-               and all(_int_from(0)(x) and x < k for x in v))
-    except (InputError, KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed assignment file {p}: {exc}") from exc
+    return _read_input(path, "assignment", _parse_assignment)
+
+
+def _parse_assignment(fh) -> dict:
+    doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError("the document is not a JSON object")
+    for key in ("method", "selector"):
+        _field(doc, key, "a string", lambda v: isinstance(v, str))
+    k = _field(doc, "clients", "an integer >= 2", _int_from(2))
+    t = _field(doc, "rounds", "an integer >= 2", _int_from(2))
+    _field(doc, "labels", f"a list of clients * rounds = {k * t} integers in [0, {k})",
+           lambda v: isinstance(v, list) and len(v) == k * t
+           and all(_int_from(0)(x) and x < k for x in v))
     return doc
 
 

@@ -23,7 +23,6 @@ from gradlink.model import (
     forward_trace,
     init_model,
     loss_and_grads,
-    parse_selector,
     views,
 )
 from gradlink.report import random_baseline
@@ -53,7 +52,7 @@ def _synthetic_run(k, t, seed=0, dp_cfg=None, train_sentences=24, **fed_kwargs):
 
 
 def _greedy_scores(trace, sidecar):
-    labels = greedy_match(build_features(trace, parse_selector("both")))
+    labels = greedy_match(build_features(trace, "both"))
     true = truth_labels(sidecar)
     return purity(labels, true), mutual_information(labels, true)
 
@@ -169,7 +168,7 @@ def test_attack_succeeds_at_desk_scale():
             pur, mi = _greedy_scores(trace, sidecar)
             assert pur >= 0.9, f"K={k} greedy purity {pur}"
             assert mi >= 0.9 * np.log(k), f"K={k} greedy MI {mi}"
-            spec_labels = spectral(build_features(trace, parse_selector("both")), k, seed=0)
+            spec_labels = spectral(build_features(trace, "both"), k, seed=0)
             baseline = random_baseline(true, k, trials=200, seed=0)["purity"]
             spec_pur = purity(spec_labels, true)
             assert spec_pur > baseline + 0.1, f"K={k} spectral {spec_pur} vs {baseline}"

@@ -24,7 +24,7 @@ from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.errors import NumericalError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.metrics import purity, rand_index
-from gradlink.model import ModelConfig, parse_selector
+from gradlink.model import ModelConfig, layer_names
 from gradlink.traceio import truth_labels
 
 
@@ -42,10 +42,16 @@ def _small_trace(k=3, t=4, seed=0, **fed_kwargs):
 
 def test_feature_rows_unit_norm_and_ordered():
     trace, _, _ = _small_trace()
-    f = build_features(trace, parse_selector("both"))
+    f = build_features(trace, "both")
     norms = np.linalg.norm(f.values, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
-    assert f.index == [(r, s) for r in range(4) for s in range(3)]
+    # row t * K + slot is trace row t * K + slot, its layers in selector order
+    raw = np.concatenate(
+        [trace.updates[:, _manifest_columns(trace, name)] for name in layer_names("both", 2)],
+        axis=1, dtype=np.float64,
+    )
+    np.testing.assert_allclose(f.values * np.linalg.norm(raw, axis=1, keepdims=True), raw,
+                               rtol=1e-10, atol=1e-12)
 
 
 def _manifest_columns(trace, name):
@@ -60,8 +66,8 @@ def _manifest_columns(trace, name):
 
 def test_feature_fc_is_prefix_of_both_pre_normalization():
     trace, _, _ = _small_trace()
-    both = build_features(trace, parse_selector("both"))
-    fc = build_features(trace, parse_selector("fc"))
+    both = build_features(trace, "both")
+    fc = build_features(trace, "fc")
     assert both.values.shape[1] > fc.values.shape[1]
     row = trace.updates[0].astype(np.float64)
     raw = {name: row[_manifest_columns(trace, name)] for name, _, _ in trace.layer_manifest}
@@ -75,15 +81,18 @@ def test_feature_fc_is_prefix_of_both_pre_normalization():
 def test_feature_selector_mismatch_is_usage_error():
     trace, _, _ = _small_trace()
     with pytest.raises(UsageError):
-        build_features(trace, parse_selector("both@7"))
+        build_features(trace, "both@7")
+    unnamed = [(f"layer{i}", rows, cols) for i, (_, rows, cols) in enumerate(trace.layer_manifest)]
+    with pytest.raises(UsageError):
+        build_features(dataclasses.replace(trace, layer_manifest=unnamed), "both")
 
 
 def test_zero_gradient_record_substitutes_e1(caplog):
     trace, _, _ = _small_trace()
     trace.updates[4] = 0.0  # round 1, slot 1
     with caplog.at_level(logging.WARNING, logger="gradlink.attack"):
-        f = build_features(trace, parse_selector("both"))
-    row = f.values[f.index.index((1, 1))]
+        f = build_features(trace, "both")
+    row = f.values[1 * 3 + 1]  # row t * K + slot
     assert row[0] == 1.0 and np.all(row[1:] == 0.0)
     assert any("zero gradient" in m for m in caplog.messages)
 
@@ -264,7 +273,7 @@ def test_gram_lloyd_matches_oracle_from_centres_inside_the_hull():
         pts = rng.normal(size=(n, int(rng.integers(2, 30))))
         weights = rng.dirichlet(np.ones(n), size=k)
         g, _ = _gram(pts, k)
-        labels, _ = _lloyd(g, weights.copy(), 300)
+        labels, _ = _lloyd(g, weights.copy())
         oracle_labels, _ = _oracle_lloyd(pts, weights @ pts, 300)
         np.testing.assert_array_equal(labels, oracle_labels)
 
@@ -412,8 +421,7 @@ def test_lsap_beats_random_permutations():
 def _features_from_rows(rows, k, t):
     rows = np.asarray(rows, dtype=np.float64)
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    index = [(r, s) for r in range(t) for s in range(k)]
-    return FeatureMatrix(values=rows, index=index, clients=k, rounds=t)
+    return FeatureMatrix(values=rows, clients=k, rounds=t)
 
 
 def test_greedy_constructed_crossing():
@@ -438,7 +446,7 @@ def test_greedy_identity_on_repeated_features():
 
 def test_greedy_groups_have_one_member_per_round():
     trace, _, _ = _small_trace(k=4, t=5)
-    f = build_features(trace, parse_selector("both"))
+    f = build_features(trace, "both")
     labels = greedy_match(f).reshape(5, 4)
     for t in range(5):
         assert sorted(labels[t].tolist()) == [0, 1, 2, 3]
@@ -477,8 +485,8 @@ def test_attacks_are_scale_invariant_in_one_record():
     updates[4] *= 37.5
     scaled = dataclasses.replace(trace, updates=updates)
     for method in ("greedy", "kmeans", "spectral"):
-        f1 = build_features(trace, parse_selector("both"))
-        f2 = build_features(scaled, parse_selector("both"))
+        f1 = build_features(trace, "both")
+        f2 = build_features(scaled, "both")
         if method == "greedy":
             a1, a2 = greedy_match(f1), greedy_match(f2)
         elif method == "kmeans":
@@ -490,6 +498,6 @@ def test_attacks_are_scale_invariant_in_one_record():
 
 def test_greedy_perfect_on_frozen_model():
     trace, sidecar, _ = _small_trace(k=4, t=5, server_lr=0.0)
-    f = build_features(trace, parse_selector("both"))
+    f = build_features(trace, "both")
     labels = greedy_match(f)
     assert purity(labels, truth_labels(sidecar)) == 1.0

@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
 from gradlink.fedsim import FedConfig, TraceStore, TruthSidecar, run_simulation
-from gradlink.model import ModelConfig
+from gradlink.model import ModelConfig, layer_names
 from gradlink.report import render_report
 from gradlink.traceio import (
     read_assignment,
@@ -346,7 +347,7 @@ def test_fuzzed_config_parses_or_is_config_error(tmp_path_factory, data):
     if cfg is None:
         return
     fed, model, spec = cfg.fed, cfg.model, cfg.data
-    assert _is_int(cfg.seed, 0) and cfg.seed == fed.seed
+    assert _is_int(fed.seed, 0)
     assert all(_is_int(getattr(fed, k), m) for k, m in
                [("clients", 2), ("rounds", 2), ("local_epochs", 0), ("batch_size", 1)])
     assert all(_is_int(getattr(model, k), 1) for k in
@@ -363,6 +364,7 @@ def test_fuzzed_config_parses_or_is_config_error(tmp_path_factory, data):
         assert all(type(v) in (int, float) and math.isfinite(v) for v in (dp.clip, dp.sigma, dp.delta))
         assert dp.clip > 0 and dp.sigma >= 0 and 0 < dp.delta < 1
     assert cfg.attack.method in METHODS and isinstance(cfg.attack.selector, str)
+    layer_names(cfg.attack.selector, model.n_blocks)  # a config that loads has a usable selector
 
 
 # ---------------------------------------------------------------- pipeline
@@ -418,6 +420,20 @@ def test_simulate_seed_override_changes_trace(tmp_path):
     main(["simulate", "--config", str(cfg), "--out", str(t3), "--seed", "7"])
     assert t1.read_bytes() == t2.read_bytes()
     assert t1.read_bytes() != t3.read_bytes()
+
+
+def test_simulate_seed_flag_equals_config_seed(tmp_path, capsys):
+    flag, seeded = tmp_path / "flag.jsonl", tmp_path / "seeded.jsonl"
+    cfg = _write_config(tmp_path, _base_config())
+    assert main(["simulate", "--config", str(cfg), "--out", str(flag), "--seed", "7"]) == EXIT_OK
+    cfg7 = _write_config(tmp_path, _base_config(seed=7), "config7.json")
+    assert main(["simulate", "--config", str(cfg7), "--out", str(seeded)]) == EXIT_OK
+    for suffix in ("", ".sidecar.json"):
+        assert Path(f"{flag}{suffix}").read_bytes() == Path(f"{seeded}{suffix}").read_bytes()
+    bad = tmp_path / "bad.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(bad), "--seed", "-1"]) == EXIT_USAGE
+    assert "seed must be" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 # ---------------------------------------------------------------- exit codes
@@ -485,11 +501,12 @@ def test_malformed_files_config_is_exit_2(tmp_path, capsys, key, value):
     assert f"{key} must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("selector", ["fc@", "fc@1,1"])
+@pytest.mark.parametrize("selector", ["fc@", "fc@1,1", "fc@0", "fc@9", "bogus", "fc@x"])
 @pytest.mark.parametrize("where", ["cli", "config"])
 def test_malformed_selector_block_list_is_exit_2(tmp_path, capsys, where, selector):
-    """An empty block list and a block named twice are usage errors, whether
-    the selector comes from `attack --selector` or from a config."""
+    """An empty or non-integer block list, a block named twice, a block the
+    two-block model lacks and an unknown part are usage errors, whether the
+    selector comes from `attack --selector` or from a config."""
     trace = tmp_path / "trace.jsonl"
     if where == "cli":
         cfg = _write_config(tmp_path, _base_config())
@@ -679,6 +696,41 @@ def test_sweep_clients_axis_mi_bounded_by_log_k(tmp_path):
         report = json.loads((cell / "report.json").read_text())
         k = report["clients"]
         assert report["metrics"]["mutual_information"] <= np.log(k) + 1e-9
+
+
+def _summary_rows(out_dir):
+    with open(out_dir / "summary.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_rows_are_the_same_for_any_jobs_and_a_diverged_cell_fails(tmp_path, capsys):
+    """A huge server rate makes its cells diverge; they get failed rows, the
+    other cells run, and the summary does not depend on --jobs."""
+    doc = {"base": _base_config(), "grid": {"rounds": [2, 3], "server_lr": [0.1, 1e30]}}
+    cfg = _write_config(tmp_path, doc, "grid.json")
+    for jobs in ("1", "2"):
+        argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / jobs), "--jobs", jobs]
+        assert main(argv) == EXIT_OK
+    summary = (tmp_path / "1" / "summary.csv").read_bytes()
+    assert (tmp_path / "2" / "summary.csv").read_bytes() == summary
+    rows = _summary_rows(tmp_path / "1")
+    assert [r["status"] for r in rows] == ["ok", "failed", "ok", "failed"]
+    assert all(r["error"].startswith("DivergedError: ") for r in rows if r["status"] == "failed")
+
+
+def _exit_process(cell_dir, doc):
+    os._exit(1)
+
+
+def test_sweep_worker_that_dies_gives_failed_rows(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep_cell", _exit_process)  # runs in the worker processes
+    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": [0.1, 0.2]}},
+                        "grid.json")
+    argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s"), "--jobs", "2"]
+    assert main(argv) == EXIT_OK
+    rows = _summary_rows(tmp_path / "s")
+    assert [r["status"] for r in rows] == ["failed", "failed"]
+    assert all(r["error"].startswith("BrokenProcessPool: ") for r in rows)
 
 
 GRIDS = Path(__file__).resolve().parents[1] / "grids"

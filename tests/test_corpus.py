@@ -66,7 +66,7 @@ def test_train_valid_counts_and_disjoint_storage():
 @given(st.lists(st.sampled_from(["tok_a", "tok_b", "tok_c"]), min_size=1, max_size=15))
 def test_vocab_round_trip(tokens):
     vocab = Vocab(["<pad>", "<unk>", "tok_a", "tok_b", "tok_c"])
-    assert vocab.decode(vocab.encode(tokens)) == tokens
+    assert [vocab.id_to_token[i] for i in vocab.encode(tokens)] == tokens
 
 
 def test_load_text_case_folding(tmp_path):

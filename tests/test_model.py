@@ -13,10 +13,10 @@ from gradlink.model import (
     eval_loss,
     forward_trace,
     init_model,
+    layer_names,
     loss_and_grads,
     param_count,
     param_layout,
-    parse_selector,
     sgd_step,
     views,
 )
@@ -289,18 +289,21 @@ def test_linear_layer_manifest_matches_layout_weight_shapes():
 def test_selector_layer_order_and_feature_length():
     cfg = ModelConfig(vocab_size=9, embed_dim=4, context=2, n_blocks=1, ffn_mult=3)
     shapes = dict(param_layout(cfg))
-    both = parse_selector("both").layer_names(cfg.n_blocks)
-    fc = parse_selector("fc").layer_names(cfg.n_blocks)
-    proj = parse_selector("proj").layer_names(cfg.n_blocks)
+    both = layer_names("both", cfg.n_blocks)
+    fc = layer_names("fc", cfg.n_blocks)
+    proj = layer_names("proj", cfg.n_blocks)
     assert fc + proj == both
     hidden = cfg.hidden_dim
     size = sum(int(np.prod(shapes[name + ".weight"])) for name in both)
     assert size == hidden * cfg.block_input_dim(1) + cfg.embed_dim * hidden
+    # a block list picks its blocks in ascending order, FC layers first
+    assert layer_names(" Both@3,1 ", 3) == ("block1.fc", "block3.fc", "block1.proj", "block3.proj")
+    assert layer_names("proj@2", 3) == ("block2.proj",)
 
 
 def test_selector_unknown_block_is_usage_error():
     with pytest.raises(UsageError):
-        parse_selector("fc@5").layer_names(SMALL.n_blocks)
+        layer_names("fc@5", SMALL.n_blocks)
 
 
 def test_eval_loss_deterministic_and_training_reduces_it():
