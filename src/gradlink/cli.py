@@ -43,8 +43,21 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
-# Grid axes the sweep command accepts, mapped onto config fields.
-SWEEP_AXES = ("server_lr", "rounds", "clients", "clip", "sigma", "method", "selector")
+# Grid axes the sweep command accepts, each mapped to the config section
+# that holds the field of its name.
+SWEEP_AXES = {
+    "server_lr": "fed",
+    "rounds": "fed",
+    "clients": "fed",
+    "clip": "dp",
+    "sigma": "dp",
+    "method": "attack",
+    "selector": "attack",
+}
+# The summary columns of a sweep cell after its axis values.
+SUMMARY_COLUMNS = (
+    "seed", "config_hash", "purity", "rand_index", "mutual_information", "status", "error"
+)
 
 
 def _build_shards(cfg: ExperimentConfig):
@@ -58,22 +71,13 @@ def _build_shards(cfg: ExperimentConfig):
     return generate_synthetic(cfg.data, cfg.fed.seed)
 
 
-def _model_config(cfg: ExperimentConfig, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        embed_dim=cfg.model.embed_dim,
-        context=cfg.model.context,
-        n_blocks=cfg.model.n_blocks,
-        ffn_mult=cfg.model.ffn_mult,
-    )
-
-
 def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
     for path in (trace_path, sidecar_path):  # fail before training, not after
         if not Path(path).parent.is_dir():
             raise UsageError(f"no directory to write {path} into: {Path(path).parent}")
     shards, vocab = _build_shards(cfg)
-    trace, sidecar, _ = run_simulation(cfg.fed, _model_config(cfg, vocab.size), shards, cfg.dp)
+    model_cfg = ModelConfig(vocab_size=vocab.size, **dataclasses.asdict(cfg.model))
+    trace, sidecar, _ = run_simulation(cfg.fed, model_cfg, shards, cfg.dp)
     write_trace(trace_path, trace)
     write_sidecar(sidecar_path, sidecar)
     return trace.loss_curve
@@ -146,18 +150,12 @@ def cmd_report(args) -> int:
 def _apply_cell(base_doc: dict, overrides: dict) -> dict:
     doc = copy.deepcopy(base_doc)
     for axis, value in overrides.items():
-        if axis in ("server_lr", "rounds", "clients"):
-            doc.setdefault("fed", {})[axis] = value
-        elif axis in ("clip", "sigma"):
-            if doc.get("dp") is None:
-                raise ConfigError(
-                    f"grid axis {axis!r} requires a 'dp' section in the base config"
-                )
-            doc["dp"][axis] = value
-        elif axis in ("method", "selector"):
-            doc.setdefault("attack", {})[axis] = value
-        else:
-            raise ConfigError(f"unknown grid axis {axis!r}")
+        section = SWEEP_AXES[axis]
+        if section == "dp" and doc.get("dp") is None:
+            raise ConfigError(f"grid axis {axis!r} requires a 'dp' section in the base config")
+        if not isinstance(doc.setdefault(section, {}), dict):
+            raise ConfigError(f"config.{section} must be an object")
+        doc[section][axis] = value
     return doc
 
 
@@ -182,15 +180,11 @@ def run_sweep_cell(cell_dir: str, doc: dict) -> dict:
     simulate_to_files(cfg, trace_path, sidecar_path)
     attack_to_file(trace_path, cfg.attack.method, cfg.attack.selector, assignment_path)
     report = report_from_files(trace_path, assignment_path, sidecar_path, report_path)
-    return {
-        "seed": cfg.fed.seed,
-        "config_hash": _config_hash(doc),
-        "purity": report["metrics"]["purity"],
-        "rand_index": report["metrics"]["rand_index"],
-        "mutual_information": report["metrics"]["mutual_information"],
-        "status": "ok",
-        "error": "",
-    }
+    metrics = report["metrics"]
+    return dict(zip(SUMMARY_COLUMNS, (
+        cfg.fed.seed, _config_hash(doc), metrics["purity"], metrics["rand_index"],
+        metrics["mutual_information"], "ok", "",
+    )))
 
 
 def _grid_cells(grid_doc: dict):
@@ -203,9 +197,9 @@ def _grid_cells(grid_doc: dict):
         raise ConfigError("grid config needs 'base' and 'grid' objects")
     bad = set(grid) - set(SWEEP_AXES)
     if bad:
-        raise ConfigError(f"unknown grid axes: {sorted(bad)} (allowed: {SWEEP_AXES})")
-    if not grid or any(not vals for vals in grid.values()):
-        raise ConfigError("grid is empty")
+        raise ConfigError(f"unknown grid axes: {sorted(bad)} (allowed: {tuple(SWEEP_AXES)})")
+    if not grid or any(not isinstance(vals, list) or not vals for vals in grid.values()):
+        raise ConfigError("grid must map each axis to a non-empty list of values")
     cells = [{}]
     for axis in sorted(grid):
         cells = [dict(cell, **{axis: value}) for cell in cells for value in grid[axis]]
@@ -238,11 +232,7 @@ def cmd_sweep(args) -> int:
     ]
 
     axes = sorted({k for overrides, _ in cells for k in overrides})
-    fieldnames = (
-        ["cell"]
-        + axes
-        + ["seed", "config_hash", "purity", "rand_index", "mutual_information", "status", "error"]
-    )
+    fieldnames = ["cell", *axes, *SUMMARY_COLUMNS]
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -271,15 +261,8 @@ def _cell_row(run_cell) -> dict:
     try:
         return run_cell()
     except Exception as exc:
-        return {
-            "seed": "",
-            "config_hash": "",
-            "purity": "",
-            "rand_index": "",
-            "mutual_information": "",
-            "status": "failed",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        error = f"{type(exc).__name__}: {exc}"
+        return dict.fromkeys(SUMMARY_COLUMNS, "") | {"status": "failed", "error": error}
 
 
 def build_parser() -> argparse.ArgumentParser:

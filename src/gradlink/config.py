@@ -1,7 +1,9 @@
-"""Experiment configuration: a single strict JSON document. Unknown keys are
-errors so that sweep typos fail loudly.
+"""Experiment configuration: a single strict JSON document. Each section's
+keys are the fields of its dataclass; unknown keys are errors so that sweep
+typos fail loudly.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,22 +13,9 @@ from .corpus import SyntheticSpec
 from .dp import DpConfig
 from .errors import ConfigError, GradlinkError, require_integers
 from .fedsim import FedConfig
-from .model import layer_names
+from .model import ModelArch, layer_names
 
 METHODS = ("kmeans", "spectral", "greedy")
-
-
-@dataclass(frozen=True)
-class ModelArch:
-    """Model shape without the vocabulary size, which comes from the data."""
-
-    embed_dim: int = 32
-    context: int = 4
-    n_blocks: int = 4
-    ffn_mult: int = 4
-
-    def __post_init__(self):
-        require_integers(self, {"embed_dim": 1, "context": 1, "n_blocks": 1, "ffn_mult": 1})
 
 
 @dataclass(frozen=True)
@@ -56,90 +45,60 @@ class AttackSpec:
 
 @dataclass
 class ExperimentConfig:
-    fed: FedConfig  # holds the seed
+    """A config document: one section per field, plus the top-level `seed`
+    that `fed` holds."""
+
+    fed: FedConfig
     model: ModelArch
     data: Union[SyntheticSpec, FilesSpec]
     dp: Optional[DpConfig]
     attack: AttackSpec
 
 
-def _section(doc: dict, key: str, allowed, where: str, required=()):
-    sub = doc.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{where}.{key} must be an object")
-    unknown = set(sub) - set(allowed)
+def _build(cls, doc, where: str, **given):
+    """A `cls` from the config section `doc` found at `where`. The section's
+    keys are the fields of `cls` that `given` does not set, and those with
+    no default are required."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    accepted = [f for f in dataclasses.fields(cls) if f.name not in given]
+    unknown = set(doc) - {f.name for f in accepted}
     if unknown:
-        raise ConfigError(f"unknown keys in {where}.{key}: {sorted(unknown)}")
-    missing = [k for k in required if k not in sub]
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [f.name for f in accepted if f.name not in doc
+               and f.default is f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ConfigError(f"missing keys in {where}.{key}: {missing}")
-    return sub
+        raise ConfigError(f"missing keys in {where}: {missing}")
+    return cls(**doc, **given)
 
 
 def parse_experiment(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    top_allowed = {"seed", "fed", "model", "data", "dp", "attack"}
-    unknown = set(doc) - top_allowed
+    unknown = set(doc) - {"seed"} - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-
-    fed_doc = _section(
-        doc,
-        "fed",
-        {"clients", "rounds", "client_lr", "server_lr", "local_epochs", "batch_size", "shuffle"},
-        "config",
-        required=("clients", "rounds"),
-    )
-    model_doc = _section(
-        doc, "model", {"embed_dim", "context", "n_blocks", "ffn_mult"}, "config"
-    )
-
     data_doc = doc.get("data", {})
-    if not isinstance(data_doc, dict) or len(data_doc) > 1:
+    if not isinstance(data_doc, dict) or set(data_doc) not in (set(), {"synthetic"}, {"files"}):
         raise ConfigError("config.data must hold exactly one of 'synthetic' or 'files'")
     try:
-        fed = FedConfig(seed=doc.get("seed", 0), **fed_doc)
-        model = ModelArch(**model_doc)
+        fed = _build(FedConfig, doc.get("fed", {}), "config.fed", seed=doc.get("seed", 0))
+        model = _build(ModelArch, doc.get("model", {}), "config.model")
         if "files" in data_doc:
-            files_doc = _section(
-                data_doc,
-                "files",
-                {"paths", "train_sentences", "valid_sentences", "freq_cutoff"},
-                "config.data",
-                required=("paths",),
+            data: Union[SyntheticSpec, FilesSpec] = _build(
+                FilesSpec, data_doc["files"], "config.data.files"
             )
-            data: Union[SyntheticSpec, FilesSpec] = FilesSpec(**files_doc)
             n_data_clients = len(data.paths)
         else:
-            syn_doc = _section(
-                data_doc,
-                "synthetic",
-                {
-                    "n_clients",
-                    "train_sentences",
-                    "valid_sentences",
-                    "sentence_len",
-                    "topic_vocab_size",
-                    "shared_vocab_size",
-                    "overlap",
-                },
-                "config.data",
-            )
-            syn_doc = dict(syn_doc)
-            if "sentence_len" in syn_doc:
-                syn_doc["sentence_len"] = tuple(syn_doc["sentence_len"])
-            syn_doc.setdefault("n_clients", fed.clients)
-            data = SyntheticSpec(**syn_doc)
+            syn_doc = data_doc.get("synthetic", {})
+            if isinstance(syn_doc, dict):  # one shard per client unless it says otherwise
+                syn_doc = {"n_clients": fed.clients, **syn_doc}
+                if "sentence_len" in syn_doc:
+                    syn_doc["sentence_len"] = tuple(syn_doc["sentence_len"])
+            data = _build(SyntheticSpec, syn_doc, "config.data.synthetic")
             n_data_clients = data.n_clients
-
-        dp = None
-        if doc.get("dp") is not None:
-            dp_doc = _section(doc, "dp", {"clip", "sigma", "delta"}, "config", required=("clip", "sigma"))
-            dp = DpConfig(**dp_doc)
-
-        attack_doc = _section(doc, "attack", {"method", "selector"}, "config")
-        attack = AttackSpec(**attack_doc)
+        dp = None if doc.get("dp") is None else _build(DpConfig, doc["dp"], "config.dp")
+        attack = _build(AttackSpec, doc.get("attack", {}), "config.attack")
     except GradlinkError:
         raise
     except (TypeError, ValueError) as exc:

@@ -15,27 +15,32 @@ cross-entropy in natural log. SGD without momentum; attention is deliberately
 absent, the attack only needs linear layers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_integers
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    vocab_size: int
+@dataclass(frozen=True, kw_only=True)
+class ModelArch:
+    """Model shape without the vocabulary size, which comes from the data:
+    a config's `model` section."""
+
     embed_dim: int = 32
     context: int = 4
     n_blocks: int = 4
     ffn_mult: int = 4
 
-    def __post_init__(self):
-        for name in ("vocab_size", "embed_dim", "context", "n_blocks", "ffn_mult"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"ModelConfig.{name} must be >= 1")
+    def __post_init__(self):  # every field, `vocab_size` of a ModelConfig too
+        require_integers(self, {f.name: 1 for f in fields(self)})
+
+
+@dataclass(frozen=True, kw_only=True)
+class ModelConfig(ModelArch):
+    vocab_size: int
 
     @property
     def hidden_dim(self) -> int:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gradlink import cli
 from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
-from gradlink.config import METHODS, load_experiment
+from gradlink.config import METHODS, load_experiment, parse_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
@@ -482,6 +482,60 @@ def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, valu
     assert f"{key} must be" in capsys.readouterr().err
 
 
+def _client_files(tmp_path, k=3):
+    paths = []
+    for i in range(k):
+        paths.append(str(tmp_path / f"client{i}.txt"))
+        Path(paths[-1]).write_text("a b c d e\nb c d e f\nc d e f g\n", encoding="utf-8")
+    return paths
+
+
+def test_misnamed_data_key_is_exit_2(tmp_path, capsys):
+    """`file` for `files` must not fall back to synthetic data."""
+    doc = _base_config(data={"file": {"paths": _client_files(tmp_path)}})
+    cfg, trace = _write_config(tmp_path, doc), tmp_path / "t.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_USAGE
+    assert "exactly one of 'synthetic' or 'files'" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("section", ["fed", "model", "data.synthetic", "data.files", "dp", "attack"])
+def test_config_sections_take_their_dataclass_fields(tmp_path, capsys, section):
+    """Each section accepts the fields of its dataclass and nothing else, and
+    requires those without a default; the seed lives at the top level."""
+    def run(doc):
+        cfg = _write_config(tmp_path, doc)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
+        return code, capsys.readouterr().err
+
+    def config(**changes):  # a None value deletes the key
+        doc = _base_config(dp={"clip": 1.0, "sigma": 0.1})
+        if section == "data.files":
+            doc["data"] = {"files": {"paths": _client_files(tmp_path)}}
+        *outer, key = section.split(".")
+        target = doc[outer[0]] if outer else doc
+        target[key] = {k: v for k, v in dict(target[key], **changes).items() if v is not None}
+        return doc
+
+    load_experiment(_write_config(tmp_path, config()))
+    code, err = run(config(bogus=1))
+    assert code == EXIT_USAGE and f"unknown keys in config.{section}: ['bogus']" in err
+    required = {"fed": ["clients"], "data.files": ["paths"], "dp": ["sigma"]}.get(section, [])
+    if required:
+        code, err = run(config(**dict.fromkeys(required)))
+        assert code == EXIT_USAGE and f"missing keys in config.{section}: {required}" in err
+    if section == "fed":
+        code, err = run(config(seed=1))
+        assert code == EXIT_USAGE and "unknown keys in config.fed: ['seed']" in err
+
+
+def test_readme_quick_start_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Write a config:")[1].split("```json\n")[1].split("```")[0]
+    cfg = parse_experiment(json.loads(block))
+    assert (cfg.fed.clients, cfg.fed.rounds, cfg.model.n_blocks) == (5, 10, 2)
+
+
 @pytest.mark.parametrize("key, value", [
     ("paths", "a.txt"),
     ("paths", ["a.txt", 3]),
@@ -490,11 +544,7 @@ def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, valu
     ("freq_cutoff", "1"),
 ])
 def test_malformed_files_config_is_exit_2(tmp_path, capsys, key, value):
-    paths = []
-    for i in range(3):
-        paths.append(str(tmp_path / f"client{i}.txt"))
-        Path(paths[-1]).write_text("a b c d e\nb c d e f\nc d e f g\n", encoding="utf-8")
-    files = {"paths": paths, key: value}
+    files = {"paths": _client_files(tmp_path), key: value}
     cfg = _write_config(tmp_path, _base_config(data={"files": files}))
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
     assert code == EXIT_USAGE
@@ -665,6 +715,14 @@ def test_sweep_empty_grid_is_exit_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("values", [[], 3, "23", {"a": 2}])
+def test_sweep_axis_values_that_are_not_a_non_empty_list_are_exit_2(tmp_path, capsys, values):
+    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"rounds": values}}, "grid.json")
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
+    assert "non-empty list of values" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_with_an_invalid_cell_is_exit_2_before_any_cell_runs(tmp_path, capsys):
     doc = {
         "base": _base_config(dp={"clip": 1.0, "sigma": 0.0}),
@@ -675,6 +733,14 @@ def test_sweep_with_an_invalid_cell_is_exit_2_before_any_cell_runs(tmp_path, cap
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
     assert "grid cell 1 {'sigma': -1.0}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("section, axis", [("fed", "rounds"), ("dp", "sigma"), ("attack", "method")])
+def test_sweep_axis_into_a_section_that_is_not_an_object_is_exit_2(tmp_path, capsys, section, axis):
+    doc = {"base": _base_config(**{section: 3}), "grid": {axis: [2]}}
+    cfg = _write_config(tmp_path, doc, "grid.json")
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
+    assert f"config.{section} must be an object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradlink.corpus import SyntheticSpec, generate_synthetic, windows_from_sentences
-from gradlink.errors import UsageError
+from gradlink.errors import ConfigError, UsageError
 from gradlink.fedsim import linear_layer_manifest
 from gradlink.model import (
     GlobalModel,
@@ -61,6 +61,12 @@ def test_uniform_loss_anchor_with_zero_output_weights():
     windows, targets = _batch(SMALL, 6)
     loss, _ = loss_and_grads(m, windows, targets)
     assert loss == pytest.approx(np.log(SMALL.vocab_size), abs=1e-9)
+
+
+@pytest.mark.parametrize("fields", [{"embed_dim": True}, {"n_blocks": 2.0}, {"vocab_size": 0}])
+def test_model_config_fields_are_integers_at_least_1(fields):
+    with pytest.raises(ConfigError, match=f"{next(iter(fields))} must be an integer >= 1"):
+        ModelConfig(**{"vocab_size": 5, **fields})
 
 
 def test_out_of_range_token_is_usage_error():
