@@ -2,7 +2,8 @@
 trace, k-means and spectral clustering, and step-wise greedy matching via an
 exact linear-sum-assignment solver.
 
-Inputs are TraceStore only; nothing here can reach the truth sidecar.
+Inputs are TraceStore only; nothing here can reach the truth sidecar, and
+tests/test_structure.py checks that no module this one imports knows it.
 """
 
 import logging
@@ -12,8 +13,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .fedsim import TraceStore
 from .model import layer_names
+from .traceio import TraceStore
 
 log = logging.getLogger(__name__)
 

@@ -28,16 +28,8 @@ from .corpus import generate_synthetic, load_text_shards
 from .errors import ConfigError, DivergedError, GradlinkError, InputError, UsageError
 from .fedsim import run_simulation
 from .model import ModelConfig
-from .report import build_report, render_report, write_report
-from .traceio import (
-    read_assignment,
-    read_sidecar,
-    read_trace,
-    read_trace_header,
-    write_assignment,
-    write_sidecar,
-    write_trace,
-)
+from .report import build_report, read_sidecar, render_report, write_report, write_sidecar
+from .traceio import read_assignment, read_trace, read_trace_header, write_assignment, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,9 +69,9 @@ def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
             raise UsageError(f"no directory to write {path} into: {Path(path).parent}")
     shards, vocab = _build_shards(cfg)
     model_cfg = ModelConfig(vocab_size=vocab.size, **dataclasses.asdict(cfg.model))
-    trace, sidecar, _ = run_simulation(cfg.fed, model_cfg, shards, cfg.dp)
+    trace, truth, _ = run_simulation(cfg.fed, model_cfg, shards, cfg.dp)
     write_trace(trace_path, trace)
-    write_sidecar(sidecar_path, sidecar)
+    write_sidecar(sidecar_path, truth)
     return trace.loss_curve
 
 

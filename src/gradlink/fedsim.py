@@ -1,13 +1,14 @@
-"""Federated round orchestration: local client SGD, update packaging,
-shuffling, server aggregation, and recording of the anonymized gradient trace
-plus its ground-truth sidecar.
+"""Federated round orchestration: local client SGD, shuffling, server
+aggregation, and recording of the anonymized gradient trace (a
+`traceio.TraceStore`) plus the truth, a (T, K) array of which client sent
+the update in each slot of each round.
 
-The attack path consumes TraceStore only; the TruthSidecar exists solely for
-evaluation and is never reachable from the attack module.
+The truth leaves this module only as `run_simulation`'s return value, for
+`report`; the attack reads the trace alone.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +29,7 @@ from .model import (
     views,
 )
 from .rng import labeled_rng
+from .traceio import TraceStore
 
 
 @dataclass(frozen=True)
@@ -39,42 +41,14 @@ class FedConfig:
     local_epochs: int = 1
     batch_size: int = 8
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         require_integers(
             self, {"clients": 2, "rounds": 2, "local_epochs": 0, "batch_size": 1, "seed": 0}
         )
         require_finite(self, ("client_lr", "server_lr"))
-        if not isinstance(self.shuffle, bool):
-            raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         if self.client_lr <= 0 or self.server_lr < 0:
             raise ConfigError("learning rates must be positive")
-
-
-@dataclass
-class TraceStore:
-    """The server's view of a run. Row `t * clients + slot` of `updates` is
-    the payload in slot `slot` of round `t`: its FC/Proj weight updates at
-    32-bit precision, each layer row-major, layers in manifest order."""
-
-    clients: int
-    rounds: int
-    seed: int
-    layer_manifest: List[Tuple[str, int, int]]  # (name, rows, cols)
-    dp: Optional[DpConfig]
-    updates: np.ndarray  # (clients * rounds, sum of rows * cols) float32
-    loss_curve: List[float] = field(default_factory=list)
-    # advisory accounting inputs for the epsilon report
-    dp_sample_rate: Optional[float] = None
-    dp_steps: Optional[int] = None
-
-
-@dataclass
-class TruthSidecar:
-    """Per-round slot -> true client id maps; evaluation-only."""
-
-    rounds: List[List[int]]
 
 
 def linear_layer_manifest(config: ModelConfig) -> List[Tuple[str, int, int]]:
@@ -169,18 +143,14 @@ def client_round(
     return params
 
 
-def shuffle_round(
-    payloads: Sequence[np.ndarray], rng: np.random.Generator
-) -> Tuple[List[np.ndarray], List[int]]:
-    """Fisher-Yates shuffle of a round's payloads. Returns the payloads in
-    slot order and the permutation slot -> original index (for the
-    TruthSidecar only)."""
-    k = len(payloads)
+def shuffle_round(k: int, rng: np.random.Generator) -> np.ndarray:
+    """Fisher-Yates shuffle of a round's k payloads: the permutation slot ->
+    shard position, as an int64 array."""
     order = list(range(k))
     for i in range(k - 1, 0, -1):
         j = int(rng.integers(0, i + 1))
         order[i], order[j] = order[j], order[i]
-    return [payloads[src] for src in order], order
+    return np.array(order, dtype=np.int64)
 
 
 def aggregate(model: GlobalModel, payloads: np.ndarray, server_lr: float) -> GlobalModel:
@@ -214,9 +184,10 @@ def run_simulation(
     model_cfg: ModelConfig,
     shards: Sequence[ClientShard],
     dp_cfg: Optional[DpConfig] = None,
-) -> Tuple[TraceStore, TruthSidecar, GlobalModel]:
+) -> Tuple[TraceStore, np.ndarray, GlobalModel]:
     """Run T federated rounds and record the anonymized trace. Returns the
-    trace, its truth sidecar and the final global model.
+    trace, the (T, K) int64 truth, where `truth[t, slot]` is the shard
+    position of the client in that slot, and the final global model.
 
     Per round: snapshot -> K client rounds (DP-privatized if configured) ->
     shuffle -> record payloads -> aggregate. The trace's loss curve holds
@@ -252,7 +223,7 @@ def run_simulation(
     )
     if dp_cfg is not None:
         trace.dp_steps, trace.dp_sample_rate = _count_local_steps(clients.window_counts, fed_cfg)
-    sidecar = TruthSidecar(rounds=[])
+    truth = np.empty((fed_cfg.rounds, fed_cfg.clients), dtype=np.int64)
 
     def checked_loss(m):
         loss = eval_loss(m, vw, vt)
@@ -265,15 +236,11 @@ def run_simulation(
     trace.loss_curve.append(checked_loss(model))
     for t in range(fed_cfg.rounds):
         stack = client_round(model, clients, fed_cfg, dp_cfg, dp_rngs)
-        payloads = [stack[row] for row in row_of_shard]
-        if fed_cfg.shuffle:
-            shuffled, perm = shuffle_round(payloads, shuffle_rng)
-        else:
-            shuffled, perm = payloads, list(range(fed_cfg.clients))
-        sidecar.rounds.append(perm)
-        for slot, payload in enumerate(shuffled):
-            trace.updates[t * fed_cfg.clients + slot] = payload[columns]
+        truth[t] = shuffle_round(fed_cfg.clients, shuffle_rng)
+        trace.updates[t * fed_cfg.clients : (t + 1) * fed_cfg.clients] = stack[
+            np.ix_(row_of_shard[truth[t]], columns)
+        ]
         model = aggregate(model, stack, fed_cfg.server_lr)
         trace.loss_curve.append(checked_loss(model))
 
-    return trace, sidecar, model
+    return trace, truth, model

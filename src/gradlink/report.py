@@ -1,6 +1,10 @@
-"""Attack scoring reports: the three clustering metrics against the truth
-sidecar, a Monte Carlo random baseline, and DP advisories, as JSON plus an
-aligned text table.
+"""The evaluation side: the truth sidecar's file format, and attack scoring
+reports with the three clustering metrics against the truth, a Monte Carlo
+random baseline, and DP advisories, as JSON plus an aligned text table.
+
+The sidecar is a JSON document `{"rounds": [[client, ...], ...]}`, one list
+per round giving the client in each slot. Keeping it in a separate file,
+read only here, is the de-anonymization boundary.
 """
 
 import json
@@ -10,11 +14,35 @@ import numpy as np
 
 from .dp import rdp_epsilon
 from .errors import InputError
-from .fedsim import TruthSidecar
 from .metrics import mutual_information, purity, rand_index
-from .traceio import truth_labels
+from .traceio import field, int_from, read_input
 
 RANDOM_BASELINE_TRIALS = 1000
+
+
+def write_sidecar(path, truth: np.ndarray) -> None:
+    """Write the (T, K) truth of a run, `truth[t, slot]` the client in that
+    slot."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"rounds": truth.tolist()}, fh, separators=(",", ":"))
+        fh.write("\n")
+
+
+def read_sidecar(path) -> np.ndarray:
+    """The (T, K) int64 truth stored at `path`."""
+    return read_input(path, "sidecar", _parse_sidecar)
+
+
+def _parse_sidecar(fh) -> np.ndarray:
+    doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError("the document is not a JSON object")
+    rounds = field(doc, "rounds", "a non-empty list of equal-length permutations of 0..K-1",
+                   lambda v: isinstance(v, list) and v and all(
+                       isinstance(r, list) and r and len(r) == len(v[0])
+                       and all(map(int_from(0), r)) and sorted(r) == list(range(len(r)))
+                       for r in v))
+    return np.array(rounds, dtype=np.int64)
 
 
 def score(pred, true) -> dict:
@@ -37,10 +65,10 @@ def random_baseline(true, clients: int, trials: int, seed: int) -> dict:
     return out
 
 
-def build_report(header: dict, assignment: dict, sidecar: TruthSidecar) -> dict:
-    """Score an assignment against the truth. `header` holds a trace's
-    fields as `traceio.read_trace_header` returns them: scoring needs no
-    update rows."""
+def build_report(header: dict, assignment: dict, truth: np.ndarray) -> dict:
+    """Score an assignment against the (T, K) truth. `header` holds a
+    trace's fields as `traceio.read_trace_header` returns them: scoring
+    needs no update rows."""
     clients, rounds = header["clients"], header["rounds"]
     if assignment["clients"] != clients or assignment["rounds"] != rounds:
         raise InputError(
@@ -48,9 +76,9 @@ def build_report(header: dict, assignment: dict, sidecar: TruthSidecar) -> dict:
             f"(K={assignment['clients']}, T={assignment['rounds']} vs "
             f"K={clients}, T={rounds})"
         )
-    if len(sidecar.rounds) != rounds or any(len(r) != clients for r in sidecar.rounds):
+    if truth.shape != (rounds, clients):
         raise InputError("sidecar shape does not match the trace")
-    true = truth_labels(sidecar)
+    true = truth.ravel()
     pred = np.asarray(assignment["labels"], dtype=np.int64)
     if pred.shape[0] != true.shape[0]:
         raise InputError("assignment length does not match the trace")

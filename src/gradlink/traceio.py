@@ -1,27 +1,47 @@
-"""File formats for traces, truth sidecars, assignments, and reports.
+"""The server's view of a run, TraceStore, and the file formats of the
+trace and of attack assignments. Nothing here knows which client sent which
+update: the truth and its sidecar format live in `report`, and
+tests/test_structure.py checks that the attack cannot import them.
 
 A trace file (format version 2) is two lines of JSON. Line 1 is a header
 object: K, T, seed, the manifest of FC/Proj weight layers, DP settings and
 the loss curve. Line 2 is one string, the base64 of the little-endian
 float32 (K*T, dim) update matrix: rows in (round, slot) order, each row the
 manifest's layers row-major. Base64 keeps the file ASCII text, whose header
-a text-mode `readline` can read. The truth sidecar is a separate JSON
-document; keeping it in a separate file is the de-anonymization boundary.
+a text-mode `readline` can read.
 """
 
 import base64
 import dataclasses
 import json
 from pathlib import Path
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .dp import DpConfig
 from .errors import InputError, UsageError, is_finite_number, is_integer
-from .fedsim import TraceStore, TruthSidecar
 
 TRACE_FORMAT_VERSION = 2
 _BODY_DTYPE = np.dtype("<f4")
+
+
+@dataclasses.dataclass
+class TraceStore:
+    """The server's view of a run. Row `t * clients + slot` of `updates` is
+    the payload in slot `slot` of round `t`: its FC/Proj weight updates at
+    32-bit precision, each layer row-major, layers in manifest order."""
+
+    clients: int
+    rounds: int
+    seed: int
+    layer_manifest: List[Tuple[str, int, int]]  # (name, rows, cols)
+    dp: Optional[DpConfig]
+    updates: np.ndarray  # (clients * rounds, sum of rows * cols) float32
+    loss_curve: List[float] = dataclasses.field(default_factory=list)
+    # advisory accounting inputs for the epsilon report
+    dp_sample_rate: Optional[float] = None
+    dp_steps: Optional[int] = None
 
 
 def write_trace(path, trace: TraceStore) -> None:
@@ -43,11 +63,12 @@ def write_trace(path, trace: TraceStore) -> None:
         fh.write('"' + body.decode("ascii") + '"\n')
 
 
-def _int_from(minimum: int):
+def int_from(minimum: int):
+    """A check that a value is an integer (not a bool) >= `minimum`."""
     return lambda v: is_integer(v) and v >= minimum
 
 
-def _field(doc: dict, key: str, expected: str, ok):
+def field(doc: dict, key: str, expected: str, ok):
     """`doc[key]`, or InputError saying it must be `expected` if not `ok`."""
     value = doc[key]
     if not ok(value):
@@ -63,30 +84,30 @@ def _trace_fields(header) -> dict:
     if version != TRACE_FORMAT_VERSION or isinstance(version, bool):
         hint = "; re-run `gradlink simulate` to write it again" if version == 1 else ""
         raise InputError(f"format version {version!r} is not {TRACE_FORMAT_VERSION}{hint}")
-    rounds = _field(header, "rounds", "an integer >= 2", _int_from(2))
-    entries = _field(header, "layer_manifest", "a non-empty list", lambda v: isinstance(v, list) and v)
+    rounds = field(header, "rounds", "an integer >= 2", int_from(2))
+    entries = field(header, "layer_manifest", "a non-empty list", lambda v: isinstance(v, list) and v)
     manifest = [
-        (_field(entry, "name", "a string", lambda v: isinstance(v, str)),
-         _field(entry, "rows", "an integer >= 1", _int_from(1)),
-         _field(entry, "cols", "an integer >= 1", _int_from(1)))
+        (field(entry, "name", "a string", lambda v: isinstance(v, str)),
+         field(entry, "rows", "an integer >= 1", int_from(1)),
+         field(entry, "cols", "an integer >= 1", int_from(1)))
         for entry in entries
     ]
-    dp = _field(header, "dp", "null or an object of finite numbers",
-                lambda v: v is None
-                or isinstance(v, dict) and all(map(is_finite_number, v.values())))
+    dp = field(header, "dp", "null or an object of finite numbers",
+               lambda v: v is None
+               or isinstance(v, dict) and all(map(is_finite_number, v.values())))
     return {
-        "clients": _field(header, "clients", "an integer >= 2", _int_from(2)),
+        "clients": field(header, "clients", "an integer >= 2", int_from(2)),
         "rounds": rounds,
-        "seed": _field(header, "seed", "an integer >= 0", _int_from(0)),
+        "seed": field(header, "seed", "an integer >= 0", int_from(0)),
         "layer_manifest": manifest,
         "dp": None if dp is None else DpConfig(**dp),
-        "dp_steps": _field(header, "dp_steps", "null or an integer >= 0",
-                           lambda v: v is None or _int_from(0)(v)),
-        "dp_sample_rate": _field(header, "dp_sample_rate", "null or in (0, 1]",
-                                 lambda v: v is None or is_finite_number(v) and 0.0 < v <= 1.0),
-        "loss_curve": _field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
-                             lambda v: isinstance(v, list) and len(v) == rounds + 1
-                             and all(map(is_finite_number, v))),
+        "dp_steps": field(header, "dp_steps", "null or an integer >= 0",
+                          lambda v: v is None or int_from(0)(v)),
+        "dp_sample_rate": field(header, "dp_sample_rate", "null or in (0, 1]",
+                                lambda v: v is None or is_finite_number(v) and 0.0 < v <= 1.0),
+        "loss_curve": field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
+                            lambda v: isinstance(v, list) and len(v) == rounds + 1
+                            and all(map(is_finite_number, v))),
     }
 
 
@@ -97,7 +118,7 @@ def _read_header(fh) -> dict:
     return _trace_fields(json.loads(line))
 
 
-def _read_input(path, kind: str, parse):
+def read_input(path, kind: str, parse):
     """`parse(fh)` of the open text file at `path`, a `kind` file: InputError
     "missing" if there is no such file, "malformed" for any error of the
     parse."""
@@ -114,11 +135,11 @@ def _read_input(path, kind: str, parse):
 def read_trace_header(path) -> dict:
     """The TraceStore fields of a trace file, all but `updates`, from its
     header line alone: the body is neither read nor checked."""
-    return _read_input(path, "trace", _read_header)
+    return read_input(path, "trace", _read_header)
 
 
 def read_trace(path) -> TraceStore:
-    return _read_input(path, "trace", _parse_trace)
+    return read_input(path, "trace", _parse_trace)
 
 
 def _parse_trace(fh) -> TraceStore:
@@ -139,27 +160,6 @@ def _parse_trace(fh) -> TraceStore:
     return TraceStore(updates=updates, **fields)
 
 
-def write_sidecar(path, sidecar: TruthSidecar) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"rounds": [list(r) for r in sidecar.rounds]}, fh, separators=(",", ":"))
-        fh.write("\n")
-
-
-def read_sidecar(path) -> TruthSidecar:
-    return _read_input(path, "sidecar", _parse_sidecar)
-
-
-def _parse_sidecar(fh) -> TruthSidecar:
-    doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InputError("the document is not a JSON object")
-    rounds = _field(doc, "rounds", "a list of rounds, each a permutation of integers 0..K-1",
-                    lambda v: isinstance(v, list) and all(
-                        isinstance(r, list) and all(map(_int_from(0), r))
-                        and sorted(r) == list(range(len(r))) for r in v))
-    return TruthSidecar(rounds=rounds)
-
-
 def write_assignment(path, labels, *, clients: int, rounds: int, method: str, selector: str) -> None:
     doc = {
         "method": method,
@@ -174,7 +174,7 @@ def write_assignment(path, labels, *, clients: int, rounds: int, method: str, se
 
 
 def read_assignment(path) -> dict:
-    return _read_input(path, "assignment", _parse_assignment)
+    return read_input(path, "assignment", _parse_assignment)
 
 
 def _parse_assignment(fh) -> dict:
@@ -182,16 +182,10 @@ def _parse_assignment(fh) -> dict:
     if not isinstance(doc, dict):
         raise InputError("the document is not a JSON object")
     for key in ("method", "selector"):
-        _field(doc, key, "a string", lambda v: isinstance(v, str))
-    k = _field(doc, "clients", "an integer >= 2", _int_from(2))
-    t = _field(doc, "rounds", "an integer >= 2", _int_from(2))
-    _field(doc, "labels", f"a list of clients * rounds = {k * t} integers in [0, {k})",
-           lambda v: isinstance(v, list) and len(v) == k * t
-           and all(_int_from(0)(x) and x < k for x in v))
+        field(doc, key, "a string", lambda v: isinstance(v, str))
+    k = field(doc, "clients", "an integer >= 2", int_from(2))
+    t = field(doc, "rounds", "an integer >= 2", int_from(2))
+    field(doc, "labels", f"a list of clients * rounds = {k * t} integers in [0, {k})",
+          lambda v: isinstance(v, list) and len(v) == k * t
+          and all(int_from(0)(x) and x < k for x in v))
     return doc
-
-
-def truth_labels(sidecar: TruthSidecar) -> np.ndarray:
-    """Flatten the sidecar into one true client id per (round, slot) record,
-    in (round asc, slot asc) order."""
-    return np.array([cid for perm in sidecar.rounds for cid in perm], dtype=np.int64)

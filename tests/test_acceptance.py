@@ -16,7 +16,7 @@ from gradlink.attack import build_features, greedy_match, solve_lsap, spectral
 from gradlink.cli import main
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon
-from gradlink.fedsim import FedConfig, run_simulation
+from gradlink.fedsim import FedConfig, aggregate, client_round, local_training, run_simulation
 from gradlink.metrics import mutual_information, purity, rand_index
 from gradlink.model import (
     ModelConfig,
@@ -26,7 +26,6 @@ from gradlink.model import (
     views,
 )
 from gradlink.report import random_baseline
-from gradlink.traceio import truth_labels
 
 
 @contextmanager
@@ -51,9 +50,9 @@ def _synthetic_run(k, t, seed=0, dp_cfg=None, train_sentences=24, **fed_kwargs):
     return run_simulation(fed, mcfg, shards, dp_cfg)
 
 
-def _greedy_scores(trace, sidecar):
+def _greedy_scores(trace, truth):
     labels = greedy_match(build_features(trace, "both"))
-    true = truth_labels(sidecar)
+    true = truth.ravel()
     return purity(labels, true), mutual_information(labels, true)
 
 
@@ -146,15 +145,22 @@ def test_batch1_gradients_are_outer_products():
 
 
 def test_shuffling_does_not_change_training():
-    with _criterion("shuffled and unshuffled runs give identical final models"):
+    with _criterion("each round aggregated in slot order equals it in shard order, bitwise"):
         spec = SyntheticSpec(n_clients=5, train_sentences=16, valid_sentences=3)
         shards, vocab = generate_synthetic(spec, 0)
         mcfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, context=3, n_blocks=2, ffn_mult=2)
-        on = FedConfig(clients=5, rounds=5, seed=0, shuffle=True)
-        off = FedConfig(clients=5, rounds=5, seed=0, shuffle=False)
-        _, _, m_on = run_simulation(on, mcfg, shards)
-        _, _, m_off = run_simulation(off, mcfg, shards)
-        assert np.max(np.abs(m_on.params - m_off.params)) <= 1e-12
+        fed = FedConfig(clients=5, rounds=5, seed=0)
+        _, truth, final = run_simulation(fed, mcfg, shards)
+        assert (truth != np.arange(5)).any()
+        clients = local_training(shards, fed, mcfg)
+        row_of_shard = np.argsort(clients.order)
+        model = init_model(mcfg, fed.seed)
+        for t in range(fed.rounds):
+            stack = client_round(model, clients, fed)
+            in_slots = aggregate(model, stack[row_of_shard[truth[t]]], fed.server_lr)
+            model = aggregate(model, stack[row_of_shard], fed.server_lr)
+            np.testing.assert_array_equal(in_slots.params, model.params)
+        np.testing.assert_array_equal(model.params, final.params)
 
 
 def test_attack_succeeds_at_desk_scale():
@@ -163,9 +169,9 @@ def test_attack_succeeds_at_desk_scale():
         "spectral beats random baseline + 0.1"
     ):
         for k in (3, 5, 10):
-            trace, sidecar, _ = _synthetic_run(k, 10)
-            true = truth_labels(sidecar)
-            pur, mi = _greedy_scores(trace, sidecar)
+            trace, truth, _ = _synthetic_run(k, 10)
+            true = truth.ravel()
+            pur, mi = _greedy_scores(trace, truth)
             assert pur >= 0.9, f"K={k} greedy purity {pur}"
             assert mi >= 0.9 * np.log(k), f"K={k} greedy MI {mi}"
             spec_labels = spectral(build_features(trace, "both"), k, seed=0)
@@ -178,8 +184,8 @@ def test_slower_global_drift_helps_the_attack():
     with _criterion(
         "frozen server gives purity 1.0; lower server lr gives MI >= higher"
     ):
-        trace, sidecar, _ = _synthetic_run(5, 6, server_lr=0.0)
-        pur, _ = _greedy_scores(trace, sidecar)
+        trace, truth, _ = _synthetic_run(5, 6, server_lr=0.0)
+        pur, _ = _greedy_scores(trace, truth)
         assert pur == 1.0
 
         trace_lo, side_lo, _ = _synthetic_run(5, 6, server_lr=0.01)
@@ -202,7 +208,7 @@ def test_noise_defeats_the_attack_and_clipping_alone_does_not():
         pur_clip, _ = _greedy_scores(trace_clip, side_clip)
         pur_noise, _ = _greedy_scores(trace_noise, side_noise)
         baseline = random_baseline(
-            truth_labels(side_noise), k, trials=200, seed=0
+            side_noise.ravel(), k, trials=200, seed=0
         )["purity"]
 
         assert pur_noise <= pur_clip - 0.3, f"{pur_noise} vs {pur_clip}"

@@ -25,7 +25,6 @@ from gradlink.errors import NumericalError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.metrics import purity, rand_index
 from gradlink.model import ModelConfig, layer_names
-from gradlink.traceio import truth_labels
 
 
 def _small_trace(k=3, t=4, seed=0, **fed_kwargs):
@@ -480,7 +479,7 @@ def test_greedy_rejects_incomplete_rounds():
 
 
 def test_attacks_are_scale_invariant_in_one_record():
-    trace, sidecar, _ = _small_trace(k=3, t=4)
+    trace, _, _ = _small_trace(k=3, t=4)
     updates = trace.updates.copy()
     updates[4] *= 37.5
     scaled = dataclasses.replace(trace, updates=updates)
@@ -497,7 +496,7 @@ def test_attacks_are_scale_invariant_in_one_record():
 
 
 def test_greedy_perfect_on_frozen_model():
-    trace, sidecar, _ = _small_trace(k=4, t=5, server_lr=0.0)
+    trace, truth, _ = _small_trace(k=4, t=5, server_lr=0.0)
     f = build_features(trace, "both")
     labels = greedy_match(f)
-    assert purity(labels, truth_labels(sidecar)) == 1.0
+    assert purity(labels, truth.ravel()) == 1.0

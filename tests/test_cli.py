@@ -19,17 +19,15 @@ from gradlink.config import METHODS, load_experiment, parse_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
-from gradlink.fedsim import FedConfig, TraceStore, TruthSidecar, run_simulation
+from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.model import ModelConfig, layer_names
-from gradlink.report import render_report
+from gradlink.report import build_report, read_sidecar, render_report, write_sidecar
 from gradlink.traceio import (
+    TraceStore,
     read_assignment,
-    read_sidecar,
     read_trace,
     read_trace_header,
-    truth_labels,
     write_assignment,
-    write_sidecar,
     write_trace,
 )
 
@@ -80,24 +78,38 @@ def test_trace_round_trip_is_exact(tmp_path):
 
 
 def test_sidecar_round_trip_and_validation(tmp_path):
-    _, sidecar, _ = _run_trace()
+    _, truth, _ = _run_trace()
     path = tmp_path / "sidecar.json"
-    write_sidecar(path, sidecar)
-    assert read_sidecar(path).rounds == sidecar.rounds
+    write_sidecar(path, truth)
+    back = read_sidecar(path)
+    assert back.dtype == np.int64
+    np.testing.assert_array_equal(back, truth)
     for bad in ('{"rounds": [[0, 0, 2]]}', '{"rounds": [[0.9, 1, 2.2], [true, 0, 2]]}',
                 '{"rounds": [[0, 1.0]]}', '{"rounds": [["0", 1]]}', '{"rounds": [0, 1]}',
-                '{"rounds": {}}', '[[0, 1]]', '{}'):
+                '{"rounds": {}}', '[[0, 1]]', '{}',
+                '{"rounds": [[0, 1], [0, 1, 2]]}', '{"rounds": []}'):
         path.write_text(bad, encoding="utf-8")
         with pytest.raises(InputError):
             read_sidecar(path)
 
 
-def test_truth_labels_order():
-    _, sidecar, _ = _run_trace(k=3, t=2)
-    flat = truth_labels(sidecar)
-    assert flat.shape == (6,)
-    np.testing.assert_array_equal(flat[:3], sidecar.rounds[0])
-    np.testing.assert_array_equal(flat[3:], sidecar.rounds[1])
+def test_report_pairs_labels_with_records_in_round_slot_order():
+    """Assignment label i belongs to trace row i, in (round, slot) order, so
+    labels equal to the truth read row by row score perfectly, and the same
+    labels read column by column do not."""
+    truth = np.array([[0, 1, 2], [1, 2, 0]])
+    header = {"clients": 3, "rounds": 2, "seed": 0, "loss_curve": [1.0, 1.0, 1.0],
+              "dp": None, "dp_sample_rate": None, "dp_steps": None}
+
+    def report(labels):
+        assignment = {"clients": 3, "rounds": 2, "method": "greedy", "selector": "both",
+                      "labels": labels}
+        return build_report(header, assignment, truth)["metrics"]["purity"]
+
+    assert report(truth.ravel().tolist()) == 1.0
+    assert report(truth.T.ravel().tolist()) < 1.0
+    with pytest.raises(InputError):
+        build_report(header, {"clients": 3, "rounds": 2, "labels": [0] * 6}, truth.T)
 
 
 def test_assignment_round_trip(tmp_path):
@@ -215,8 +227,8 @@ def _valid_trace_bytes():
 
 @functools.cache
 def _valid_sidecar_bytes():
-    sidecar = TruthSidecar(rounds=[[1, 0, 2], [2, 0, 1]])
-    return _file_bytes(lambda path: write_sidecar(path, sidecar))
+    truth = np.array([[1, 0, 2], [2, 0, 1]])
+    return _file_bytes(lambda path: write_sidecar(path, truth))
 
 
 @functools.cache
@@ -321,11 +333,12 @@ def test_fuzzed_assignment_is_valid_or_input_error(tmp_path_factory, data):
 @settings(max_examples=300, deadline=None)
 @given(data=corrupted(_valid_sidecar_bytes))
 def test_fuzzed_sidecar_is_valid_or_input_error(tmp_path_factory, data):
-    sidecar = _read_fuzzed(tmp_path_factory, data, read_sidecar)
-    if sidecar is None:
+    truth = _read_fuzzed(tmp_path_factory, data, read_sidecar)
+    if truth is None:
         return
     stored = json.loads(data)["rounds"]
-    assert sidecar.rounds == stored
+    assert truth.dtype == np.int64 and truth.ndim == 2 and truth.size > 0
+    assert truth.tolist() == stored
     for r in stored:
         assert all(type(v) is int for v in r)
         assert sorted(r) == list(range(len(r)))
@@ -354,7 +367,7 @@ def test_fuzzed_config_parses_or_is_config_error(tmp_path_factory, data):
                ("embed_dim", "context", "n_blocks", "ffn_mult"))
     for value in (fed.client_lr, fed.server_lr):
         assert type(value) in (int, float) and math.isfinite(value)
-    assert fed.client_lr > 0 and fed.server_lr >= 0 and type(fed.shuffle) is bool
+    assert fed.client_lr > 0 and fed.server_lr >= 0
     assert isinstance(spec, SyntheticSpec) and spec.n_clients == fed.clients
     assert all(_is_int(getattr(spec, k), 0) for k in
                ("train_sentences", "valid_sentences", "topic_vocab_size", "shared_vocab_size"))
@@ -464,8 +477,6 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     ("fed", "client_lr", float("nan")),
     ("fed", "client_lr", True),
     ("fed", "server_lr", float("inf")),
-    ("fed", "shuffle", "no"),
-    ("fed", "shuffle", 0),
     ("dp", "clip", float("nan")),
     ("dp", "clip", float("inf")),
     ("dp", "clip", True),
@@ -524,9 +535,10 @@ def test_config_sections_take_their_dataclass_fields(tmp_path, capsys, section):
     if required:
         code, err = run(config(**dict.fromkeys(required)))
         assert code == EXIT_USAGE and f"missing keys in config.{section}: {required}" in err
-    if section == "fed":
-        code, err = run(config(seed=1))
-        assert code == EXIT_USAGE and "unknown keys in config.fed: ['seed']" in err
+    if section == "fed":  # the seed is top-level, and the shuffle is always on
+        for key, value in (("seed", 1), ("shuffle", False)):
+            code, err = run(config(**{key: value}))
+            assert code == EXIT_USAGE and f"unknown keys in config.fed: ['{key}']" in err
 
 
 def test_readme_quick_start_config_loads():
@@ -602,9 +614,9 @@ def _must_not_train(*args, **kwargs):
 def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypatch, command):
     bad = tmp_path / "nodir" / "out.json"
     cfg = _write_config(tmp_path, _base_config())
-    trace, sidecar, _ = _run_trace(k=3, t=2)
+    trace, truth, _ = _run_trace(k=3, t=2)
     write_trace(tmp_path / "trace.jsonl", trace)
-    write_sidecar(tmp_path / "sidecar.json", sidecar)
+    write_sidecar(tmp_path / "sidecar.json", truth)
     write_assignment(tmp_path / "a.json", [0, 1, 2] * 2, clients=3, rounds=2,
                      method="greedy", selector="both")
     monkeypatch.setattr(cli, "run_simulation", _must_not_train)
@@ -650,9 +662,9 @@ MALFORMED_ASSIGNMENTS = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ASSIGNMENTS))
 def test_malformed_assignment_is_exit_2(tmp_path, capsys, case):
-    trace, sidecar, _ = _run_trace(k=3, t=2)
+    trace, truth, _ = _run_trace(k=3, t=2)
     write_trace(tmp_path / "trace.jsonl", trace)
-    write_sidecar(tmp_path / "sidecar.json", sidecar)
+    write_sidecar(tmp_path / "sidecar.json", truth)
     bad = tmp_path / "assignment.json"
     bad.write_text(json.dumps(MALFORMED_ASSIGNMENTS[case]), encoding="utf-8")
     code = main([

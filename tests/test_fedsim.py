@@ -162,8 +162,9 @@ def test_lockstep_round_equals_per_client_oracle(case):
 
 
 def _oracle_simulation(fed, mcfg, shards, dp_cfg=None):
-    """run_simulation's trace rows, sidecar and final model from the
-    per-client loop, a list of payloads and np.stack in aggregation."""
+    """run_simulation's trace rows, truth and final model from the
+    per-client loop, a list of payloads in slot order and np.stack in
+    aggregation."""
     model = init_model(mcfg, fed.seed)
     shuffle_rng = labeled_rng(fed.seed, "shuffle")
     dp_rngs = {s.client_id: labeled_rng(fed.seed, f"dp.client{s.client_id}") for s in shards}
@@ -173,7 +174,8 @@ def _oracle_simulation(fed, mcfg, shards, dp_cfg=None):
         payloads = [
             _oracle_client_round(model, s, fed, dp_cfg, dp_rngs[s.client_id]) for s in shards
         ]
-        shuffled, perm = shuffle_round(payloads, shuffle_rng)
+        perm = shuffle_round(len(payloads), shuffle_rng)
+        shuffled = [payloads[src] for src in perm]
         perms.append(perm)
         for payload in shuffled:
             named = views(mcfg, payload)
@@ -187,48 +189,31 @@ def _oracle_simulation(fed, mcfg, shards, dp_cfg=None):
 def test_simulation_equals_per_client_oracle(dp_cfg):
     shards, mcfg = _uneven_shards()
     fed = FedConfig(clients=len(shards), rounds=3, seed=2, batch_size=4, server_lr=0.5)
-    trace, sidecar, model = run_simulation(fed, mcfg, shards, dp_cfg)
+    trace, truth, model = run_simulation(fed, mcfg, shards, dp_cfg)
     rows, perms, oracle_model = _oracle_simulation(fed, mcfg, shards, dp_cfg)
     np.testing.assert_array_equal(trace.updates, rows)
-    assert sidecar.rounds == perms
+    assert truth.dtype == np.int64 and truth.shape == (3, len(shards))
+    np.testing.assert_array_equal(truth, perms)
     np.testing.assert_array_equal(model.params, oracle_model.params)
     if dp_cfg is not None:
         n = min(windows_from_sentences(s.train, mcfg.context)[0].shape[0] for s in shards)
         assert (trace.dp_steps, trace.dp_sample_rate) == (3 * -(-n // 4), min(1.0, 4 / n))
 
 
-def _dummy_payloads(k, seed=0):
-    fed, mcfg, shards = _setup(k=max(k, 2))
-    model = init_model(mcfg, 0)
-    return list(_round(model, shards, fed, mcfg)[:k])
-
-
 def test_shuffle_single_packet_is_identity():
-    payloads = _dummy_payloads(2)[:1]
-    shuffled, perm = shuffle_round(payloads, np.random.default_rng(0))
-    assert perm == [0]
-    assert len(shuffled) == 1 and shuffled[0] is payloads[0]
-
-
-def test_shuffle_preserves_payload_multiset():
-    payloads = _dummy_payloads(3)
-    shuffled, perm = shuffle_round(payloads, np.random.default_rng(1))
-    assert sorted(perm) == [0, 1, 2]
-    before = sorted(tuple(p[:4]) for p in payloads)
-    after = sorted(tuple(p[:4]) for p in shuffled)
-    assert before == after
-    for slot, src in enumerate(perm):
-        assert shuffled[slot] is payloads[src]
+    perm = shuffle_round(1, np.random.default_rng(0))
+    assert perm.dtype == np.int64 and perm.tolist() == [0]
 
 
 def test_shuffle_permutations_are_uniform():
+    """Each draw is a permutation of arange(k), and all k! of them are
+    equally likely."""
     rng = np.random.default_rng(2)
-    payloads = [np.full(1, i) for i in range(3)]
-    counts = Counter()
     draws = 10_000
-    for _ in range(draws):
-        _, perm = shuffle_round(payloads, rng)
-        counts[tuple(perm)] += 1
+    perms = np.stack([shuffle_round(3, rng) for _ in range(draws)])
+    assert perms.dtype == np.int64
+    np.testing.assert_array_equal(np.sort(perms, axis=1), np.tile(np.arange(3), (draws, 1)))
+    counts = Counter(map(tuple, perms.tolist()))
     assert len(counts) == 6
     for freq in counts.values():
         assert abs(freq / draws - 1 / 6) < 0.02
@@ -253,7 +238,7 @@ def test_aggregate_invariant_under_packet_permutation():
     fed, mcfg, shards = _setup()
     model = init_model(mcfg, 0)
     payloads = _round(model, shards, fed, mcfg)
-    _, perm = shuffle_round(list(payloads), np.random.default_rng(3))
+    perm = shuffle_round(len(payloads), np.random.default_rng(3))
     a = aggregate(model, payloads, server_lr=0.1)
     b = aggregate(model, payloads[perm], server_lr=0.1)
     np.testing.assert_array_equal(a.params, b.params)
@@ -270,14 +255,13 @@ def test_aggregate_payload_of_wrong_length_is_usage_error():
 
 def test_simulation_counts_and_slot_structure():
     fed, mcfg, shards = _setup(k=3, t=4)
-    trace, sidecar, _ = run_simulation(fed, mcfg, shards)
+    trace, truth, _ = run_simulation(fed, mcfg, shards)
     dim = sum(rows * cols for _, rows, cols in trace.layer_manifest)
     assert trace.updates.shape == (12, dim)
     assert trace.updates.dtype == np.float32
-    assert len(sidecar.rounds) == 4
+    assert truth.shape == (4, 3) and truth.dtype == np.int64
     assert len(trace.loss_curve) == 5
-    for t in range(4):
-        assert sorted(sidecar.rounds[t]) == [0, 1, 2]
+    np.testing.assert_array_equal(np.sort(truth, axis=1), np.tile(np.arange(3), (4, 1)))
 
 
 def test_simulation_frozen_server_repeats_payloads():
@@ -296,16 +280,8 @@ def test_simulation_deterministic():
     fed, mcfg, shards = _setup(k=3, t=3)
     t1, s1, _ = run_simulation(fed, mcfg, shards)
     t2, s2, _ = run_simulation(fed, mcfg, shards)
-    assert s1.rounds == s2.rounds
+    np.testing.assert_array_equal(s1, s2)
     assert t1.updates.tobytes() == t2.updates.tobytes()
-
-
-def test_shuffle_invariance_of_final_model():
-    fed, mcfg, shards = _setup(k=5, t=5)
-    off = dataclasses.replace(fed, shuffle=False)
-    _, _, m_on = run_simulation(fed, mcfg, shards)
-    _, _, m_off = run_simulation(off, mcfg, shards)
-    assert np.max(np.abs(m_on.params - m_off.params)) <= 1e-12
 
 
 def test_shard_count_mismatch_is_config_error():

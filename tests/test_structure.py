@@ -1,0 +1,136 @@
+"""Structural checks on the package source, read as syntax trees.
+
+The attack sees only the shuffled trace: no module it can import, directly
+or through other package modules, knows which client sent which update. And
+no invariant of the package rests on `assert`, which `python -O` strips.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gradlink"
+# Modules that hold the truth or hand it on: the simulator returns it,
+# `report` reads its sidecar, and `cli` wires both.
+TRUTH_MODULES = {"fedsim", "report", "cli"}
+TRUTH_WORDS = ("sidecar", "truth")
+
+
+def _package_trees():
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _imported_modules(tree, modules):
+    """The package modules `tree` imports as `from .x import ...`,
+    `from . import x`, `import gradlink.x` or `from gradlink import x`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+            found = [parts[1] for parts in names if parts[0] == "gradlink" and len(parts) > 1]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module == "gradlink" or node.level == 1 and not node.module:
+                found = [a.name for a in node.names]
+            elif node.level == 1:
+                found = [node.module.split(".")[0]]
+            elif node.module and node.module.startswith("gradlink."):
+                found = [node.module.split(".")[1]]
+            else:
+                found = []
+        else:
+            continue
+        yield from (name for name in found if name in modules)
+
+
+def _identifiers(tree):
+    """Every name a module defines, imports, reads or passes as a keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def boundary_violations(trees, start="attack"):
+    """Why the modules `start` reaches through package imports could see
+    the truth: a truth module in the closure, or a truth name in a module
+    of it. The package `__init__` is left out; it re-exports for users."""
+    modules = set(trees) - {"__init__"}
+    closure, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name not in closure:
+            closure.add(name)
+            todo.extend(_imported_modules(trees[name], modules))
+    problems = [f"{start} reaches {name}" for name in sorted(closure & TRUTH_MODULES)]
+    for name in sorted(closure - TRUTH_MODULES):
+        names = {i for i in _identifiers(trees[name]) if any(w in i.lower() for w in TRUTH_WORDS)}
+        problems += [f"{name} names {i}" for i in sorted(names)]
+    return problems
+
+
+def assert_statements(trees):
+    return [
+        f"{name}.py:{node.lineno}"
+        for name, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_attack_import_closure_holds_no_truth():
+    trees = _package_trees()
+    assert "attack" in trees and TRUTH_MODULES <= set(trees)
+    assert boundary_violations(trees) == []
+
+
+def _planted(**sources):
+    base = {
+        "attack": "from .model import layer_names\nfrom .traceio import TraceStore\n",
+        "model": "def layer_names(selector, n_blocks):\n    return []\n",
+        "traceio": "class TraceStore:\n    pass\n",
+        "fedsim": "from .traceio import TraceStore\ntruth = None\n",
+        "report": "def read_sidecar(path):\n    pass\n",
+        "cli": "from . import attack as attack_mod\nfrom .report import read_sidecar\n",
+        "__init__": "from .fedsim import truth\nfrom .report import read_sidecar\n",
+    }
+    base.update(sources)
+    return {name: ast.parse(source) for name, source in base.items()}
+
+
+def test_boundary_check_passes_the_planted_baseline():
+    """The package `__init__` and `cli` may import the truth modules."""
+    assert boundary_violations(_planted()) == []
+
+
+@pytest.mark.parametrize("attack_source, expected", [
+    ("from .fedsim import TraceStore\n", ["attack reaches fedsim"]),
+    ("import gradlink.fedsim\n", ["attack reaches fedsim"]),
+    ("from gradlink import report\n", ["attack reaches report"]),
+    ("from . import cli\n", ["attack reaches cli", "attack reaches report"]),
+], ids=["from-relative-module", "import-absolute", "from-package", "from-relative-package"])
+def test_boundary_check_reports_a_planted_truth_import(attack_source, expected):
+    assert boundary_violations(_planted(attack=attack_source)) == expected
+
+
+def test_boundary_check_reports_a_truth_name_behind_an_allowed_import():
+    trees = _planted(traceio="def write_sidecar(path, truth_rows):\n    pass\n")
+    assert boundary_violations(trees) == ["traceio names truth_rows", "traceio names write_sidecar"]
+
+
+def test_no_assert_statements_in_package():
+    assert assert_statements(_package_trees()) == []
+    assert assert_statements({"m": ast.parse("x = 1\nassert x\n")}) == ["m.py:2"]
