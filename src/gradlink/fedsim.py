@@ -7,14 +7,17 @@ The truth leaves this module only as `run_simulation`'s return value, for
 `report`; the attack reads the trace alone.
 """
 
+import concurrent.futures
+import contextlib
 import itertools
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .corpus import ClientShard, batch_iter, windows_from_sentences
-from .dp import DpConfig, privatize
+from .dp import DpConfig, privatize, start_noise
 from .errors import ConfigError, DivergedError, UsageError, require_finite, require_integers
 from .model import (
     GlobalModel,
@@ -30,6 +33,11 @@ from .model import (
 )
 from .rng import labeled_rng
 from .traceio import TraceStore
+
+# Threads that draw the DP noise while the main thread runs the backward
+# pass. One keeps the main thread and the worker on the two cores of a
+# 2-vCPU host; more threads share those cores and measured slower.
+NOISE_WORKERS = 1
 
 
 @dataclass(frozen=True)
@@ -90,10 +98,16 @@ def local_training(
     every epoch of every round visits the same batches."""
     batches = []
     for shard in shards:
-        if not shard.train:
-            raise ConfigError(f"client {shard.client_id} has an empty shard")
         rng = labeled_rng(cfg.seed, f"batch.client{shard.client_id}")
-        batches.append(list(batch_iter(shard, cfg.batch_size, model_cfg.context, rng)))
+        shard_batches = (
+            list(batch_iter(shard, cfg.batch_size, model_cfg.context, rng)) if shard.train else []
+        )
+        if not shard_batches:
+            raise ConfigError(
+                f"client {shard.client_id} has no training window: none of its train "
+                f"sentences has more than context={model_cfg.context} tokens"
+            )
+        batches.append(shard_batches)
     counts = [sum(len(t) for _, t in b) for b in batches]
     order = np.array(sorted(range(len(shards)), key=lambda i: -counts[i]), dtype=np.int64)
     params = np.empty((len(shards), param_count(model_cfg)))
@@ -121,6 +135,7 @@ def client_round(
     cfg: FedConfig,
     dp_cfg: Optional[DpConfig] = None,
     dp_rngs: Optional[Sequence[np.random.Generator]] = None,
+    pool: Optional[Executor] = None,
 ) -> np.ndarray:
     """Run local mini-batch SGD for all K clients in lockstep, each on a
     replica of the round's snapshot, and return the (K, P) stack of
@@ -128,16 +143,24 @@ def client_round(
     shard `clients.order[r]`; the stack is `clients.params`, overwritten
     by the next round. `dp_rngs[i]` is shard i's DP noise stream.
 
+    With sigma > 0, each step starts its clients' noise draws on `pool`
+    before the backward pass and adds them after it; without a pool the
+    step runs every draw itself.
+
     With a frozen global model a client emits an identical payload every
     round."""
     params, clip = clients.params, None if dp_cfg is None else dp_cfg.clip
+    noise = np.empty_like(params) if dp_cfg is not None and dp_cfg.sigma > 0 else None
     params[...] = snapshot.params
     for _ in range(cfg.local_epochs):
         for replicas, grads, windows, targets, shard_ids in clients.steps:
+            if noise is not None:
+                step_noise = noise[: len(shard_ids)]
+                rngs = [dp_rngs[i] for i in shard_ids]
+                draws = start_noise(step_noise, windows.shape[1], dp_cfg, rngs, pool)
             loss_and_grads(replicas, windows, targets, clip=clip, out=grads)
-            if dp_cfg is not None:
-                for i, row in zip(shard_ids, grads):
-                    row[...] = privatize(row, windows.shape[1], dp_cfg, dp_rngs[i])
+            if noise is not None:
+                privatize(grads, step_noise, draws)
             sgd_step(replicas.params, grads, cfg.client_lr)
     np.subtract(snapshot.params, params, out=params)
     return params
@@ -234,13 +257,19 @@ def run_simulation(
         return loss
 
     trace.loss_curve.append(checked_loss(model))
-    for t in range(fed_cfg.rounds):
-        stack = client_round(model, clients, fed_cfg, dp_cfg, dp_rngs)
-        truth[t] = shuffle_round(fed_cfg.clients, shuffle_rng)
-        trace.updates[t * fed_cfg.clients : (t + 1) * fed_cfg.clients] = stack[
-            np.ix_(row_of_shard[truth[t]], columns)
-        ]
-        model = aggregate(model, stack, fed_cfg.server_lr)
-        trace.loss_curve.append(checked_loss(model))
+    noisy = dp_cfg is not None and dp_cfg.sigma > 0
+    # The pool class is looked up only here: importing it would cost every
+    # run without noise start-up time and memory.
+    with (
+        concurrent.futures.ThreadPoolExecutor(NOISE_WORKERS) if noisy else contextlib.nullcontext()
+    ) as pool:
+        for t in range(fed_cfg.rounds):
+            stack = client_round(model, clients, fed_cfg, dp_cfg, dp_rngs, pool)
+            truth[t] = shuffle_round(fed_cfg.clients, shuffle_rng)
+            trace.updates[t * fed_cfg.clients : (t + 1) * fed_cfg.clients] = stack[
+                np.ix_(row_of_shard[truth[t]], columns)
+            ]
+            model = aggregate(model, stack, fed_cfg.server_lr)
+            trace.loss_curve.append(checked_loss(model))
 
     return trace, truth, model

@@ -15,7 +15,7 @@ import pytest
 from gradlink.attack import build_features, greedy_match, solve_lsap, spectral
 from gradlink.cli import main
 from gradlink.corpus import SyntheticSpec, generate_synthetic
-from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon
+from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon, start_noise
 from gradlink.fedsim import FedConfig, aggregate, client_round, local_training, run_simulation
 from gradlink.metrics import mutual_information, purity, rand_index
 from gradlink.model import (
@@ -229,7 +229,8 @@ def test_dp_mechanism_properties():
 
         cfg = DpConfig(clip=2.0, sigma=1.3)
         for l in (1, 4):
-            noised = privatize(np.zeros(100_000), l, cfg, np.random.default_rng(5))
+            noised, noise = np.zeros((1, 100_000)), np.empty((1, 100_000))
+            privatize(noised, noise, start_noise(noise, l, cfg, [np.random.default_rng(5)]))
             std = float(np.std(noised))
             target = cfg.sigma * cfg.clip / l
             assert abs(std - target) / target < 0.05

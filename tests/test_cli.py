@@ -541,6 +541,23 @@ def test_config_sections_take_their_dataclass_fields(tmp_path, capsys, section):
             assert code == EXIT_USAGE and f"unknown keys in config.fed: ['{key}']" in err
 
 
+def test_client_without_a_training_window_is_exit_2(tmp_path, capsys):
+    """A client whose train sentences are all at most `context` tokens long
+    would take no step and send an exactly-zero update every round."""
+    paths = [str(tmp_path / f"c{i}.txt") for i in range(3)]
+    Path(paths[0]).write_text("a b\nc d\n", encoding="utf-8")
+    for i, path in enumerate(paths[1:], 1):
+        lines = [" ".join(f"w{i}{j}{k}" for k in range(10)) for j in range(2)]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = _base_config(
+        data={"files": {"paths": paths, "train_sentences": 1}}, dp={"clip": 1.0, "sigma": 0.5}
+    )
+    cfg, trace = _write_config(tmp_path, doc), tmp_path / "t.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_USAGE
+    assert "client 0 has no training window" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_readme_quick_start_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Write a config:")[1].split("```json\n")[1].split("```")[0]
@@ -794,6 +811,22 @@ def test_sweep_rows_are_the_same_for_any_jobs_and_a_diverged_cell_fails(tmp_path
     rows = _summary_rows(tmp_path / "1")
     assert [r["status"] for r in rows] == ["ok", "failed", "ok", "failed"]
     assert all(r["error"].startswith("DivergedError: ") for r in rows if r["status"] == "failed")
+
+
+def test_dp_sweep_rows_are_the_same_for_any_jobs(tmp_path, capsys):
+    """With DP noise drawn on a thread pool in each cell, the summary still
+    does not depend on --jobs."""
+    doc = {
+        "base": _base_config(dp={"clip": 1.0, "sigma": 0.5}),
+        "grid": {"rounds": [2, 3], "sigma": [0.0, 0.5]},
+    }
+    cfg = _write_config(tmp_path, doc, "grid.json")
+    for jobs in ("1", "2"):
+        argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / jobs), "--jobs", jobs]
+        assert main(argv) == EXIT_OK
+    summary = (tmp_path / "1" / "summary.csv").read_bytes()
+    assert (tmp_path / "2" / "summary.csv").read_bytes() == summary
+    assert [r["status"] for r in _summary_rows(tmp_path / "1")] == ["ok"] * 4
 
 
 def _exit_process(cell_dir, doc):

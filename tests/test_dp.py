@@ -1,5 +1,8 @@
 import functools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradlink.corpus import PAD_ID
-from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon
+from gradlink.dp import DpConfig, clip_gradient, draw_noise, privatize, rdp_epsilon, start_noise
 from gradlink.errors import ConfigError, UsageError
 from gradlink.model import ModelConfig, init_model, loss_and_grads
 
@@ -97,12 +100,29 @@ def test_loss_and_grads_rejects_non_positive_clip():
             loss_and_grads(model, windows, targets, clip=clip)
 
 
+def _oracle_privatize(clipped_mean, n_samples, cfg, rng):
+    """The per-client rule: one `rng.normal` call over the whole vector,
+    none at sigma 0."""
+    if cfg.sigma == 0.0:
+        return clipped_mean
+    std = cfg.sigma * cfg.clip / n_samples
+    return clipped_mean + rng.normal(0.0, std, size=clipped_mean.shape)
+
+
+def _privatize_rows(clipped_means, n_samples, cfg, rngs, pool=None):
+    """`privatize` on a copy of the (n, P) rows, row i's noise from rngs[i]."""
+    grads = np.array(clipped_means, dtype=float, ndmin=2)
+    noise = np.empty_like(grads)
+    return privatize(grads, noise, start_noise(noise, n_samples, cfg, rngs, pool))
+
+
 def test_privatize_sigma_zero_is_plain_clipped_average():
     model, windows, targets = _model_and_batch(2, size=4)
     per_sample = _per_sample_grads(model, windows, targets)
     clip = 2.0 * max(np.linalg.norm(g) for g in per_sample)  # clips nothing
     _, clipped_mean = loss_and_grads(model, windows, targets, clip=clip)
-    out = privatize(clipped_mean, 4, DpConfig(clip=clip, sigma=0.0), np.random.default_rng(0))
+    cfg = DpConfig(clip=clip, sigma=0.0)
+    (out,) = _privatize_rows(clipped_mean, 4, cfg, [np.random.default_rng(0)])
     np.testing.assert_array_equal(out, clipped_mean)
     np.testing.assert_allclose(out, np.mean(per_sample, axis=0), rtol=0, atol=1e-12)
 
@@ -112,7 +132,7 @@ def test_privatize_single_oversized_sample_is_halved():
     (g,) = _per_sample_grads(model, windows, targets)
     cfg = DpConfig(clip=np.linalg.norm(g) / 2.0, sigma=0.0)
     _, clipped_mean = loss_and_grads(model, windows, targets, clip=cfg.clip)
-    out = privatize(clipped_mean, 1, cfg, np.random.default_rng(0))
+    (out,) = _privatize_rows(clipped_mean, 1, cfg, [np.random.default_rng(0)])
     np.testing.assert_allclose(out, g / 2.0, rtol=1e-12)
 
 
@@ -120,8 +140,8 @@ def test_privatize_noise_is_fresh_per_call():
     g = np.zeros(FLAT_DIM)
     cfg = DpConfig(clip=1.0, sigma=1.0)
     rng = np.random.default_rng(4)
-    a = privatize(g, 1, cfg, rng)
-    b = privatize(g, 1, cfg, rng)
+    a = _privatize_rows(g, 1, cfg, [rng])
+    b = _privatize_rows(g, 1, cfg, [rng])
     assert not np.array_equal(a, b)
 
 
@@ -130,10 +150,62 @@ def test_privatize_noise_std_matches_sigma_clip_over_l(l):
     # 1e5 coordinate draws via a large zero gradient
     big = np.zeros(100_000)
     cfg = DpConfig(clip=2.0, sigma=1.5)
-    out = privatize(big, l, cfg, np.random.default_rng(5))
+    out = _privatize_rows(big, l, cfg, [np.random.default_rng(5)])
     sample_std = out.std()
     expected = cfg.sigma * cfg.clip / l
     assert sample_std == pytest.approx(expected, rel=0.05)
+
+
+def test_draw_noise_is_bitwise_generator_normal():
+    """Including a std so small that std * z underflows to -0.0, which
+    `normal`'s 0.0 + std * z turns into +0.0."""
+    for std in (0.3, 1e-320):
+        out = draw_noise(np.empty(10_000), std, np.random.default_rng(6))
+        expected = np.random.default_rng(6).normal(0.0, std, size=10_000)
+        assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_privatize_equals_per_client_rule_on_any_pool(workers, sigma):
+    """Three steps of four clients, each client continuing its own stream,
+    bitwise equal to the per-client rule. A short switch interval makes the
+    threads interleave often."""
+    cfg = DpConfig(clip=1.5, sigma=sigma)
+    grads = np.random.default_rng(7).normal(size=(4, FLAT_DIM))
+    rngs = [np.random.default_rng(10 + i) for i in range(4)]
+    oracle_rngs = [np.random.default_rng(10 + i) for i in range(4)]
+    pool = None if workers is None else ThreadPoolExecutor(workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_samples in (3, 1, 8):
+            out = _privatize_rows(grads, n_samples, cfg, rngs, pool)
+            expected = [
+                _oracle_privatize(g, n_samples, cfg, rng) for g, rng in zip(grads, oracle_rngs)
+            ]
+            assert out.tobytes() == np.stack(expected).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+        if pool is not None:
+            pool.shutdown()
+
+
+def test_privatize_runs_a_draw_no_worker_has_begun():
+    """With the pool's one worker held, every draw is still queued, so
+    privatize runs each one itself."""
+    cfg = DpConfig(clip=1.0, sigma=0.4)
+    release = threading.Event()
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    with ThreadPoolExecutor(1) as pool:
+        held = pool.submit(release.wait, 60)
+        try:
+            out = _privatize_rows(np.zeros((3, FLAT_DIM)), 2, cfg, rngs, pool)
+            assert not held.done()
+        finally:
+            release.set()
+    expected = [np.random.default_rng(i).normal(0.0, 0.2, size=FLAT_DIM) for i in range(3)]
+    assert out.tobytes() == np.stack(expected).tobytes()
 
 
 def test_rdp_epsilon_monotone_in_sigma_and_steps():

@@ -1,11 +1,14 @@
+import concurrent.futures
 import dataclasses
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from gradlink import fedsim
 from gradlink.corpus import SyntheticSpec, batch_iter, generate_synthetic, windows_from_sentences
-from gradlink.dp import DpConfig, privatize
+from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, DivergedError, UsageError
 from gradlink.fedsim import (
     FedConfig,
@@ -102,7 +105,9 @@ def _oracle_client_round(snapshot, shard, cfg, dp_cfg=None, dp_rng=None):
         ):
             if dp_cfg is not None:
                 _, grads = loss_and_grads(model, windows, targets, clip=dp_cfg.clip)
-                grads = privatize(grads, windows.shape[0], dp_cfg, dp_rng)
+                if dp_cfg.sigma > 0:
+                    std = dp_cfg.sigma * dp_cfg.clip / windows.shape[0]
+                    grads = grads + dp_rng.normal(0.0, std, size=grads.shape)
             else:
                 _, grads = loss_and_grads(model, windows, targets)
             model = GlobalModel(model.config, model.params - cfg.client_lr * grads)
@@ -198,6 +203,81 @@ def test_simulation_equals_per_client_oracle(dp_cfg):
     if dp_cfg is not None:
         n = min(windows_from_sentences(s.train, mcfg.context)[0].shape[0] for s in shards)
         assert (trace.dp_steps, trace.dp_sample_rate) == (3 * -(-n // 4), min(1.0, 4 / n))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("dp_cfg", [None, DpConfig(clip=0.5, sigma=0.3)])
+def test_noise_worker_count_never_changes_the_bytes(monkeypatch, workers, dp_cfg):
+    monkeypatch.setattr(fedsim, "NOISE_WORKERS", workers)
+    shards, mcfg = _uneven_shards()
+    fed = FedConfig(clients=len(shards), rounds=3, seed=2, batch_size=4, server_lr=0.5)
+    trace, truth, model = run_simulation(fed, mcfg, shards, dp_cfg)
+    rows, perms, oracle_model = _oracle_simulation(fed, mcfg, shards, dp_cfg)
+    np.testing.assert_array_equal(trace.updates, rows)
+    np.testing.assert_array_equal(truth, perms)
+    np.testing.assert_array_equal(model.params, oracle_model.params)
+
+
+def test_sigma_zero_run_draws_no_noise(monkeypatch):
+    made = {}
+
+    def recording_rng(seed, label):
+        made[label] = labeled_rng(seed, label)
+        return made[label]
+
+    monkeypatch.setattr(fedsim, "labeled_rng", recording_rng)
+    shards, mcfg = _uneven_shards()
+    fed = FedConfig(clients=len(shards), rounds=2, seed=2, batch_size=4)
+    run_simulation(fed, mcfg, shards, DpConfig(clip=0.5, sigma=0.0))
+    dp_labels = [label for label in made if label.startswith("dp.")]
+    assert len(dp_labels) == len(shards)
+    for label in dp_labels:
+        assert made[label].bit_generator.state == labeled_rng(fed.seed, label).bit_generator.state
+
+
+def _pool_recorder(monkeypatch):
+    """Record every noise pool a run starts."""
+    pools = []
+
+    def recording_pool(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    real = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    return pools
+
+
+def test_dp_run_leaves_no_thread_behind(monkeypatch):
+    pools = _pool_recorder(monkeypatch)
+    fed, mcfg, shards = _setup(k=3, t=2)
+    before = threading.active_count()
+    run_simulation(fed, mcfg, shards, DpConfig(clip=1.0, sigma=0.5))
+    assert len(pools) == 1 and pools[0]._threads
+    assert threading.active_count() == before
+
+
+def test_diverging_dp_run_leaves_no_thread_behind(monkeypatch):
+    pools = _pool_recorder(monkeypatch)
+    fed, mcfg, shards = _setup(k=3, t=4, client_lr=1e100, batch_size=8)
+    before = threading.active_count()
+    with pytest.raises(DivergedError):
+        run_simulation(fed, mcfg, shards, DpConfig(clip=1.0, sigma=0.5))
+    assert len(pools) == 1
+    assert threading.active_count() == before
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a run without DP noise started a thread pool")
+
+
+@pytest.mark.parametrize("dp_cfg", [None, DpConfig(clip=1.0, sigma=0.0)])
+def test_run_without_noise_starts_no_thread(monkeypatch, dp_cfg):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_pool)
+    fed, mcfg, shards = _setup(k=3, t=2)
+    before = threading.active_count()
+    run_simulation(fed, mcfg, shards, dp_cfg)
+    assert threading.active_count() == before
 
 
 def test_shuffle_single_packet_is_identity():
