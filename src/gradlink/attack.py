@@ -69,14 +69,15 @@ def build_features(trace: TraceStore, selector: str) -> FeatureMatrix:
 
 def _gram(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The Gram matrix g = x xᵀ of points to split into k clusters, and the
-    points' pairwise squared distances."""
+    points' pairwise squared distances g_ii + g_jj - 2 g_ij, clipped at 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise UsageError("points must be a 2-d array")
     if not 1 <= k <= x.shape[0]:
         raise UsageError(f"k={k} out of range for {x.shape[0]} points")
     g = x @ x.T
-    return g, np.clip(_sq_dists(g, np.eye(len(g))), 0.0, None)
+    diag = np.diag(g)
+    return g, np.clip(diag[:, None] + diag[None, :] - 2.0 * g, 0.0, None)
 
 
 def _sq_dists(g: np.ndarray, w: np.ndarray) -> np.ndarray:

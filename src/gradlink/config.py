@@ -88,15 +88,14 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
             data: Union[SyntheticSpec, FilesSpec] = _build(
                 FilesSpec, data_doc["files"], "config.data.files"
             )
-            n_data_clients = len(data.paths)
+            if len(data.paths) != fed.clients:
+                raise ConfigError(f"config.fed.clients={fed.clients} but data.files "
+                                  f"has {len(data.paths)} paths, one per client")
         else:
             syn_doc = data_doc.get("synthetic", {})
-            if isinstance(syn_doc, dict):  # one shard per client unless it says otherwise
-                syn_doc = {"n_clients": fed.clients, **syn_doc}
-                if "sentence_len" in syn_doc:
-                    syn_doc["sentence_len"] = tuple(syn_doc["sentence_len"])
-            data = _build(SyntheticSpec, syn_doc, "config.data.synthetic")
-            n_data_clients = data.n_clients
+            if isinstance(syn_doc, dict) and "sentence_len" in syn_doc:
+                syn_doc = dict(syn_doc, sentence_len=tuple(syn_doc["sentence_len"]))
+            data = _build(SyntheticSpec, syn_doc, "config.data.synthetic", n_clients=fed.clients)
         dp = None if doc.get("dp") is None else _build(DpConfig, doc["dp"], "config.dp")
         attack = _build(AttackSpec, doc.get("attack", {}), "config.attack")
     except GradlinkError:
@@ -104,10 +103,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
-    if n_data_clients != fed.clients:
-        raise ConfigError(
-            f"config.fed.clients={fed.clients} but data provides {n_data_clients} clients"
-        )
     layer_names(attack.selector, model.n_blocks)  # UsageError unless the selector fits the model
     return ExperimentConfig(fed=fed, model=model, data=data, dp=dp, attack=attack)
 

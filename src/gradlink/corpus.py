@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -170,16 +171,13 @@ def load_text_shards(
 
 
 def windows_from_sentences(sentences: Sequence[np.ndarray], context: int):
-    """Sliding next-token windows over truncated sentences."""
-    windows, targets = [], []
-    for sent in sentences:
-        sent = sent[:MAX_SENTENCE_TOKENS]
-        for i in range(len(sent) - context):
-            windows.append(sent[i : i + context])
-            targets.append(sent[i + context])
-    if not windows:
-        return np.zeros((0, context), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.stack(windows).astype(np.int64), np.asarray(targets, dtype=np.int64)
+    """Sliding next-token windows over truncated sentences: (n, context)
+    int64 windows and their (n,) int64 targets."""
+    rows = np.concatenate([np.empty((0, context + 1), dtype=np.int64)] + [
+        sliding_window_view(s[:MAX_SENTENCE_TOKENS], context + 1)
+        for s in sentences if min(len(s), MAX_SENTENCE_TOKENS) > context
+    ])
+    return rows[:, :context], rows[:, context]
 
 
 def batch_iter(shard: ClientShard, batch_size: int, context: int, rng: np.random.Generator):

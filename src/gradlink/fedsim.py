@@ -5,10 +5,16 @@ the update in each slot of each round.
 
 The truth leaves this module only as `run_simulation`'s return value, for
 `report`; the attack reads the trace alone.
+
+`run_simulation` owns the overflow policy: a run with a large learning rate,
+clip bound or noise may overflow to inf or nan anywhere in training, on the
+main thread or the noise worker, and its validation loss then ends it as a
+`DivergedError`.
 """
 
 import concurrent.futures
 import contextlib
+import functools
 import itertools
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -38,6 +44,9 @@ from .traceio import TraceStore
 # pass. One keeps the main thread and the worker on the two cores of a
 # 2-vCPU host; more threads share those cores and measured slower.
 NOISE_WORKERS = 1
+
+# numpy error state of every thread that trains (see the module docstring)
+OVERFLOW_TOLERATED = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -170,8 +179,7 @@ def shuffle_round(k: int, rng: np.random.Generator) -> np.ndarray:
     """Fisher-Yates shuffle of a round's k payloads: the permutation slot ->
     shard position, as an int64 array."""
     order = list(range(k))
-    for i in range(k - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    for i, j in zip(range(k - 1, 0, -1), rng.integers(0, np.arange(k, 1, -1)).tolist()):
         order[i], order[j] = order[j], order[i]
     return np.array(order, dtype=np.int64)
 
@@ -215,7 +223,7 @@ def run_simulation(
     Per round: snapshot -> K client rounds (DP-privatized if configured) ->
     shuffle -> record payloads -> aggregate. The trace's loss curve holds
     eval_loss on the union of validation shards, before training and after
-    every round."""
+    every round; DivergedError once one is non-finite."""
     if len(shards) != fed_cfg.clients:
         raise ConfigError(
             f"config says {fed_cfg.clients} clients but got {len(shards)} shards"
@@ -256,13 +264,18 @@ def run_simulation(
             )
         return loss
 
-    trace.loss_curve.append(checked_loss(model))
     noisy = dp_cfg is not None and dp_cfg.sigma > 0
     # The pool class is looked up only here: importing it would cost every
-    # run without noise start-up time and memory.
-    with (
-        concurrent.futures.ThreadPoolExecutor(NOISE_WORKERS) if noisy else contextlib.nullcontext()
+    # run without noise start-up time and memory. Error state is per thread,
+    # so the worker sets it once for its whole life.
+    with np.errstate(**OVERFLOW_TOLERATED), (
+        concurrent.futures.ThreadPoolExecutor(
+            NOISE_WORKERS, initializer=functools.partial(np.seterr, **OVERFLOW_TOLERATED)
+        )
+        if noisy
+        else contextlib.nullcontext()
     ) as pool:
+        trace.loss_curve.append(checked_loss(model))
         for t in range(fed_cfg.rounds):
             stack = client_round(model, clients, fed_cfg, dp_cfg, dp_rngs, pool)
             truth[t] = shuffle_round(fed_cfg.clients, shuffle_rng)

@@ -13,6 +13,10 @@ fed through a stack of feedforward blocks (FC -> ReLU -> Proj, residual from
 block 2 on), then projected to vocabulary logits. Loss is mean softmax
 cross-entropy in natural log. SGD without momentum; attention is deliberately
 absent, the attack only needs linear layers.
+
+Everything here is plain arithmetic under the caller's numpy error state: a
+diverging model overflows to inf or nan and numpy warns, unless the caller
+tolerates it as `fedsim.run_simulation` does.
 """
 
 from dataclasses import dataclass, field, fields
@@ -207,13 +211,7 @@ def _t(w: np.ndarray) -> np.ndarray:
 
 
 def forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
-    # Overflow to inf/nan is tolerated here; divergence is detected from the
-    # loss value by the simulation loop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_trace(model, np.asarray(windows))
-
-
-def _forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
+    windows = np.asarray(windows)
     p = model.views
     x = p["embedding"][_table_index(windows)].reshape(*windows.shape[:-1], -1)
     inputs, pres, hiddens = [], [], []
@@ -268,13 +266,8 @@ def loss_and_grads(
         out = np.empty_like(model.params)
     elif out.shape != model.params.shape:
         raise UsageError(f"gradient buffer has shape {out.shape}, parameters {model.params.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grads(model, windows, targets, clip, out)
-
-
-def _loss_and_grads(model, windows, targets, clip, out):
     cfg = model.config
-    trace = _forward_trace(model, windows)
+    trace = forward_trace(model, windows)
     b = windows.shape[-2]
     logp = _log_softmax(trace.logits)
     picks = (*np.indices(targets.shape, sparse=True), targets)
@@ -342,9 +335,8 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         raise UsageError("lr must be >= 0")
     if grads.shape != params.shape:
         raise UsageError(f"gradient has shape {grads.shape}, parameters {params.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # as in loss_and_grads
-        grads *= lr
-        params -= grads
+    grads *= lr
+    params -= grads
 
 
 EVAL_CHUNK = 512
@@ -361,8 +353,6 @@ def eval_loss(model: GlobalModel, windows, targets) -> float:
     for start in range(0, windows.shape[0], EVAL_CHUNK):
         w = windows[start : start + EVAL_CHUNK]
         t = targets[start : start + EVAL_CHUNK]
-        # a diverged model gives inf logits here; callers check the result
-        with np.errstate(over="ignore", invalid="ignore"):
-            logp = _log_softmax(_forward_trace(model, w).logits)
+        logp = _log_softmax(forward_trace(model, w).logits)
         total += float(-logp[np.arange(w.shape[0]), t].sum())
     return total / windows.shape[0]

@@ -96,16 +96,15 @@ def build_report(header: dict, assignment: dict, truth: np.ndarray) -> dict:
         "loss_curve": header["loss_curve"],
         "dp": None,
     }
-    dp, rate, steps = header["dp"], header["dp_sample_rate"], header["dp_steps"]
+    dp = header["dp"]
     if dp is not None:
-        epsilon = None
-        if rate is not None and steps is not None:
-            epsilon = rdp_epsilon(dp.sigma, rate, steps, dp.delta)
         report["dp"] = {
             "clip": dp.clip,
             "sigma": dp.sigma,
             "delta": dp.delta,
-            "advisory_epsilon": None if epsilon is None else epsilon,
+            "advisory_epsilon": rdp_epsilon(
+                dp.sigma, header["dp_sample_rate"], header["dp_steps"], dp.delta
+            ),
         }
     return report
 
@@ -127,10 +126,8 @@ def render_report(report: dict) -> str:
     ]
     if report.get("dp"):
         dp = report["dp"]
-        eps = dp.get("advisory_epsilon")
-        eps_text = "inf" if eps is not None and math.isinf(eps) else (
-            "n/a" if eps is None else f"{eps:.3f}"
-        )
+        eps = dp["advisory_epsilon"]
+        eps_text = "inf" if math.isinf(eps) else f"{eps:.3f}"
         lines.append(
             f"dp: clip={dp['clip']} sigma={dp['sigma']} delta={dp['delta']} "
             f"advisory_epsilon={eps_text}"

@@ -39,7 +39,7 @@ class TraceStore:
     dp: Optional[DpConfig]
     updates: np.ndarray  # (clients * rounds, sum of rows * cols) float32
     loss_curve: List[float] = dataclasses.field(default_factory=list)
-    # advisory accounting inputs for the epsilon report
+    # advisory accounting inputs for the epsilon report, set exactly when dp is
     dp_sample_rate: Optional[float] = None
     dp_steps: Optional[int] = None
 
@@ -101,10 +101,11 @@ def _trace_fields(header) -> dict:
         "seed": field(header, "seed", "an integer >= 0", int_from(0)),
         "layer_manifest": manifest,
         "dp": None if dp is None else DpConfig(**dp),
-        "dp_steps": field(header, "dp_steps", "null or an integer >= 0",
-                          lambda v: v is None or int_from(0)(v)),
-        "dp_sample_rate": field(header, "dp_sample_rate", "null or in (0, 1]",
-                                lambda v: v is None or is_finite_number(v) and 0.0 < v <= 1.0),
+        "dp_steps": field(header, "dp_steps", "an integer >= 0 with dp, else null",
+                          lambda v: v is None if dp is None else int_from(0)(v)),
+        "dp_sample_rate": field(header, "dp_sample_rate", "in (0, 1] with dp, else null",
+                                lambda v: v is None if dp is None
+                                else is_finite_number(v) and 0.0 < v <= 1.0),
         "loss_curve": field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
                             lambda v: isinstance(v, list) and len(v) == rounds + 1
                             and all(map(is_finite_number, v))),

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradlink import cli
+from gradlink import cli, fedsim
 from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from gradlink.config import METHODS, load_experiment, parse_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
@@ -156,6 +157,11 @@ def _b64(raw):
     return json.dumps(base64.b64encode(raw).decode("ascii"))
 
 
+def _header(header_line, **changes):
+    return json.dumps(dict(json.loads(header_line), **changes))
+
+
+DP = {"clip": 1.0, "sigma": 0.5, "delta": 1e-4}
 MALFORMED_TRACES = {
     "body-one-row-short": lambda h, raw, row: [h, _b64(raw[:-row])],
     "body-one-row-long": lambda h, raw, row: [h, _b64(raw + raw[:row])],
@@ -163,6 +169,10 @@ MALFORMED_TRACES = {
     "body-invalid-base64": lambda h, raw, row: [h, _b64(raw)[:9] + "*" + _b64(raw)[10:]],
     "body-not-a-string": lambda h, raw, row: [h, "[1, 2, 3]"],
     "third-line": lambda h, raw, row: [h, _b64(raw), _b64(raw)],
+    # the advisory accounting inputs must be set exactly when dp is
+    "dp-without-steps": lambda h, raw, row: [_header(h, dp=DP, dp_sample_rate=0.5), _b64(raw)],
+    "dp-without-sample-rate": lambda h, raw, row: [_header(h, dp=DP, dp_steps=3), _b64(raw)],
+    "steps-without-dp": lambda h, raw, row: [_header(h, dp_steps=3, dp_sample_rate=0.5), _b64(raw)],
 }
 
 
@@ -295,6 +305,8 @@ def _check_trace_fields(fields):
     assert fields["clients"] >= 2 and fields["rounds"] >= 2 and fields["seed"] >= 0
     assert len(fields["loss_curve"]) == fields["rounds"] + 1
     assert fields["dp"] is None or isinstance(fields["dp"], DpConfig)
+    dp_set = fields["dp"] is not None
+    assert (fields["dp_steps"] is not None) == dp_set == (fields["dp_sample_rate"] is not None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -535,10 +547,21 @@ def test_config_sections_take_their_dataclass_fields(tmp_path, capsys, section):
     if required:
         code, err = run(config(**dict.fromkeys(required)))
         assert code == EXIT_USAGE and f"missing keys in config.{section}: {required}" in err
-    if section == "fed":  # the seed is top-level, and the shuffle is always on
-        for key, value in (("seed", 1), ("shuffle", False)):
-            code, err = run(config(**{key: value}))
-            assert code == EXIT_USAGE and f"unknown keys in config.fed: ['{key}']" in err
+    # the seed is top-level, the shuffle is always on, and there is one
+    # synthetic shard per client
+    fixed = {"fed": {"seed": 1, "shuffle": False}, "data.synthetic": {"n_clients": 3}}
+    for key, value in fixed.get(section, {}).items():
+        code, err = run(config(**{key: value}))
+        assert code == EXIT_USAGE and f"unknown keys in config.{section}: ['{key}']" in err
+
+
+def test_files_config_with_a_path_count_other_than_clients_is_exit_2(tmp_path, capsys):
+    doc = _base_config(data={"files": {"paths": _client_files(tmp_path, k=2)}})
+    cfg, trace = _write_config(tmp_path, doc), tmp_path / "t.jsonl"
+    assert doc["fed"]["clients"] == 3
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_USAGE
+    assert "config.fed.clients=3 but data.files has 2 paths" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_client_without_a_training_window_is_exit_2(tmp_path, capsys):
@@ -712,6 +735,40 @@ def test_dp_divergence_is_exit_3(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
     assert code == EXIT_DIVERGED
     assert "diverged" in capsys.readouterr().err
+
+
+def _diverged_without_a_warning(tmp_path, capsys, doc):
+    """Simulate `doc` with every RuntimeWarning an error, on any thread."""
+    cfg = _write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
+    assert code == EXIT_DIVERGED
+    assert "diverged" in capsys.readouterr().err
+
+
+def test_server_step_overflow_is_exit_3_without_a_warning(tmp_path, capsys):
+    doc = _base_config()
+    doc["fed"].update(client_lr=5.0, server_lr=1e300)
+    _diverged_without_a_warning(tmp_path, capsys, doc)
+
+
+def test_noise_overflow_on_the_worker_is_exit_3_without_a_warning(tmp_path, capsys, monkeypatch):
+    """With one sample per step the noise std sigma * clip is 1e308, and
+    std * z overflows for |z| > 1.8. Each step waits for the worker to take
+    all of its draws before privatize runs, so they overflow on the worker."""
+    real = fedsim.privatize
+
+    def privatize_after_the_worker(clipped_means, noise, draws):
+        assert all(future is not None for _, future in draws)
+        for _, future in draws:
+            future.result(timeout=60)
+        return real(clipped_means, noise, draws)
+
+    monkeypatch.setattr(fedsim, "privatize", privatize_after_the_worker)
+    doc = _base_config(dp={"clip": 1e154, "sigma": 1e154})
+    doc["fed"]["batch_size"] = 1
+    _diverged_without_a_warning(tmp_path, capsys, doc)
 
 
 # ---------------------------------------------------------------- sweep

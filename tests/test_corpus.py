@@ -116,6 +116,21 @@ def test_window_count_five_token_sentence():
     windows, targets = windows_from_sentences([np.arange(5)], context=4)
     assert windows.shape == (1, 4)
     assert targets.shape == (1,)
+    for sentences in ([], [np.arange(4), np.arange(1), np.arange(0)]):  # no window at all
+        windows, targets = windows_from_sentences(sentences, context=4)
+        assert (windows.shape, windows.dtype) == ((0, 4), np.int64)
+        assert (targets.shape, targets.dtype) == ((0,), np.int64)
+
+
+def test_windows_equal_the_per_position_loop():
+    rng = np.random.default_rng(3)
+    sentences = [rng.integers(0, 99, size=int(n)) for n in rng.integers(0, 50, size=30)]
+    windows, targets = windows_from_sentences(sentences, context=3)
+    pairs = [(s[i : i + 3].tolist(), int(s[i + 3]))
+             for s in sentences for i in range(min(len(s), MAX_SENTENCE_TOKENS) - 3)]
+    assert windows.dtype == targets.dtype == np.int64
+    assert windows.tolist() == [w for w, _ in pairs]
+    assert targets.tolist() == [t for _, t in pairs]
 
 
 def test_sentences_truncated_at_cap():

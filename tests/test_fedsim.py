@@ -285,6 +285,20 @@ def test_shuffle_single_packet_is_identity():
     assert perm.dtype == np.int64 and perm.tolist() == [0]
 
 
+def test_shuffle_equals_fisher_yates_with_one_draw_per_swap():
+    """The swap indices come from one vector draw; each equals its own
+    `rng.integers(0, i + 1)` call, and the generator ends in the same state."""
+    for seed in range(20):
+        for k in range(1, 12):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            order = list(range(k))
+            for i in range(k - 1, 0, -1):
+                j = int(oracle_rng.integers(0, i + 1))
+                order[i], order[j] = order[j], order[i]
+            assert shuffle_round(k, rng).tolist() == order
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_shuffle_permutations_are_uniform():
     """Each draw is a permutation of arange(k), and all k! of them are
     equally likely."""

@@ -1,8 +1,10 @@
 """Structural checks on the package source, read as syntax trees.
 
 The attack sees only the shuffled trace: no module it can import, directly
-or through other package modules, knows which client sent which update. And
-no invariant of the package rests on `assert`, which `python -O` strips.
+or through other package modules, knows which client sent which update. No
+invariant of the package rests on `assert`, which `python -O` strips. And
+numpy's error state, the overflow policy, is set only where divergence is
+detected: in `fedsim.run_simulation`.
 """
 
 import ast
@@ -134,3 +136,45 @@ def test_boundary_check_reports_a_truth_name_behind_an_allowed_import():
 def test_no_assert_statements_in_package():
     assert assert_statements(_package_trees()) == []
     assert assert_statements({"m": ast.parse("x = 1\nassert x\n")}) == ["m.py:2"]
+
+
+ERROR_STATE_NAMES = {"errstate", "seterr"}
+
+
+def error_state_settings(trees):
+    """Where a module names numpy's `errstate` or `seterr` outside
+    `fedsim.run_simulation`, as attribute, name or import."""
+    found = []
+    for name, tree in sorted(trees.items()):
+        allowed = set()
+        for node in ast.walk(tree):
+            if name == "fedsim" and isinstance(node, ast.FunctionDef) and (
+                node.name == "run_simulation"
+            ):
+                allowed = set(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            named = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.alias):
+                named = {node.name.split(".")[-1]}
+            if named & ERROR_STATE_NAMES and id(node) not in allowed:
+                found.append(f"{name}.py:{node.lineno}")
+    return found
+
+
+def test_error_state_is_set_only_in_run_simulation():
+    assert error_state_settings(_package_trees()) == []
+
+
+def test_error_state_check_reports_a_planted_setting():
+    trees = {
+        "fedsim": ast.parse(
+            "import numpy as np\n"
+            "def run_simulation():\n"
+            "    with np.errstate(over='ignore'):\n"
+            "        np.seterr(invalid='ignore')\n"
+            "def aggregate():\n"
+            "    np.seterr(over='ignore')\n"
+        ),
+        "model": ast.parse("from numpy import errstate\nimport numpy\nnumpy.errstate()\n"),
+    }
+    assert error_state_settings(trees) == ["fedsim.py:6", "model.py:1", "model.py:3"]
