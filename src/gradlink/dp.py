@@ -113,17 +113,6 @@ def privatize(
     return clipped_means
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _logsumexp(terms) -> float:
-    m = max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
 def rdp_epsilon(sigma: float, sample_rate: float, steps: int, delta: float) -> float:
     """Advisory upper bound on epsilon for `steps` compositions of the
     subsampled Gaussian mechanism, via integer-order Renyi-DP and conversion
@@ -142,19 +131,27 @@ def rdp_epsilon(sigma: float, sample_rate: float, steps: int, delta: float) -> f
         return math.inf
 
     q = sample_rate
+    two_var = 2.0 * sigma * sigma
+    # once per call: log n! for every n a term needs, and the logs of q and
+    # 1 - q, which no term needs at q = 1, where log(1 - q) is undefined
+    log_fact = [math.lgamma(n + 1) for n in range(MAX_RDP_ORDER + 1)]
+    log_q, log_1mq = (math.log(q), math.log1p(-q)) if q < 1.0 else (0.0, 0.0)
     best = math.inf
     for alpha in range(2, MAX_RDP_ORDER + 1):
         if q == 1.0:
-            rdp = alpha / (2.0 * sigma * sigma)
+            rdp = alpha / two_var
         else:
+            # log sum_j C(alpha, j) q^j (1-q)^(alpha-j) exp(j(j-1) / 2 sigma^2):
+            # each term added in one fixed order, then a max-shifted logsumexp
             terms = [
-                _log_binom(alpha, j)
-                + j * math.log(q)
-                + (alpha - j) * math.log1p(-q)
-                + j * (j - 1) / (2.0 * sigma * sigma)
+                log_fact[alpha] - log_fact[j] - log_fact[alpha - j]
+                + j * log_q
+                + (alpha - j) * log_1mq
+                + j * (j - 1) / two_var
                 for j in range(alpha + 1)
             ]
-            rdp = _logsumexp(terms) / (alpha - 1)
+            m = max(terms)
+            rdp = (m + math.log(sum(math.exp(t - m) for t in terms))) / (alpha - 1)
         eps = steps * rdp + math.log(1.0 / delta) / (alpha - 1)
         best = min(best, eps)
     return best

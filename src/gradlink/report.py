@@ -34,7 +34,7 @@ def read_sidecar(path) -> np.ndarray:
 
 
 def _parse_sidecar(fh) -> np.ndarray:
-    doc = json.load(fh)
+    doc = json.loads(fh.read().decode("utf-8"))
     if not isinstance(doc, dict):
         raise InputError("the document is not a JSON object")
     rounds = field(doc, "rounds", "a non-empty list of equal-length permutations of 0..K-1",
@@ -98,13 +98,13 @@ def build_report(header: dict, assignment: dict, truth: np.ndarray) -> dict:
     }
     dp = header["dp"]
     if dp is not None:
+        epsilon = rdp_epsilon(dp.sigma, header["dp_sample_rate"], header["dp_steps"], dp.delta)
         report["dp"] = {
             "clip": dp.clip,
             "sigma": dp.sigma,
             "delta": dp.delta,
-            "advisory_epsilon": rdp_epsilon(
-                dp.sigma, header["dp_sample_rate"], header["dp_steps"], dp.delta
-            ),
+            # null for no bound (sigma 0): JSON has no infinity
+            "advisory_epsilon": None if math.isinf(epsilon) else epsilon,
         }
     return report
 
@@ -127,7 +127,7 @@ def render_report(report: dict) -> str:
     if report.get("dp"):
         dp = report["dp"]
         eps = dp["advisory_epsilon"]
-        eps_text = "inf" if math.isinf(eps) else f"{eps:.3f}"
+        eps_text = "inf" if eps is None else f"{eps:.3f}"
         lines.append(
             f"dp: clip={dp['clip']} sigma={dp['sigma']} delta={dp['delta']} "
             f"advisory_epsilon={eps_text}"
@@ -140,5 +140,5 @@ def render_report(report: dict) -> str:
 
 def write_report(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

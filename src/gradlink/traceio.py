@@ -3,15 +3,19 @@ trace and of attack assignments. Nothing here knows which client sent which
 update: the truth and its sidecar format live in `report`, and
 tests/test_structure.py checks that the attack cannot import them.
 
-A trace file (format version 2) is two lines of JSON. Line 1 is a header
+A trace file (format version 2) has two lines of JSON. Line 1 is a header
 object: K, T, seed, the manifest of FC/Proj weight layers, DP settings and
-the loss curve. Line 2 is one string, the base64 of the little-endian
-float32 (K*T, dim) update matrix: rows in (round, slot) order, each row the
-manifest's layers row-major. Base64 keeps the file ASCII text, whose header
-a text-mode `readline` can read.
+the loss curve. Line 2 is exactly a double quote, the base64 of the
+little-endian float32 (K*T, dim) update matrix, a double quote and a
+newline, with no whitespace and no escapes. Rows are in (round, slot)
+order, each row the manifest's layers row-major. Files are read and written
+as bytes, and `binascii` checks and decodes the body in one strict pass.
+The body stays base64 text, not raw float32: then the whole file is ASCII,
+and a text-mode `readline`, which decodes ahead of the line it returns, can
+read the header.
 """
 
-import base64
+import binascii
 import dataclasses
 import json
 from pathlib import Path
@@ -56,11 +60,11 @@ def write_trace(path, trace: TraceStore) -> None:
         "dp_sample_rate": trace.dp_sample_rate,
         "loss_curve": trace.loss_curve,
     }
-    body = base64.b64encode(trace.updates.astype(_BODY_DTYPE, copy=False).tobytes())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        # the base64 alphabet needs no JSON escaping
-        fh.write('"' + body.decode("ascii") + '"\n')
+    body = binascii.b2a_base64(np.ascontiguousarray(trace.updates, _BODY_DTYPE), newline=False)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        # a JSON string: the base64 alphabet needs no escaping
+        fh.writelines((b'"', body, b'"\n'))
 
 
 def int_from(minimum: int):
@@ -116,18 +120,18 @@ def _read_header(fh) -> dict:
     line = fh.readline()
     if not line:
         raise InputError("the file is empty")
-    return _trace_fields(json.loads(line))
+    return _trace_fields(json.loads(line.decode("utf-8")))
 
 
 def read_input(path, kind: str, parse):
-    """`parse(fh)` of the open text file at `path`, a `kind` file: InputError
-    "missing" if there is no such file, "malformed" for any error of the
-    parse."""
+    """`parse(fh)` of the file at `path`, open for binary reading, a `kind`
+    file: InputError "missing" if there is no such file, "malformed" for any
+    error of the parse. Each parser decodes UTF-8 itself."""
     p = Path(path)
     if not p.is_file():
         raise InputError(f"missing {kind} file: {p}")
     try:
-        with open(p, encoding="utf-8") as fh:
+        with open(p, "rb") as fh:
             return parse(fh)
     except (InputError, UsageError, KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed {kind} file {p}: {exc}") from exc
@@ -145,10 +149,12 @@ def read_trace(path) -> TraceStore:
 
 def _parse_trace(fh) -> TraceStore:
     fields = _read_header(fh)
-    rest = fh.read().splitlines()
-    if len(rest) != 1:
-        raise InputError(f"expected a header line and a body line, found {1 + len(rest)} lines")
-    raw = base64.b64decode(json.loads(rest[0]), validate=True)  # TypeError if not a string
+    body = fh.read()
+    end = len(body) - body.endswith(b"\n")
+    if end < 2 or body[0] != ord('"') or body[end - 1] != ord('"') or (end - 2) % 4:
+        raise InputError("line 2 is not the last line, a quote, base64 of length 4n and a quote")
+    # one C pass checks the base64 alphabet and padding (binascii.Error) and decodes
+    raw = binascii.a2b_base64(memoryview(body)[1 : end - 1], strict_mode=True)
     n_rows = fields["clients"] * fields["rounds"]
     dim = sum(rows * cols for _, rows, cols in fields["layer_manifest"])
     if len(raw) != n_rows * dim * _BODY_DTYPE.itemsize:
@@ -179,7 +185,7 @@ def read_assignment(path) -> dict:
 
 
 def _parse_assignment(fh) -> dict:
-    doc = json.load(fh)
+    doc = json.loads(fh.read().decode("utf-8"))
     if not isinstance(doc, dict):
         raise InputError("the document is not a JSON object")
     for key in ("method", "selector"):

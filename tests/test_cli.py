@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradlink import cli, fedsim
+from gradlink import cli, fedsim, traceio
 from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from gradlink.config import METHODS, load_experiment, parse_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
@@ -22,7 +22,7 @@ from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.model import ModelConfig, layer_names
-from gradlink.report import build_report, read_sidecar, render_report, write_sidecar
+from gradlink.report import build_report, read_sidecar, render_report, write_report, write_sidecar
 from gradlink.traceio import (
     TraceStore,
     read_assignment,
@@ -75,6 +75,37 @@ def test_trace_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.updates, trace.updates)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 and json.loads(lines[0])["format_version"] == 2
+    assert path.read_bytes().isascii()
+
+
+def test_write_trace_bytes_are_pinned(tmp_path):
+    """Format version 2 byte for byte, from literal float32 values."""
+    trace = TraceStore(
+        clients=2, rounds=2, seed=7, layer_manifest=[("block1.fc", 1, 2)],
+        dp=DpConfig(clip=1.0, sigma=0.5), dp_steps=4, dp_sample_rate=0.5,
+        updates=np.array([[0.5, -1.0], [2.0, 0.25], [-0.125, 3.0], [1.5, -2.5]], dtype=np.float32),
+        loss_curve=[2.0, 1.5, 1.25],
+    )
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, trace)
+    assert path.read_bytes() == (
+        b'{"format_version":2,"clients":2,"rounds":2,"seed":7,'
+        b'"layer_manifest":[{"name":"block1.fc","rows":1,"cols":2}],'
+        b'"dp":{"clip":1.0,"sigma":0.5,"delta":0.0001},"dp_steps":4,"dp_sample_rate":0.5,'
+        b'"loss_curve":[2.0,1.5,1.25]}\n'
+        b'"AAAAPwAAgL8AAABAAACAPgAAAL4AAEBAAADAPwAAIMA="\n'
+    )
+
+
+def test_trace_header_reads_in_text_mode_and_the_file_is_ascii(tmp_path):
+    """A text-mode `readline` decodes ahead of the line it returns, so a
+    text-mode tool can read the header only if the body is text too: a raw
+    float32 body would raise UnicodeDecodeError."""
+    trace, _, _ = _run_trace()
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, trace)
+    with open(path, encoding="utf-8") as fh:
+        assert json.loads(fh.readline())["loss_curve"] == trace.loss_curve
     assert path.read_bytes().isascii()
 
 
@@ -161,6 +192,12 @@ def _header(header_line, **changes):
     return json.dumps(dict(json.loads(header_line), **changes))
 
 
+def _four_values(header_line):
+    """A K=2, T=2 header whose one layer holds one value per update."""
+    return _header(header_line, clients=2, rounds=2, loss_curve=[1.0, 1.0, 1.0],
+                   layer_manifest=[{"name": "block1.fc", "rows": 1, "cols": 1}])
+
+
 DP = {"clip": 1.0, "sigma": 0.5, "delta": 1e-4}
 MALFORMED_TRACES = {
     "body-one-row-short": lambda h, raw, row: [h, _b64(raw[:-row])],
@@ -169,6 +206,16 @@ MALFORMED_TRACES = {
     "body-invalid-base64": lambda h, raw, row: [h, _b64(raw)[:9] + "*" + _b64(raw)[10:]],
     "body-not-a-string": lambda h, raw, row: [h, "[1, 2, 3]"],
     "third-line": lambda h, raw, row: [h, _b64(raw), _b64(raw)],
+    # line 2 is exactly a quote, base64 of length 4n, a quote and the last newline
+    "body-no-closing-quote": lambda h, raw, row: [h, _b64(raw)[:-1]],
+    "body-leading-space": lambda h, raw, row: [h, " " + _b64(raw)],
+    "body-trailing-space": lambda h, raw, row: [h, _b64(raw) + " "],
+    "body-json-escape": lambda h, raw, row: [h, '"\\u0041' + _b64(raw)[2:]],
+    "body-padding-inside": lambda h, raw, row: [h, _b64(raw)[:9] + "=" + _b64(raw)[10:]],
+    # 16 bytes of body: base64 that ends in "=="
+    "body-extra-padding": lambda h, raw, row: [_four_values(h), _b64(raw[:16])[:-1] + '="'],
+    "body-padding-after-whole-quads": lambda h, raw, row: [h, _b64(raw)[:-1] + '="'],
+    "crlf-line-ends": lambda h, raw, row: [h + "\r", _b64(raw) + "\r"],
     # the advisory accounting inputs must be set exactly when dp is
     "dp-without-steps": lambda h, raw, row: [_header(h, dp=DP, dp_sample_rate=0.5), _b64(raw)],
     "dp-without-sample-rate": lambda h, raw, row: [_header(h, dp=DP, dp_steps=3), _b64(raw)],
@@ -329,6 +376,32 @@ def test_fuzzed_trace_is_valid_or_input_error(tmp_path_factory, data):
     assert trace.updates.dtype == np.float32 and np.all(np.isfinite(trace.updates))
 
 
+def _text_read_trace(path):
+    """A lenient text-mode trace reader, the oracle of the byte reader: lines
+    split by `splitlines`, line 2 read as any JSON string, then validating
+    base64. Returns the header fields and the body's bytes."""
+    with open(path, encoding="utf-8") as fh:
+        fields = traceio._trace_fields(json.loads(fh.readline()))
+        rest = fh.read().splitlines()
+    assert len(rest) == 1
+    return fields, base64.b64decode(json.loads(rest[0]), validate=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=corrupted(_valid_trace_bytes, ("truncate", "overwrite", "replace", "value")))
+def test_fuzzed_trace_accepted_only_as_the_text_reader_reads_it(tmp_path_factory, data):
+    """The byte reader accepts only files that the text reader accepts, and
+    reads them the same way, bit for bit."""
+    trace = _read_fuzzed(tmp_path_factory, data, read_trace)
+    if trace is None:
+        return
+    fields, raw = _text_read_trace(tmp_path_factory.getbasetemp() / "fuzzed")
+    assert fields == {
+        f.name: getattr(trace, f.name) for f in dataclasses.fields(trace) if f.name != "updates"
+    }
+    assert raw == trace.updates.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=corrupted(_valid_assignment_bytes))
 def test_fuzzed_assignment_is_valid_or_input_error(tmp_path_factory, data):
@@ -421,6 +494,32 @@ def test_full_pipeline_and_report_round_trip(tmp_path, capsys):
     assert report["metrics"]["purity"] == pytest.approx(1.0)
     rendered = render_report(report)
     assert rendered == render_report(json.loads(report_path.read_text()))
+
+
+def _strict_json(text):
+    """`json.loads` without NaN, Infinity and -Infinity, which JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_sigma_0_report_is_strict_json(tmp_path, capsys):
+    """Sigma 0 bounds no epsilon: the JSON report holds null, and the text
+    report prints inf."""
+    cfg = _write_config(tmp_path, _base_config(dp={"clip": 1, "sigma": 0}))
+    trace, sidecar = tmp_path / "trace.jsonl", tmp_path / "sidecar.json"
+    assignment, report_path = tmp_path / "assignment.json", tmp_path / "report.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace),
+                 "--sidecar", str(sidecar)]) == EXIT_OK
+    assert main(["attack", "--trace", str(trace), "--method", "greedy",
+                 "--out", str(assignment)]) == EXIT_OK
+    assert main(["report", "--trace", str(trace), "--assignment", str(assignment),
+                 "--sidecar", str(sidecar), "--out", str(report_path)]) == EXIT_OK
+    assert "advisory_epsilon=inf" in capsys.readouterr().out
+    assert _strict_json(report_path.read_text(encoding="utf-8"))["dp"]["advisory_epsilon"] is None
+    with pytest.raises(ValueError):
+        write_report(tmp_path / "nan.json", {"advisory_epsilon": math.nan})
 
 
 def test_attack_runs_without_sidecar(tmp_path):
@@ -791,7 +890,7 @@ def test_sweep_sigma_axis(tmp_path, capsys):
     cells = sorted(out_dir.glob("cell_*"))
     assert len(cells) == 4
     for cell in cells:
-        report = json.loads((cell / "report.json").read_text())
+        report = _strict_json((cell / "report.json").read_text(encoding="utf-8"))
         assert report["dp"] is not None
         assert 0.0 <= report["metrics"]["purity"] <= 1.0
 

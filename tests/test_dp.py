@@ -222,6 +222,49 @@ def test_rdp_epsilon_edges():
         rdp_epsilon(1.0, 0.0, 10, 1e-4)
 
 
+def _rdp_epsilon_oracle(sigma, q, steps, delta):
+    """The accountant term by term, each log binomial and log recomputed
+    per term: `rdp_epsilon` must match it exactly."""
+    if steps == 0:
+        return 0.0
+    if sigma == 0.0:
+        return math.inf
+
+    def log_binom(n, k):
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+    def logsumexp(terms):
+        m = max(terms)
+        if m == -math.inf:
+            return -math.inf
+        return m + math.log(sum(math.exp(t - m) for t in terms))
+
+    best = math.inf
+    for alpha in range(2, 129):
+        if q == 1.0:
+            rdp = alpha / (2.0 * sigma * sigma)
+        else:
+            terms = [
+                log_binom(alpha, j)
+                + j * math.log(q)
+                + (alpha - j) * math.log1p(-q)
+                + j * (j - 1) / (2.0 * sigma * sigma)
+                for j in range(alpha + 1)
+            ]
+            rdp = logsumexp(terms) / (alpha - 1)
+        eps = steps * rdp + math.log(1.0 / delta) / (alpha - 1)
+        best = min(best, eps)
+    return best
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1, 0.7, 1.5, 8.0])
+@pytest.mark.parametrize("q", [1e-5, 0.01, 1 / 3, 0.9, 1.0])
+def test_rdp_epsilon_equals_the_term_by_term_oracle(sigma, q):
+    for steps in (0, 1, 90, 10_000):
+        for delta in (1e-9, 1e-4, 0.5):
+            assert rdp_epsilon(sigma, q, steps, delta) == _rdp_epsilon_oracle(sigma, q, steps, delta)
+
+
 def test_dp_config_validation():
     with pytest.raises(UsageError):
         DpConfig(clip=0.0, sigma=1.0)
