@@ -9,7 +9,6 @@ import concurrent.futures
 import copy
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import sys
@@ -21,11 +20,12 @@ from .config import (
     ExperimentConfig,
     FilesSpec,
     load_experiment,
-    load_json,
     parse_experiment,
 )
 from .corpus import generate_synthetic, load_text_shards
-from .errors import ConfigError, DivergedError, GradlinkError, InputError, UsageError
+from .errors import (
+    ConfigError, DivergedError, GradlinkError, InputError, UsageError, json_document, read_input
+)
 from .fedsim import run_simulation
 from .model import ModelConfig
 from .report import build_report, read_sidecar, render_report, write_report, write_sidecar
@@ -209,7 +209,7 @@ def _grid_cells(grid_doc: dict):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    cells = _grid_cells(load_json(args.config, "grid config"))
+    cells = _grid_cells(read_input(args.config, "grid config", json_document))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -237,11 +237,9 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_results(runs, jobs: int) -> list:
-    """The row of each (cell_dir, doc) run, in order. One job runs the cells
-    in this process; more run them in a pool of that many worker processes,
-    where a worker that dies fails its cells with `BrokenProcessPool`."""
-    if jobs == 1:
-        return [_cell_row(functools.partial(run_sweep_cell, *run)) for run in runs]
+    """The row of each (cell_dir, doc) run, in order, from a pool of `jobs`
+    worker processes, one job too: a worker that dies then fails its cells
+    with `BrokenProcessPool`, and the sweep still writes every row."""
     with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
         futures = [pool.submit(run_sweep_cell, *run) for run in runs]
         return [_cell_row(future.result) for future in futures]

@@ -4,14 +4,12 @@ typos fail loudly.
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Union
 
 from .corpus import SyntheticSpec
 from .dp import DpConfig
-from .errors import ConfigError, GradlinkError, require_integers
+from .errors import ConfigError, GradlinkError, json_document, read_input, require_integers
 from .fedsim import FedConfig
 from .model import ModelArch, layer_names
 
@@ -107,17 +105,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(fed=fed, model=model, data=data, dp=dp, attack=attack)
 
 
-def load_json(path, what: str):
-    """The JSON document in the file at `path`, a `what` ("config" or
-    "grid config"); ConfigError if the file is missing or not JSON."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"missing {what} file: {p}")
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"{what} file {p} is not valid JSON: {exc}") from exc
-
-
 def load_experiment(path) -> ExperimentConfig:
-    return parse_experiment(load_json(path, "config"))
+    """The experiment in the config file at `path`: InputError if the file
+    is missing or not JSON, ConfigError if the document is not a config."""
+    return parse_experiment(read_input(path, "config", json_document))

@@ -5,7 +5,6 @@ a loader for user-supplied text files, one file per client.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -16,6 +15,7 @@ from .errors import (
     InputError,
     UsageError,
     is_integer,
+    read_input,
     require_finite,
     require_integers,
 )
@@ -121,8 +121,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Tuple[List[ClientShard
     return shards, vocab
 
 
-def _tokenize(line: str) -> List[str]:
-    return line.lower().split()
+def _token_lines(fh) -> List[List[str]]:
+    """The non-empty lines of the binary UTF-8 file `fh`, each split on
+    whitespace and lowercased."""
+    lines = [line.lower().split() for line in fh.read().decode("utf-8").splitlines()]
+    return [toks for toks in lines if toks]
 
 
 def load_text_shards(
@@ -134,17 +137,14 @@ def load_text_shards(
     """Load one UTF-8 text file per client (one sentence per line).
 
     Tokenization is whitespace + lowercase. The vocabulary is built from the
-    train split with a frequency cutoff; rarer tokens map to UNK. Train is the
-    leading sentences, valid the trailing ones."""
+    train split with a frequency cutoff; rarer tokens map to UNK. A file's
+    own `<unk>` and `<pad>` are the reserved tokens, UNK_ID and PAD_ID.
+    Train is the leading sentences, valid the trailing ones."""
     per_client: List[Tuple[List[List[str]], List[List[str]]]] = []
     for path in paths:
-        p = Path(path)
-        if not p.is_file():
-            raise InputError(f"missing client corpus file: {p}")
-        lines = [_tokenize(ln) for ln in p.read_text(encoding="utf-8").splitlines()]
-        lines = [toks for toks in lines if toks]
+        lines = read_input(path, "client corpus", _token_lines)
         if not lines:
-            raise InputError(f"empty client corpus file: {p}")
+            raise InputError(f"empty client corpus file: {path}")
         train = lines[:train_sentences]
         valid = lines[len(train) : len(train) + valid_sentences]
         per_client.append((train, valid))
@@ -154,7 +154,7 @@ def load_text_shards(
         for sent in train:
             counts.update(sent)
     kept = sorted(
-        (tok for tok, n in counts.items() if n >= freq_cutoff),
+        (tok for tok, n in counts.items() if n >= freq_cutoff and tok not in RESERVED),
         key=lambda tok: (-counts[tok], tok),
     )
     vocab = Vocab(list(RESERVED) + kept)

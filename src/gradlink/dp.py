@@ -8,20 +8,20 @@ inside the average, the standard DP-SGD scaling).
 
 Where the noise is drawn: it never depends on the gradient, so
 `fedsim.client_round` starts each local step's draws with `start_noise`
-before the backward pass, one task per client on a worker thread, each from
-that client's own generator into that client's row of a noise buffer. After
-the backward pass `privatize`, on the main thread, runs itself every draw
-the worker has not begun, waits for the others, and adds the noise to the
+before the backward pass, one task per client on the run's thread pool, each
+from that client's own generator into that client's row of a noise buffer.
+After the backward pass `privatize`, on the main thread, runs itself every
+draw the pool has not begun, waits for the others, and adds the noise to the
 clipped averages. A generator draws the same numbers on any thread, and each
 client's draws keep their step order, so the noise, and so every trace, is
-the same for any number of workers, or none.
+the same for any number of workers.
 """
 
 import functools
 import math
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +71,8 @@ def draw_noise(out: np.ndarray, std: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-# One client's pending draw: the draw itself, and its future on a pool or None.
-PendingDraw = Tuple[Callable[[], np.ndarray], Optional[Future]]
+# One client's pending draw: the draw itself, and its future on the pool.
+PendingDraw = Tuple[Callable[[], np.ndarray], Future]
 
 
 def start_noise(
@@ -80,17 +80,16 @@ def start_noise(
     n_samples: int,
     cfg: DpConfig,
     rngs: Sequence[np.random.Generator],
-    pool: Optional[Executor] = None,
+    pool: Executor,
 ) -> List[PendingDraw]:
     """Start drawing row i of the (n, P) `noise` buffer from `rngs[i]`, with
     the per-coordinate std sigma * clip / n_samples, as one task per row on
-    `pool`. Returns the pending draws for `privatize`; without a pool none
-    has started."""
+    `pool`. Returns the pending draws for `privatize`."""
     if n_samples < 1:
         raise UsageError("DP noise needs at least one per-sample gradient")
     std = cfg.sigma * cfg.clip / n_samples
     draws = [functools.partial(draw_noise, row, std, rng) for row, rng in zip(noise, rngs)]
-    return [(draw, None if pool is None else pool.submit(draw)) for draw in draws]
+    return [(draw, pool.submit(draw)) for draw in draws]
 
 
 def privatize(
@@ -99,13 +98,12 @@ def privatize(
     """Add DP noise in place to the (n, P) clipped averages that
     `loss_and_grads(..., clip=cfg.clip)` returns, once `start_noise`'s
     draws have filled the (n, P) `noise`. It waits for the draws a worker
-    has begun and runs here every draw no worker has begun, all of them
-    when there is no pool. It goes from the last draw back: a pool takes
-    draws from the front, so the draws at the back are the ones that have
-    not begun, and the main thread and the pool stay busy until they
-    meet."""
+    has begun and runs here every draw no worker has begun. It goes from the
+    last draw back: the pool takes draws from the front, so the draws at the
+    back are the ones that have not begun, and the main thread and the pool
+    stay busy until they meet."""
     for draw, future in reversed(draws):
-        if future is None or future.cancel():
+        if future.cancel():
             draw()
         else:
             future.result()
@@ -127,11 +125,11 @@ def rdp_epsilon(sigma: float, sample_rate: float, steps: int, delta: float) -> f
         raise UsageError("sigma must be >= 0")
     if steps == 0:
         return 0.0
-    if sigma == 0.0:
-        return math.inf
-
     q = sample_rate
     two_var = 2.0 * sigma * sigma
+    if two_var == 0.0:  # sigma 0, or so small that its square underflows: no bound
+        return math.inf
+
     # once per call: log n! for every n a term needs, and the logs of q and
     # 1 - q, which no term needs at q = 1, where log(1 - q) is undefined
     log_fact = [math.lgamma(n + 1) for n in range(MAX_RDP_ORDER + 1)]

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the simulator, attacks, and CLI, and
-the field checks the config dataclasses raise them from."""
+"""Exception hierarchy shared across the simulator, attacks, and CLI, the
+field checks the config dataclasses raise them from, and `read_input`, the
+one place the package reads a file: every config, grid config, corpus,
+trace, sidecar and assignment file goes through it, so a missing or
+malformed input of any kind is an InputError."""
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 
 class GradlinkError(Exception):
@@ -55,3 +60,23 @@ def require_finite(obj, names) -> None:
         value = getattr(obj, name)
         if not is_finite_number(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def read_input(path, kind: str, parse):
+    """`parse(fh)` of the file at `path`, open for binary reading, a `kind`
+    file: InputError "missing" if there is no such file, "malformed" for any
+    error of the parse. Each parser decodes UTF-8 itself, so a file that is
+    not UTF-8 is malformed (UnicodeDecodeError is a ValueError)."""
+    p = Path(path)
+    if not p.is_file():
+        raise InputError(f"missing {kind} file: {p}")
+    try:
+        with open(p, "rb") as fh:
+            return parse(fh)
+    except (InputError, UsageError, KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"malformed {kind} file {p}: {exc}") from exc
+
+
+def json_document(fh):
+    """The UTF-8 JSON document that is the whole of the binary file `fh`."""
+    return json.loads(fh.read().decode("utf-8"))

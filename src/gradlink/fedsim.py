@@ -152,9 +152,9 @@ def client_round(
     shard `clients.order[r]`; the stack is `clients.params`, overwritten
     by the next round. `dp_rngs[i]` is shard i's DP noise stream.
 
-    With sigma > 0, each step starts its clients' noise draws on `pool`
-    before the backward pass and adds them after it; without a pool the
-    step runs every draw itself.
+    With sigma > 0, each step starts its clients' noise draws on `pool`,
+    which such a round needs, before the backward pass and adds them after
+    it.
 
     With a frozen global model a client emits an identical payload every
     round."""

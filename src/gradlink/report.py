@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .dp import rdp_epsilon
-from .errors import InputError
+from .errors import InputError, json_document, read_input
 from .metrics import mutual_information, purity, rand_index
-from .traceio import field, int_from, read_input
+from .traceio import field, int_from
 
 RANDOM_BASELINE_TRIALS = 1000
 
@@ -34,7 +34,7 @@ def read_sidecar(path) -> np.ndarray:
 
 
 def _parse_sidecar(fh) -> np.ndarray:
-    doc = json.loads(fh.read().decode("utf-8"))
+    doc = json_document(fh)
     if not isinstance(doc, dict):
         raise InputError("the document is not a JSON object")
     rounds = field(doc, "rounds", "a non-empty list of equal-length permutations of 0..K-1",

@@ -18,13 +18,12 @@ read the header.
 import binascii
 import dataclasses
 import json
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .dp import DpConfig
-from .errors import InputError, UsageError, is_finite_number, is_integer
+from .errors import InputError, is_finite_number, is_integer, json_document, read_input
 
 TRACE_FORMAT_VERSION = 2
 _BODY_DTYPE = np.dtype("<f4")
@@ -123,20 +122,6 @@ def _read_header(fh) -> dict:
     return _trace_fields(json.loads(line.decode("utf-8")))
 
 
-def read_input(path, kind: str, parse):
-    """`parse(fh)` of the file at `path`, open for binary reading, a `kind`
-    file: InputError "missing" if there is no such file, "malformed" for any
-    error of the parse. Each parser decodes UTF-8 itself."""
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"missing {kind} file: {p}")
-    try:
-        with open(p, "rb") as fh:
-            return parse(fh)
-    except (InputError, UsageError, KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed {kind} file {p}: {exc}") from exc
-
-
 def read_trace_header(path) -> dict:
     """The TraceStore fields of a trace file, all but `updates`, from its
     header line alone: the body is neither read nor checked."""
@@ -185,7 +170,7 @@ def read_assignment(path) -> dict:
 
 
 def _parse_assignment(fh) -> dict:
-    doc = json.loads(fh.read().decode("utf-8"))
+    doc = json_document(fh)
     if not isinstance(doc, dict):
         raise InputError("the document is not a JSON object")
     for key in ("method", "selector"):

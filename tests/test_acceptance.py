@@ -6,6 +6,7 @@ line (run with `pytest tests/test_acceptance.py -s` to see them live).
 
 import itertools
 import json
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -230,7 +231,9 @@ def test_dp_mechanism_properties():
         cfg = DpConfig(clip=2.0, sigma=1.3)
         for l in (1, 4):
             noised, noise = np.zeros((1, 100_000)), np.empty((1, 100_000))
-            privatize(noised, noise, start_noise(noise, l, cfg, [np.random.default_rng(5)]))
+            with ThreadPoolExecutor(1) as pool:
+                draws = start_noise(noise, l, cfg, [np.random.default_rng(5)], pool)
+                privatize(noised, noise, draws)
             std = float(np.std(noised))
             target = cfg.sigma * cfg.clip / l
             assert abs(std - target) / target < 0.05

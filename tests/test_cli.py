@@ -441,7 +441,8 @@ def _is_int(value, minimum):
 @settings(max_examples=300, deadline=None)
 @given(data=corrupted(_valid_config_bytes))
 def test_fuzzed_config_parses_or_is_config_error(tmp_path_factory, data):
-    cfg = _read_fuzzed(tmp_path_factory, data, load_experiment, (ConfigError, UsageError))
+    cfg = _read_fuzzed(tmp_path_factory, data, load_experiment,
+                       (ConfigError, UsageError, InputError))
     if cfg is None:
         return
     fed, model, spec = cfg.fed, cfg.model, cfg.data
@@ -505,19 +506,21 @@ def _strict_json(text):
 
 
 def test_sigma_0_report_is_strict_json(tmp_path, capsys):
-    """Sigma 0 bounds no epsilon: the JSON report holds null, and the text
-    report prints inf."""
-    cfg = _write_config(tmp_path, _base_config(dp={"clip": 1, "sigma": 0}))
-    trace, sidecar = tmp_path / "trace.jsonl", tmp_path / "sidecar.json"
-    assignment, report_path = tmp_path / "assignment.json", tmp_path / "report.json"
-    assert main(["simulate", "--config", str(cfg), "--out", str(trace),
-                 "--sidecar", str(sidecar)]) == EXIT_OK
-    assert main(["attack", "--trace", str(trace), "--method", "greedy",
-                 "--out", str(assignment)]) == EXIT_OK
-    assert main(["report", "--trace", str(trace), "--assignment", str(assignment),
-                 "--sidecar", str(sidecar), "--out", str(report_path)]) == EXIT_OK
-    assert "advisory_epsilon=inf" in capsys.readouterr().out
-    assert _strict_json(report_path.read_text(encoding="utf-8"))["dp"]["advisory_epsilon"] is None
+    """Sigma 0, or a sigma so small that its square underflows to 0, bounds
+    no epsilon: the JSON report holds null, and the text report prints inf."""
+    for sigma in (0, 1e-170):
+        cfg = _write_config(tmp_path, _base_config(dp={"clip": 1, "sigma": sigma}))
+        trace, sidecar = tmp_path / "trace.jsonl", tmp_path / "sidecar.json"
+        assignment, report_path = tmp_path / "assignment.json", tmp_path / "report.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(trace),
+                     "--sidecar", str(sidecar)]) == EXIT_OK
+        assert main(["attack", "--trace", str(trace), "--method", "greedy",
+                     "--out", str(assignment)]) == EXIT_OK
+        assert main(["report", "--trace", str(trace), "--assignment", str(assignment),
+                     "--sidecar", str(sidecar), "--out", str(report_path)]) == EXIT_OK
+        assert "advisory_epsilon=inf" in capsys.readouterr().out
+        report = _strict_json(report_path.read_text(encoding="utf-8"))
+        assert report["dp"]["advisory_epsilon"] is None
     with pytest.raises(ValueError):
         write_report(tmp_path / "nan.json", {"advisory_epsilon": math.nan})
 
@@ -680,6 +683,17 @@ def test_client_without_a_training_window_is_exit_2(tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_corpus_file_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    paths = _client_files(tmp_path, k=2)
+    Path(paths[0]).write_bytes("caf\u00e9 a b c d\n".encode("latin-1"))
+    cfg = _write_config(tmp_path, _base_config(fed={"clients": 2, "rounds": 2},
+                                               data={"files": {"paths": paths}}))
+    trace = tmp_path / "t.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_USAGE
+    assert f"malformed client corpus file {paths[0]}: " in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_readme_quick_start_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Write a config:")[1].split("```json\n")[1].split("```")[0]
@@ -722,6 +736,24 @@ def test_malformed_selector_block_list_is_exit_2(tmp_path, capsys, where, select
     assert main(argv) == EXIT_USAGE
     assert "selector" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("content", [None, b"{not json", b'{"seed": 0}\xff'],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_unreadable_config_is_exit_2_naming_the_file(tmp_path, capsys, command, content):
+    """The config of `simulate` and the grid config of `sweep`."""
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = ["--out", str(tmp_path / "t.jsonl")] if command == "simulate" else [
+        "--out-dir", str(tmp_path / "s")]
+    assert main([command, "--config", str(cfg), *out]) == EXIT_USAGE
+    kind = "config" if command == "simulate" else "grid config"
+    if content is None:
+        assert f"missing {kind} file: {cfg}" in capsys.readouterr().err
+    else:
+        assert f"malformed {kind} file {cfg}: " in capsys.readouterr().err
 
 
 def test_missing_trace_is_exit_2(tmp_path, capsys):
@@ -990,14 +1022,17 @@ def _exit_process(cell_dir, doc):
 
 
 def test_sweep_worker_that_dies_gives_failed_rows(tmp_path, monkeypatch, capsys):
+    """Every --jobs runs its cells in worker processes, the default one too,
+    so a cell that ends its process fails its row and not the sweep."""
     monkeypatch.setattr(cli, "run_sweep_cell", _exit_process)  # runs in the worker processes
     cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": [0.1, 0.2]}},
                         "grid.json")
-    argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s"), "--jobs", "2"]
-    assert main(argv) == EXIT_OK
-    rows = _summary_rows(tmp_path / "s")
-    assert [r["status"] for r in rows] == ["failed", "failed"]
-    assert all(r["error"].startswith("BrokenProcessPool: ") for r in rows)
+    for jobs in ("1", "2"):
+        argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / jobs), "--jobs", jobs]
+        assert main(argv) == EXIT_OK
+        rows = _summary_rows(tmp_path / jobs)
+        assert [r["status"] for r in rows] == ["failed", "failed"]
+        assert all(r["error"].startswith("BrokenProcessPool: ") for r in rows)
 
 
 GRIDS = Path(__file__).resolve().parents[1] / "grids"

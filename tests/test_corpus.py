@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gradlink.corpus import (
     MAX_SENTENCE_TOKENS,
+    PAD_ID,
     UNK_ID,
     ClientShard,
     SyntheticSpec,
@@ -91,6 +92,22 @@ def test_load_text_frequency_cutoff(tmp_path):
     shards, vocab = load_text_shards([p0, p1], train_sentences=1, valid_sentences=0, freq_cutoff=2)
     assert "rare" not in vocab.token_to_id
     assert shards[0].train[0][2] == UNK_ID
+
+
+def test_load_text_reserved_tokens_encode_to_their_ids(tmp_path):
+    """Penn Treebank and WikiText write unknown words as `<unk>`."""
+    paths = []
+    for i, text in enumerate(["the <unk> sat\nthe cat <pad>", "a <UNK> ran\n<unk> ran"]):
+        paths.append(tmp_path / f"client{i}.txt")
+        paths[-1].write_text(text, encoding="utf-8")
+    shards, vocab = load_text_shards(paths, train_sentences=2, valid_sentences=0)
+    assert len(set(vocab.id_to_token)) == vocab.size
+    assert vocab.id_to_token[:2] == ["<pad>", "<unk>"]
+    assert [s.tolist() for s in shards[1].train] == [
+        [vocab.token_to_id["a"], UNK_ID, vocab.token_to_id["ran"]],
+        [UNK_ID, vocab.token_to_id["ran"]],
+    ]
+    assert shards[0].train[0][1] == UNK_ID and shards[0].train[1][2] == PAD_ID
 
 
 def test_load_text_twenty_clients(tmp_path):

@@ -110,7 +110,11 @@ def _oracle_privatize(clipped_mean, n_samples, cfg, rng):
 
 
 def _privatize_rows(clipped_means, n_samples, cfg, rngs, pool=None):
-    """`privatize` on a copy of the (n, P) rows, row i's noise from rngs[i]."""
+    """`privatize` on a copy of the (n, P) rows, row i's noise from rngs[i],
+    drawn on `pool` or else on a pool of one worker, as in a run."""
+    if pool is None:
+        with ThreadPoolExecutor(1) as own:
+            return _privatize_rows(clipped_means, n_samples, cfg, rngs, own)
     grads = np.array(clipped_means, dtype=float, ndmin=2)
     noise = np.empty_like(grads)
     return privatize(grads, noise, start_noise(noise, n_samples, cfg, rngs, pool))
@@ -165,7 +169,7 @@ def test_draw_noise_is_bitwise_generator_normal():
         assert out.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("sigma", [0.0, 0.7])
 def test_privatize_equals_per_client_rule_on_any_pool(workers, sigma):
     """Three steps of four clients, each client continuing its own stream,
@@ -175,7 +179,7 @@ def test_privatize_equals_per_client_rule_on_any_pool(workers, sigma):
     grads = np.random.default_rng(7).normal(size=(4, FLAT_DIM))
     rngs = [np.random.default_rng(10 + i) for i in range(4)]
     oracle_rngs = [np.random.default_rng(10 + i) for i in range(4)]
-    pool = None if workers is None else ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -187,8 +191,7 @@ def test_privatize_equals_per_client_rule_on_any_pool(workers, sigma):
             assert out.tobytes() == np.stack(expected).tobytes()
     finally:
         sys.setswitchinterval(interval)
-        if pool is not None:
-            pool.shutdown()
+        pool.shutdown()
 
 
 def test_privatize_runs_a_draw_no_worker_has_begun():
@@ -220,6 +223,13 @@ def test_rdp_epsilon_edges():
     assert rdp_epsilon(2.0, 1.0, 5, 1e-4) >= 0.0
     with pytest.raises(UsageError):
         rdp_epsilon(1.0, 0.0, 10, 1e-4)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_rdp_epsilon_is_inf_when_sigma_squared_underflows(q):
+    """A positive sigma whose 2 sigma^2 is 0.0 bounds nothing, like sigma 0."""
+    assert 2.0 * 1e-170 * 1e-170 == 0.0
+    assert math.isinf(rdp_epsilon(1e-170, q, 10, 1e-4))
 
 
 def _rdp_epsilon_oracle(sigma, q, steps, delta):

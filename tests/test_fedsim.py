@@ -158,7 +158,8 @@ def test_lockstep_round_equals_per_client_oracle(case):
 
     rngs, oracle_rngs = dp_rngs(), dp_rngs()
     for snapshot in (init_model(mcfg, 0), init_model(mcfg, 1)):
-        stack = client_round(snapshot, clients, fed, dp_cfg, rngs)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:  # the noise draws, as in a run
+            stack = client_round(snapshot, clients, fed, dp_cfg, rngs, pool)
         expected = [
             _oracle_client_round(snapshot, s, fed, dp_cfg, rng)
             for s, rng in zip(shards, oracle_rngs)

@@ -4,7 +4,8 @@ The attack sees only the shuffled trace: no module it can import, directly
 or through other package modules, knows which client sent which update. No
 invariant of the package rests on `assert`, which `python -O` strips. And
 numpy's error state, the overflow policy, is set only where divergence is
-detected: in `fedsim.run_simulation`.
+detected: in `fedsim.run_simulation`. Every input file is read in one
+place, `errors.read_input`, so a bad file of any kind fails the same way.
 """
 
 import ast
@@ -141,17 +142,21 @@ def test_no_assert_statements_in_package():
 ERROR_STATE_NAMES = {"errstate", "seterr"}
 
 
+def _nodes_of(tree, function):
+    """The ids of the nodes of the function named `function` in `tree`, or
+    none if it has no such function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return set(map(id, ast.walk(node)))
+    return set()
+
+
 def error_state_settings(trees):
     """Where a module names numpy's `errstate` or `seterr` outside
     `fedsim.run_simulation`, as attribute, name or import."""
     found = []
     for name, tree in sorted(trees.items()):
-        allowed = set()
-        for node in ast.walk(tree):
-            if name == "fedsim" and isinstance(node, ast.FunctionDef) and (
-                node.name == "run_simulation"
-            ):
-                allowed = set(map(id, ast.walk(node)))
+        allowed = _nodes_of(tree, "run_simulation") if name == "fedsim" else set()
         for node in ast.walk(tree):
             named = {getattr(node, "attr", None), getattr(node, "id", None)}
             if isinstance(node, ast.alias):
@@ -178,3 +183,58 @@ def test_error_state_check_reports_a_planted_setting():
         "model": ast.parse("from numpy import errstate\nimport numpy\nnumpy.errstate()\n"),
     }
     assert error_state_settings(trees) == ["fedsim.py:6", "model.py:1", "model.py:3"]
+
+
+def _reads(call):
+    """True for a call that reads a file: `open` with a mode that has no w,
+    a or x (a mode that is not a literal counts as a read), or any
+    `read_text` or `read_bytes`."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("read_text", "read_bytes")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return True
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax"))
+
+
+def file_reads(trees):
+    """Where a module reads a file outside `errors.read_input`."""
+    found = []
+    for name, tree in sorted(trees.items()):
+        allowed = _nodes_of(tree, "read_input") if name == "errors" else set()
+        found += [
+            f"{name}.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed and _reads(node)
+        ]
+    return found
+
+
+def test_files_are_read_only_in_read_input():
+    assert file_reads(_package_trees()) == []
+
+
+def test_file_read_check_reports_a_planted_read():
+    trees = {
+        "errors": ast.parse(
+            "def read_input(path, kind, parse):\n"
+            "    with open(path, 'rb') as fh:\n"
+            "        return parse(fh)\n"
+        ),
+        "corpus": ast.parse(
+            "from pathlib import Path\n"
+            "def load(p):\n"
+            "    Path(p).read_text()\n"
+            "    open(p)\n"
+            "    open(p, 'rb')\n"
+            "    open(p, 'w')\n"
+            "    open(p, mode='ab')\n"
+            "    Path(p).read_bytes()\n"
+            "    Path(p).write_text('x')\n"
+        ),
+    }
+    assert file_reads(trees) == ["corpus.py:3", "corpus.py:4", "corpus.py:5", "corpus.py:8"]
