@@ -238,9 +238,10 @@ def cmd_sweep(args) -> int:
 
 def _sweep_results(runs, jobs: int) -> list:
     """The row of each (cell_dir, doc) run, in order, from a pool of `jobs`
-    worker processes, one job too: a worker that dies then fails its cells
-    with `BrokenProcessPool`, and the sweep still writes every row."""
-    with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
+    worker processes, one job too, but no more processes than runs: the pool
+    starts all its workers at the first submit. A worker that dies fails its
+    cells with `BrokenProcessPool`, and the sweep still writes every row."""
+    with concurrent.futures.ProcessPoolExecutor(min(jobs, len(runs))) as pool:
         futures = [pool.submit(run_sweep_cell, *run) for run in runs]
         return [_cell_row(future.result) for future in futures]
 

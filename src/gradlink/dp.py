@@ -6,6 +6,13 @@ Noise convention: the mechanism averages L clipped per-sample gradients and
 adds Gaussian noise with per-coordinate std sigma * clip / L (noise drawn
 inside the average, the standard DP-SGD scaling).
 
+Accounting: a client's batches are fixed once per run, so a training window
+sits in one known batch and is used once per local epoch. Over R rounds of E
+local epochs it faces R * E Gaussian steps with noise multiplier sigma and
+no subsampling amplification, and `rdp_epsilon` bounds exactly that, under
+add/remove of one training window. Under replace-one adjacency the
+per-step Renyi-DP would be 4 times larger (2 alpha / sigma^2).
+
 Where the noise is drawn: it never depends on the gradient, so
 `fedsim.client_round` starts each local step's draws with `start_noise`
 before the backward pass, one task per client on the run's thread pool, each
@@ -111,12 +118,13 @@ def privatize(
     return clipped_means
 
 
-def rdp_epsilon(sigma: float, sample_rate: float, steps: int, delta: float) -> float:
+def rdp_epsilon(sigma: float, steps: int, delta: float) -> float:
     """Advisory upper bound on epsilon for `steps` compositions of the
-    subsampled Gaussian mechanism, via integer-order Renyi-DP and conversion
-    at `delta`. Decreasing in sigma, increasing in steps."""
-    if not 0.0 < sample_rate <= 1.0:
-        raise UsageError("sample_rate must be in (0, 1]")
+    Gaussian mechanism with noise multiplier sigma and no subsampling, under
+    add/remove of one training window: the minimum over integer Renyi orders
+    alpha in [2, MAX_RDP_ORDER] of steps * alpha / (2 sigma^2) +
+    log(1/delta) / (alpha - 1) (Mironov, arXiv:1702.07476). Decreasing in
+    sigma, increasing in steps."""
     if steps < 0:
         raise UsageError("steps must be >= 0")
     if not 0.0 < delta < 1.0:
@@ -125,31 +133,10 @@ def rdp_epsilon(sigma: float, sample_rate: float, steps: int, delta: float) -> f
         raise UsageError("sigma must be >= 0")
     if steps == 0:
         return 0.0
-    q = sample_rate
     two_var = 2.0 * sigma * sigma
     if two_var == 0.0:  # sigma 0, or so small that its square underflows: no bound
         return math.inf
-
-    # once per call: log n! for every n a term needs, and the logs of q and
-    # 1 - q, which no term needs at q = 1, where log(1 - q) is undefined
-    log_fact = [math.lgamma(n + 1) for n in range(MAX_RDP_ORDER + 1)]
-    log_q, log_1mq = (math.log(q), math.log1p(-q)) if q < 1.0 else (0.0, 0.0)
-    best = math.inf
-    for alpha in range(2, MAX_RDP_ORDER + 1):
-        if q == 1.0:
-            rdp = alpha / two_var
-        else:
-            # log sum_j C(alpha, j) q^j (1-q)^(alpha-j) exp(j(j-1) / 2 sigma^2):
-            # each term added in one fixed order, then a max-shifted logsumexp
-            terms = [
-                log_fact[alpha] - log_fact[j] - log_fact[alpha - j]
-                + j * log_q
-                + (alpha - j) * log_1mq
-                + j * (j - 1) / two_var
-                for j in range(alpha + 1)
-            ]
-            m = max(terms)
-            rdp = (m + math.log(sum(math.exp(t - m) for t in terms))) / (alpha - 1)
-        eps = steps * rdp + math.log(1.0 / delta) / (alpha - 1)
-        best = min(best, eps)
-    return best
+    return min(
+        steps * (alpha / two_var) + math.log(1.0 / delta) / (alpha - 1)
+        for alpha in range(2, MAX_RDP_ORDER + 1)
+    )

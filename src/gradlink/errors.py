@@ -66,14 +66,15 @@ def read_input(path, kind: str, parse):
     """`parse(fh)` of the file at `path`, open for binary reading, a `kind`
     file: InputError "missing" if there is no such file, "malformed" for any
     error of the parse. Each parser decodes UTF-8 itself, so a file that is
-    not UTF-8 is malformed (UnicodeDecodeError is a ValueError)."""
+    not UTF-8 is malformed (UnicodeDecodeError is a ValueError), and JSON
+    nested too deep for `json.loads` (RecursionError) is malformed too."""
     p = Path(path)
     if not p.is_file():
         raise InputError(f"missing {kind} file: {p}")
     try:
         with open(p, "rb") as fh:
             return parse(fh)
-    except (InputError, UsageError, KeyError, ValueError, TypeError) as exc:
+    except (InputError, UsageError, KeyError, ValueError, TypeError, RecursionError) as exc:
         raise InputError(f"malformed {kind} file {p}: {exc}") from exc
 
 

@@ -93,7 +93,6 @@ class LocalTraining:
     buffer."""
 
     order: np.ndarray
-    window_counts: List[int]  # per shard, in shard order
     params: np.ndarray
     grads: np.ndarray
     steps: List[Tuple[GlobalModel, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
@@ -135,7 +134,7 @@ def local_training(
                 (GlobalModel(model_cfg, params[lo:hi]), grads[lo:hi], windows, targets, members)
             )
             lo = hi
-    return LocalTraining(order, counts, params, grads, steps)
+    return LocalTraining(order, params, grads, steps)
 
 
 def client_round(
@@ -200,16 +199,6 @@ def aggregate(model: GlobalModel, payloads: np.ndarray, server_lr: float) -> Glo
     return GlobalModel(model.config, model.params - server_lr * avg)
 
 
-def _count_local_steps(window_counts: Sequence[int], cfg: FedConfig) -> Tuple[int, float]:
-    """Advisory DP accounting: per-client local steps over the run and the
-    per-step sample rate, using the smallest client shard."""
-    n = min(window_counts)
-    batches = max(1, -(-n // cfg.batch_size))
-    steps = cfg.rounds * cfg.local_epochs * batches
-    rate = min(1.0, cfg.batch_size / max(1, n))
-    return steps, rate
-
-
 def run_simulation(
     fed_cfg: FedConfig,
     model_cfg: ModelConfig,
@@ -252,8 +241,8 @@ def run_simulation(
         dp=dp_cfg,
         updates=np.empty((fed_cfg.rounds * fed_cfg.clients, dim), dtype=np.float32),
     )
-    if dp_cfg is not None:
-        trace.dp_steps, trace.dp_sample_rate = _count_local_steps(clients.window_counts, fed_cfg)
+    if dp_cfg is not None:  # each window is used once per local epoch (see `dp`)
+        trace.dp_steps = fed_cfg.rounds * fed_cfg.local_epochs
     truth = np.empty((fed_cfg.rounds, fed_cfg.clients), dtype=np.int64)
 
     def checked_loss(m):

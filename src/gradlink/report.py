@@ -15,7 +15,7 @@ import numpy as np
 from .dp import rdp_epsilon
 from .errors import InputError, json_document, read_input
 from .metrics import mutual_information, purity, rand_index
-from .traceio import field, int_from
+from .traceio import field, int_from, known_keys
 
 RANDOM_BASELINE_TRIALS = 1000
 
@@ -34,9 +34,7 @@ def read_sidecar(path) -> np.ndarray:
 
 
 def _parse_sidecar(fh) -> np.ndarray:
-    doc = json_document(fh)
-    if not isinstance(doc, dict):
-        raise InputError("the document is not a JSON object")
+    doc = known_keys(json_document(fh), ("rounds",))
     rounds = field(doc, "rounds", "a non-empty list of equal-length permutations of 0..K-1",
                    lambda v: isinstance(v, list) and v and all(
                        isinstance(r, list) and r and len(r) == len(v[0])
@@ -98,7 +96,7 @@ def build_report(header: dict, assignment: dict, truth: np.ndarray) -> dict:
     }
     dp = header["dp"]
     if dp is not None:
-        epsilon = rdp_epsilon(dp.sigma, header["dp_sample_rate"], header["dp_steps"], dp.delta)
+        epsilon = rdp_epsilon(dp.sigma, header["dp_steps"], dp.delta)
         report["dp"] = {
             "clip": dp.clip,
             "sigma": dp.sigma,
@@ -130,7 +128,8 @@ def render_report(report: dict) -> str:
         eps_text = "inf" if eps is None else f"{eps:.3f}"
         lines.append(
             f"dp: clip={dp['clip']} sigma={dp['sigma']} delta={dp['delta']} "
-            f"advisory_epsilon={eps_text}"
+            f"advisory_epsilon={eps_text} over rounds * local_epochs Gaussian steps, "
+            "no subsampling, add/remove of one training window"
         )
     losses = report.get("loss_curve") or []
     if losses:

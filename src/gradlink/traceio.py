@@ -3,9 +3,11 @@ trace and of attack assignments. Nothing here knows which client sent which
 update: the truth and its sidecar format live in `report`, and
 tests/test_structure.py checks that the attack cannot import them.
 
-A trace file (format version 2) has two lines of JSON. Line 1 is a header
-object: K, T, seed, the manifest of FC/Proj weight layers, DP settings and
-the loss curve. Line 2 is exactly a double quote, the base64 of the
+A trace file (format version 3) has two lines of JSON. Line 1 is a header
+object with exactly the keys `format_version`, `clients` (K), `rounds` (T),
+`seed`, `layer_manifest` (the FC/Proj weight layers, each exactly `name`,
+`rows` and `cols`), `dp`, `dp_steps` and `loss_curve`; an unknown key is
+malformed. Line 2 is exactly a double quote, the base64 of the
 little-endian float32 (K*T, dim) update matrix, a double quote and a
 newline, with no whitespace and no escapes. Rows are in (round, slot)
 order, each row the manifest's layers row-major. Files are read and written
@@ -25,7 +27,7 @@ import numpy as np
 from .dp import DpConfig
 from .errors import InputError, is_finite_number, is_integer, json_document, read_input
 
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 _BODY_DTYPE = np.dtype("<f4")
 
 
@@ -42,8 +44,8 @@ class TraceStore:
     dp: Optional[DpConfig]
     updates: np.ndarray  # (clients * rounds, sum of rows * cols) float32
     loss_curve: List[float] = dataclasses.field(default_factory=list)
-    # advisory accounting inputs for the epsilon report, set exactly when dp is
-    dp_sample_rate: Optional[float] = None
+    # the Gaussian steps each training window faces, rounds * local epochs,
+    # which the advisory epsilon counts (see `dp`); set exactly when dp is
     dp_steps: Optional[int] = None
 
 
@@ -56,7 +58,6 @@ def write_trace(path, trace: TraceStore) -> None:
         "layer_manifest": [{"name": n, "rows": r, "cols": c} for n, r, c in trace.layer_manifest],
         "dp": None if trace.dp is None else dataclasses.asdict(trace.dp),
         "dp_steps": trace.dp_steps,
-        "dp_sample_rate": trace.dp_sample_rate,
         "loss_curve": trace.loss_curve,
     }
     body = binascii.b2a_base64(np.ascontiguousarray(trace.updates, _BODY_DTYPE), newline=False)
@@ -71,6 +72,17 @@ def int_from(minimum: int):
     return lambda v: is_integer(v) and v >= minimum
 
 
+def known_keys(doc, keys, what: str = "the document") -> dict:
+    """`doc`, or InputError unless it is a JSON object with no key outside
+    `keys`, naming the unknown keys."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} is not a JSON object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise InputError(f"unknown keys in {what}: {sorted(unknown)}")
+    return doc
+
+
 def field(doc: dict, key: str, expected: str, ok):
     """`doc[key]`, or InputError saying it must be `expected` if not `ok`."""
     value = doc[key]
@@ -80,15 +92,17 @@ def field(doc: dict, key: str, expected: str, ok):
 
 
 def _trace_fields(header) -> dict:
-    """TraceStore fields, all but `updates`, from a checked version-2 header."""
+    """TraceStore fields, all but `updates`, from a checked version-3 header."""
     if not isinstance(header, dict):
         raise InputError("the header is not a JSON object")
     version = header.get("format_version")
     if version != TRACE_FORMAT_VERSION or isinstance(version, bool):
-        hint = "; re-run `gradlink simulate` to write it again" if version == 1 else ""
+        old = is_integer(version) and 0 < version < TRACE_FORMAT_VERSION
+        hint = "; re-run `gradlink simulate` to write it again" if old else ""
         raise InputError(f"format version {version!r} is not {TRACE_FORMAT_VERSION}{hint}")
     rounds = field(header, "rounds", "an integer >= 2", int_from(2))
     entries = field(header, "layer_manifest", "a non-empty list", lambda v: isinstance(v, list) and v)
+    entries = [known_keys(e, ("name", "rows", "cols"), "a layer_manifest entry") for e in entries]
     manifest = [
         (field(entry, "name", "a string", lambda v: isinstance(v, str)),
          field(entry, "rows", "an integer >= 1", int_from(1)),
@@ -98,7 +112,7 @@ def _trace_fields(header) -> dict:
     dp = field(header, "dp", "null or an object of finite numbers",
                lambda v: v is None
                or isinstance(v, dict) and all(map(is_finite_number, v.values())))
-    return {
+    fields = {
         "clients": field(header, "clients", "an integer >= 2", int_from(2)),
         "rounds": rounds,
         "seed": field(header, "seed", "an integer >= 0", int_from(0)),
@@ -106,13 +120,12 @@ def _trace_fields(header) -> dict:
         "dp": None if dp is None else DpConfig(**dp),
         "dp_steps": field(header, "dp_steps", "an integer >= 0 with dp, else null",
                           lambda v: v is None if dp is None else int_from(0)(v)),
-        "dp_sample_rate": field(header, "dp_sample_rate", "in (0, 1] with dp, else null",
-                                lambda v: v is None if dp is None
-                                else is_finite_number(v) and 0.0 < v <= 1.0),
         "loss_curve": field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
                             lambda v: isinstance(v, list) and len(v) == rounds + 1
                             and all(map(is_finite_number, v))),
     }
+    known_keys(header, ["format_version", *fields], "the header")
+    return fields
 
 
 def _read_header(fh) -> dict:
@@ -170,9 +183,7 @@ def read_assignment(path) -> dict:
 
 
 def _parse_assignment(fh) -> dict:
-    doc = json_document(fh)
-    if not isinstance(doc, dict):
-        raise InputError("the document is not a JSON object")
+    doc = known_keys(json_document(fh), ("method", "selector", "clients", "rounds", "labels"))
     for key in ("method", "selector"):
         field(doc, key, "a string", lambda v: isinstance(v, str))
     k = field(doc, "clients", "an integer >= 2", int_from(2))

@@ -238,7 +238,7 @@ def test_dp_mechanism_properties():
             target = cfg.sigma * cfg.clip / l
             assert abs(std - target) / target < 0.05
 
-        eps = [rdp_epsilon(s, 0.1, 500, 1e-4) for s in (0.5, 1.0, 1.5)]
+        eps = [rdp_epsilon(s, 500, 1e-4) for s in (0.5, 1.0, 1.5)]
         assert eps[0] > eps[1] > eps[2]
 
 

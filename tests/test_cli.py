@@ -1,4 +1,5 @@
 import base64
+import concurrent.futures
 import dataclasses
 import csv
 import functools
@@ -70,28 +71,28 @@ def test_trace_round_trip_is_exact(tmp_path):
     assert (back.clients, back.rounds, back.seed) == (trace.clients, trace.rounds, trace.seed)
     assert back.layer_manifest == trace.layer_manifest
     assert back.loss_curve == trace.loss_curve
-    assert (back.dp, back.dp_steps, back.dp_sample_rate) == (None, None, None)
+    assert (back.dp, back.dp_steps) == (None, None)
     assert back.updates.dtype == np.float32
     np.testing.assert_array_equal(back.updates, trace.updates)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2 and json.loads(lines[0])["format_version"] == 2
+    assert len(lines) == 2 and json.loads(lines[0])["format_version"] == 3
     assert path.read_bytes().isascii()
 
 
 def test_write_trace_bytes_are_pinned(tmp_path):
-    """Format version 2 byte for byte, from literal float32 values."""
+    """Format version 3 byte for byte, from literal float32 values."""
     trace = TraceStore(
         clients=2, rounds=2, seed=7, layer_manifest=[("block1.fc", 1, 2)],
-        dp=DpConfig(clip=1.0, sigma=0.5), dp_steps=4, dp_sample_rate=0.5,
+        dp=DpConfig(clip=1.0, sigma=0.5), dp_steps=4,
         updates=np.array([[0.5, -1.0], [2.0, 0.25], [-0.125, 3.0], [1.5, -2.5]], dtype=np.float32),
         loss_curve=[2.0, 1.5, 1.25],
     )
     path = tmp_path / "trace.jsonl"
     write_trace(path, trace)
     assert path.read_bytes() == (
-        b'{"format_version":2,"clients":2,"rounds":2,"seed":7,'
+        b'{"format_version":3,"clients":2,"rounds":2,"seed":7,'
         b'"layer_manifest":[{"name":"block1.fc","rows":1,"cols":2}],'
-        b'"dp":{"clip":1.0,"sigma":0.5,"delta":0.0001},"dp_steps":4,"dp_sample_rate":0.5,'
+        b'"dp":{"clip":1.0,"sigma":0.5,"delta":0.0001},"dp_steps":4,'
         b'"loss_curve":[2.0,1.5,1.25]}\n'
         b'"AAAAPwAAgL8AAABAAACAPgAAAL4AAEBAAADAPwAAIMA="\n'
     )
@@ -123,6 +124,9 @@ def test_sidecar_round_trip_and_validation(tmp_path):
         path.write_text(bad, encoding="utf-8")
         with pytest.raises(InputError):
             read_sidecar(path)
+    path.write_text('{"rounds": [[0, 1]], "round": [[0, 1]]}', encoding="utf-8")
+    with pytest.raises(InputError, match=r"unknown keys in the document: \['round'\]"):
+        read_sidecar(path)
 
 
 def test_report_pairs_labels_with_records_in_round_slot_order():
@@ -131,7 +135,7 @@ def test_report_pairs_labels_with_records_in_round_slot_order():
     labels read column by column do not."""
     truth = np.array([[0, 1, 2], [1, 2, 0]])
     header = {"clients": 3, "rounds": 2, "seed": 0, "loss_curve": [1.0, 1.0, 1.0],
-              "dp": None, "dp_sample_rate": None, "dp_steps": None}
+              "dp": None, "dp_steps": None}
 
     def report(labels):
         assignment = {"clients": 3, "rounds": 2, "method": "greedy", "selector": "both",
@@ -216,18 +220,46 @@ MALFORMED_TRACES = {
     "body-extra-padding": lambda h, raw, row: [_four_values(h), _b64(raw[:16])[:-1] + '="'],
     "body-padding-after-whole-quads": lambda h, raw, row: [h, _b64(raw)[:-1] + '="'],
     "crlf-line-ends": lambda h, raw, row: [h + "\r", _b64(raw) + "\r"],
-    # the advisory accounting inputs must be set exactly when dp is
-    "dp-without-steps": lambda h, raw, row: [_header(h, dp=DP, dp_sample_rate=0.5), _b64(raw)],
-    "dp-without-sample-rate": lambda h, raw, row: [_header(h, dp=DP, dp_steps=3), _b64(raw)],
-    "steps-without-dp": lambda h, raw, row: [_header(h, dp_steps=3, dp_sample_rate=0.5), _b64(raw)],
+    # the advisory accounting input must be set exactly when dp is
+    "dp-without-steps": lambda h, raw, row: [_header(h, dp=DP), _b64(raw)],
+    "steps-without-dp": lambda h, raw, row: [_header(h, dp_steps=3), _b64(raw)],
+    # the header's keys are exactly the format's
+    "sample-rate-key": lambda h, raw, row: [
+        _header(h, dp=DP, dp_steps=3, dp_sample_rate=0.5), _b64(raw)],
+    "unknown-key": lambda h, raw, row: [_header(h, dp_step=3), _b64(raw)],
+    "unknown-layer-key": lambda h, raw, row: [
+        _header(_four_values(h), layer_manifest=[
+            {"name": "block1.fc", "rows": 1, "cols": 1, "bias": False}]),
+        _b64(raw[:16])],
+}
+# the message of each unknown-key case names the keys
+UNKNOWN_TRACE_KEYS = {
+    "sample-rate-key": "unknown keys in the header: ['dp_sample_rate']",
+    "unknown-key": "unknown keys in the header: ['dp_step']",
+    "unknown-layer-key": "unknown keys in a layer_manifest entry: ['bias']",
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
 def test_malformed_v2_trace_is_exit_2(tmp_path, capsys, case):
+    """Malformed traces of the current format. (The name dates from format
+    version 2, whose line 2 version 3 keeps.)"""
     path = _edited_trace(tmp_path, MALFORMED_TRACES[case])
     assert _attack_code(tmp_path, path) == EXIT_USAGE
-    assert "malformed trace file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed trace file" in err
+    assert UNKNOWN_TRACE_KEYS.get(case, "") in err
+
+
+def test_v2_trace_is_exit_2_and_says_to_simulate_again(tmp_path, capsys):
+    """A version-2 header counts `dp_steps` as R * E * ceil(n_min / B),
+    for a subsampled accountant: read by the version-3 rule, it would give
+    a wrong bound."""
+    path = _edited_trace(tmp_path, lambda h, raw, row: [
+        _header(h, format_version=2, dp=DP, dp_steps=12, dp_sample_rate=0.5), _b64(raw)])
+    assert _attack_code(tmp_path, path) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "format version 2 is not 3" in err and "gradlink simulate" in err
 
 
 def test_v1_trace_is_exit_2_and_says_to_simulate_again(tmp_path, capsys):
@@ -277,7 +309,7 @@ def _valid_trace_bytes():
         clients=2, rounds=3, seed=5,
         layer_manifest=[("block1.fc", 2, 4), ("block1.proj", 2, 2)],
         dp=DpConfig(clip=1.0, sigma=0.5), updates=rng.normal(size=(6, 12)).astype(np.float32),
-        loss_curve=[2.0, 1.5, 1.25, 1.0], dp_steps=3, dp_sample_rate=0.5,
+        loss_curve=[2.0, 1.5, 1.25, 1.0], dp_steps=3,
     )
     return _file_bytes(lambda path: write_trace(path, trace))
 
@@ -353,7 +385,7 @@ def _check_trace_fields(fields):
     assert len(fields["loss_curve"]) == fields["rounds"] + 1
     assert fields["dp"] is None or isinstance(fields["dp"], DpConfig)
     dp_set = fields["dp"] is not None
-    assert (fields["dp_steps"] is not None) == dp_set == (fields["dp_sample_rate"] is not None)
+    assert (fields["dp_steps"] is not None) == dp_set
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,6 +555,32 @@ def test_sigma_0_report_is_strict_json(tmp_path, capsys):
         assert report["dp"]["advisory_epsilon"] is None
     with pytest.raises(ValueError):
         write_report(tmp_path / "nan.json", {"advisory_epsilon": math.nan})
+
+
+def test_dp_report_epsilon_is_the_gaussian_bound_of_rounds_times_epochs(tmp_path, capsys):
+    """Each training window is used once per local epoch of every round, so
+    the report bounds R * E = 8 Gaussian steps, with no subsampling. With
+    sigma 1 and delta 1e-4 the continuous optimum of the Renyi order,
+    alpha* = 1 + sigma * sqrt(2 log(1/delta) / steps) = 2.52, lies between
+    orders 2 and 3."""
+    doc = _base_config(dp={"clip": 1.0, "sigma": 1.0})
+    doc["fed"]["local_epochs"] = 2
+    cfg = _write_config(tmp_path, doc)
+    trace, sidecar = tmp_path / "trace.jsonl", tmp_path / "sidecar.json"
+    assignment, report_path = tmp_path / "assignment.json", tmp_path / "report.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace),
+                 "--sidecar", str(sidecar)]) == EXIT_OK
+    assert main(["attack", "--trace", str(trace), "--method", "greedy",
+                 "--out", str(assignment)]) == EXIT_OK
+    assert main(["report", "--trace", str(trace), "--assignment", str(assignment),
+                 "--sidecar", str(sidecar), "--out", str(report_path)]) == EXIT_OK
+    assert "no subsampling, add/remove of one training window" in capsys.readouterr().out
+    steps, log_inv_delta = 4 * 2, math.log(1.0 / 1e-4)
+    assert read_trace_header(trace)["dp_steps"] == steps
+    alpha_star = 1 + math.sqrt(2 * log_inv_delta / steps)
+    assert 2 < alpha_star < 3
+    expected = min(steps * (a / 2.0) + log_inv_delta / (a - 1) for a in (2, 3))
+    assert json.loads(report_path.read_text())["dp"]["advisory_epsilon"] == expected
 
 
 def test_attack_runs_without_sidecar(tmp_path):
@@ -827,6 +885,7 @@ MALFORMED_ASSIGNMENTS = {
     "rounds-string": _assignment_doc(rounds="2"),
     "clients-below-2": _assignment_doc(clients=1, labels=[0, 0]),
     "method-not-a-string": _assignment_doc(method=["greedy"]),
+    "unknown-key": _assignment_doc(seed=0),
     "not-an-object": [0, 1, 2, 2, 1, 0],
 }
 
@@ -843,7 +902,41 @@ def test_malformed_assignment_is_exit_2(tmp_path, capsys, case):
         "--sidecar", str(tmp_path / "sidecar.json"),
     ])
     assert code == EXIT_USAGE
-    assert "malformed assignment file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed assignment file" in err
+    if case == "unknown-key":
+        assert "unknown keys in the document: ['seed']" in err
+
+
+def _deep_json(path):
+    path.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+
+
+@pytest.mark.parametrize("kind", ["config", "grid config", "trace", "sidecar", "assignment"])
+def test_deeply_nested_json_is_exit_2_naming_the_file(tmp_path, capsys, kind):
+    """JSON nested deeper than `json.loads` can recurse is a malformed input
+    of every kind, not a RecursionError traceback."""
+    cfg = _write_config(tmp_path, _base_config())
+    trace, truth, _ = _run_trace(k=3, t=2)
+    paths = {"trace": tmp_path / "trace.jsonl", "sidecar": tmp_path / "sidecar.json",
+             "assignment": tmp_path / "a.json"}
+    write_trace(paths["trace"], trace)
+    write_sidecar(paths["sidecar"], truth)
+    write_assignment(paths["assignment"], [0, 1, 2] * 2, clients=3, rounds=2,
+                     method="greedy", selector="both")
+    deep = paths.get(kind, tmp_path / "deep.json")
+    _deep_json(deep)
+    argv = {
+        "config": ["simulate", "--config", str(deep), "--out", str(tmp_path / "t.jsonl")],
+        "grid config": ["sweep", "--config", str(deep), "--out-dir", str(tmp_path / "s")],
+        "trace": ["attack", "--trace", str(deep), "--method", "greedy",
+                  "--out", str(tmp_path / "out.json")],
+    }.get(kind, ["report", "--trace", str(paths["trace"]), "--assignment",
+                 str(paths["assignment"]), "--sidecar", str(paths["sidecar"])])
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"malformed {kind} file {deep}: maximum recursion depth" in err
+    assert "Traceback" not in err
 
 
 def test_divergence_is_exit_3(tmp_path, capsys):
@@ -1033,6 +1126,32 @@ def test_sweep_worker_that_dies_gives_failed_rows(tmp_path, monkeypatch, capsys)
         rows = _summary_rows(tmp_path / jobs)
         assert [r["status"] for r in rows] == ["failed", "failed"]
         assert all(r["error"].startswith("BrokenProcessPool: ") for r in rows)
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, capsys):
+    """The pool starts all its workers at its first submit, so it asks for
+    no more than there are cells. A stand-in pool records the size and runs
+    each cell here: no process starts."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.Executor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for lrs, jobs in (([0.1], "10000"), ([0.1, 0.2], "1")):
+        cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": lrs}},
+                            "grid.json")
+        out_dir = tmp_path / f"out{len(lrs)}"
+        argv = ["sweep", "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs]
+        assert main(argv) == EXIT_OK
+        assert [r["status"] for r in _summary_rows(out_dir)] == ["ok"] * len(lrs)
+    assert sizes == [1, 1]
 
 
 GRIDS = Path(__file__).resolve().parents[1] / "grids"

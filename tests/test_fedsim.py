@@ -201,9 +201,8 @@ def test_simulation_equals_per_client_oracle(dp_cfg):
     assert truth.dtype == np.int64 and truth.shape == (3, len(shards))
     np.testing.assert_array_equal(truth, perms)
     np.testing.assert_array_equal(model.params, oracle_model.params)
-    if dp_cfg is not None:
-        n = min(windows_from_sentences(s.train, mcfg.context)[0].shape[0] for s in shards)
-        assert (trace.dp_steps, trace.dp_sample_rate) == (3 * -(-n // 4), min(1.0, 4 / n))
+    # each window is used once per local epoch of every round: R * E steps
+    assert trace.dp_steps == (None if dp_cfg is None else fed.rounds * fed.local_epochs)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
