@@ -1,7 +1,7 @@
 """Experiment runner CLI: simulate | attack | report | sweep.
 
-Exit codes: 0 ok, 2 usage/config error or unreadable/unwritable path,
-3 numerical divergence.
+Exit codes: 0 ok, 2 usage/config error, unreadable/unwritable path or out
+of memory, 3 numerical divergence.
 """
 
 import argparse
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except (ConfigError, UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory{': ' + str(exc) if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
     except GradlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,10 +105,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Tuple[List[ClientShard
         for _ in range(spec.train_sentences + spec.valid_sentences):
             length = int(rng.integers(lo, hi + 1))
             from_shared = rng.random(length) < spec.overlap
+            # ids[rng.integers(0, len(ids), size)] draws what rng.choice(ids,
+            # size) draws, and leaves the generator in the same state
             sent = np.where(
                 from_shared & (spec.shared_vocab_size > 0),
-                rng.choice(shared_ids, size=length) if spec.shared_vocab_size else 0,
-                rng.choice(topic_ids[c], size=length),
+                shared_ids[rng.integers(0, len(shared_ids), size=length)]
+                if spec.shared_vocab_size else 0,
+                topic_ids[c][rng.integers(0, len(topic_ids[c]), size=length)],
             ).astype(np.int64)
             sentences.append(sent)
         shards.append(
@@ -172,11 +175,22 @@ def load_text_shards(
 
 def windows_from_sentences(sentences: Sequence[np.ndarray], context: int):
     """Sliding next-token windows over truncated sentences: (n, context)
-    int64 windows and their (n,) int64 targets."""
-    rows = np.concatenate([np.empty((0, context + 1), dtype=np.int64)] + [
-        sliding_window_view(s[:MAX_SENTENCE_TOKENS], context + 1)
-        for s in sentences if min(len(s), MAX_SENTENCE_TOKENS) > context
-    ])
+    int64 windows and their (n,) int64 targets, sentence by sentence. One
+    sliding view runs over the truncated sentences laid end to end, and the
+    windows that start far enough from a sentence's end are gathered from
+    it, so no window crosses two sentences."""
+    kept = [s[:MAX_SENTENCE_TOKENS] for s in sentences]
+    kept = [s for s in kept if len(s) > context]
+    if not kept:
+        rows = np.empty((0, context + 1), dtype=np.int64)
+        return rows[:, :context], rows[:, context]
+    lengths = np.array([len(s) for s in kept])
+    counts = lengths - context  # windows per sentence
+    offsets = np.cumsum(lengths) - lengths  # where each sentence starts in `tokens`
+    before = np.cumsum(counts) - counts  # windows of the sentences before it
+    starts = np.repeat(offsets - before, counts) + np.arange(counts.sum())
+    tokens = np.concatenate([np.empty(0, dtype=np.int64), *kept])
+    rows = sliding_window_view(tokens, context + 1)[starts]
     return rows[:, :context], rows[:, context]
 
 

@@ -10,8 +10,12 @@ Accounting: a client's batches are fixed once per run, so a training window
 sits in one known batch and is used once per local epoch. Over R rounds of E
 local epochs it faces R * E Gaussian steps with noise multiplier sigma and
 no subsampling amplification, and `rdp_epsilon` bounds exactly that, under
-add/remove of one training window. Under replace-one adjacency the
-per-step Renyi-DP would be 4 times larger (2 alpha / sigma^2).
+replacement of one training window (replace-one adjacency). A step divides
+by its own batch count L, so replacing a window in the fixed partition moves
+the average by up to 2 * clip / L, twice the clip / L the noise is scaled
+to: the per-step Renyi-DP is 2 alpha / sigma^2. Adding or removing a window
+would change L itself, so the add/remove bound alpha / (2 sigma^2) would
+understate epsilon for this mechanism.
 
 Where the noise is drawn: it never depends on the gradient, so
 `fedsim.client_round` starts each local step's draws with `start_noise`
@@ -121,10 +125,10 @@ def privatize(
 def rdp_epsilon(sigma: float, steps: int, delta: float) -> float:
     """Advisory upper bound on epsilon for `steps` compositions of the
     Gaussian mechanism with noise multiplier sigma and no subsampling, under
-    add/remove of one training window: the minimum over integer Renyi orders
-    alpha in [2, MAX_RDP_ORDER] of steps * alpha / (2 sigma^2) +
-    log(1/delta) / (alpha - 1) (Mironov, arXiv:1702.07476). Decreasing in
-    sigma, increasing in steps."""
+    replacement of one training window, whose sensitivity is twice the clip
+    bound: the minimum over integer Renyi orders alpha in [2, MAX_RDP_ORDER]
+    of steps * 2 alpha / sigma^2 + log(1/delta) / (alpha - 1) (Mironov,
+    arXiv:1702.07476). Decreasing in sigma, increasing in steps."""
     if steps < 0:
         raise UsageError("steps must be >= 0")
     if not 0.0 < delta < 1.0:
@@ -133,10 +137,10 @@ def rdp_epsilon(sigma: float, steps: int, delta: float) -> float:
         raise UsageError("sigma must be >= 0")
     if steps == 0:
         return 0.0
-    two_var = 2.0 * sigma * sigma
-    if two_var == 0.0:  # sigma 0, or so small that its square underflows: no bound
+    var = sigma * sigma
+    if var == 0.0:  # sigma 0, or so small that its square underflows: no bound
         return math.inf
     return min(
-        steps * (alpha / two_var) + math.log(1.0 / delta) / (alpha - 1)
+        steps * (2.0 * alpha / var) + math.log(1.0 / delta) / (alpha - 1)
         for alpha in range(2, MAX_RDP_ORDER + 1)
     )

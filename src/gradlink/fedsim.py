@@ -29,6 +29,8 @@ from .model import (
     GlobalModel,
     ModelConfig,
     check_tokens,
+    embedding_columns,
+    embedding_rows,
     eval_loss,
     init_model,
     loss_and_grads,
@@ -155,21 +157,35 @@ def client_round(
     which such a round needs, before the backward pass and adds them after
     it.
 
+    A step updates the blocks and the output whole, and the embedding only
+    in the rows of its plan: the rows its windows look up, outside which
+    the gradient is zero, and leaving a row alone gives the bits
+    p - lr * 0.0 gives. The noise reaches every row, so a noisy step's plan
+    is every row. The plan is the windows' own row index, computed per
+    step: a list of unique rows built once per run saves only about 20 us
+    a step and would be held through training.
+
     With a frozen global model a client emits an identical payload every
     round."""
     params, clip = clients.params, None if dp_cfg is None else dp_cfg.clip
     noise = np.empty_like(params) if dp_cfg is not None and dp_cfg.sigma > 0 else None
+    emb = embedding_columns(snapshot.config)
     params[...] = snapshot.params
     for _ in range(cfg.local_epochs):
         for replicas, grads, windows, targets, shard_ids in clients.steps:
+            rows = embedding_rows(windows) if noise is None else ...
             if noise is not None:
                 step_noise = noise[: len(shard_ids)]
                 rngs = [dp_rngs[i] for i in shard_ids]
                 draws = start_noise(step_noise, windows.shape[1], dp_cfg, rngs, pool)
-            loss_and_grads(replicas, windows, targets, clip=clip, out=grads)
+            loss_and_grads(replicas, windows, targets, clip=clip, out=grads, rows=rows)
             if noise is not None:
                 privatize(grads, step_noise, draws)
-            sgd_step(replicas.params, grads, cfg.client_lr)
+            p = replicas.params
+            sgd_step(p[:, : emb.start], grads[:, : emb.start], cfg.client_lr)
+            sgd_step(p[:, emb.stop :], grads[:, emb.stop :], cfg.client_lr)
+            table = replicas.views["embedding"]
+            sgd_step(table, grads[:, emb].reshape(table.shape), cfg.client_lr, rows)
     np.subtract(snapshot.params, params, out=params)
     return params
 
@@ -188,14 +204,18 @@ def aggregate(model: GlobalModel, payloads: np.ndarray, server_lr: float) -> Glo
     stack of payloads.
 
     Summands are value-sorted per coordinate before reduction, so the result
-    is bit-identical under any permutation of the payload rows."""
+    is bit-identical under any permutation of payload rows that hold no NaN.
+    Values that compare equal differ in bits only as +0.0 and -0.0, and the
+    sum, taken in row order, gives the same bits for any order of a block
+    of zeros: so the sort need not be stable. A NaN's payload bits follow
+    the row order."""
     if payloads.ndim != 2 or payloads.shape[1:] != model.params.shape:
         raise UsageError(
             f"payloads have shape {payloads.shape}, expected (K, {model.params.shape[0]})"
         )
     if len(payloads) == 0:
         raise UsageError("aggregate needs at least one payload")
-    avg = np.sort(payloads, axis=0, kind="stable").sum(axis=0) / len(payloads)
+    avg = np.sort(payloads, axis=0).sum(axis=0) / len(payloads)
     return GlobalModel(model.config, model.params - server_lr * avg)
 
 
@@ -212,10 +232,19 @@ def run_simulation(
     Per round: snapshot -> K client rounds (DP-privatized if configured) ->
     shuffle -> record payloads -> aggregate. The trace's loss curve holds
     eval_loss on the union of validation shards, before training and after
-    every round; DivergedError once one is non-finite."""
+    every round; DivergedError once one is non-finite. ConfigError, before
+    anything is allocated, for a model whose (K, P) float64 replica stack
+    exceeds the largest array numpy can allocate."""
     if len(shards) != fed_cfg.clients:
         raise ConfigError(
             f"config says {fed_cfg.clients} clients but got {len(shards)} shards"
+        )
+    size = param_count(model_cfg)
+    if fed_cfg.clients * size * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"a model of {size:,} parameters is too large: the stack of {fed_cfg.clients} "
+            f"client replicas would need {fed_cfg.clients * size * 8:,} bytes, more than the "
+            "largest array numpy can allocate"
         )
     model = init_model(model_cfg, fed_cfg.seed)
     shuffle_rng = labeled_rng(fed_cfg.seed, "shuffle")

@@ -19,6 +19,7 @@ diverging model overflows to inf or nan and numpy warns, unless the caller
 tolerates it as `fedsim.run_simulation` does.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -105,7 +106,7 @@ def _segments(config: ModelConfig) -> Tuple[int, tuple]:
     """Total length and (name, start, stop, shape) of each layout entry."""
     segments, start = [], 0
     for name, shape in param_layout(config):
-        stop = start + int(np.prod(shape))
+        stop = start + math.prod(shape)  # Python ints: no int64 wrap on a huge model
         segments.append((name, start, stop, shape))
         start = stop
     return start, tuple(segments)
@@ -113,6 +114,13 @@ def _segments(config: ModelConfig) -> Tuple[int, tuple]:
 
 def param_count(config: ModelConfig) -> int:
     return _segments(config)[0]
+
+
+def embedding_columns(config: ModelConfig) -> slice:
+    """The columns of `embedding` in a flat vector. In `param_layout` order
+    the blocks lie before them and the output after them."""
+    (start, stop), = [(a, b) for name, a, b, _ in _segments(config)[1] if name == "embedding"]
+    return slice(start, stop)
 
 
 def views(config: ModelConfig, flat: np.ndarray) -> Dict[str, np.ndarray]:
@@ -199,9 +207,11 @@ def _check_batch(model: GlobalModel, windows, targets):
     return windows, targets
 
 
-def _table_index(windows: np.ndarray):
+def embedding_rows(windows: np.ndarray):
     """Index into a (..., vocab, dim) table that picks each window's rows
-    from its own client's table: (windows,) without a client axis."""
+    from its own client's table: (windows,) without a client axis. These
+    are the only rows where the batch's embedding gradient can be non-zero;
+    a row repeats once per use."""
     lead = np.indices(windows.shape[:-2], sparse=True)
     return tuple(i[..., None, None] for i in lead) + (windows,)
 
@@ -213,7 +223,7 @@ def _t(w: np.ndarray) -> np.ndarray:
 def forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
     windows = np.asarray(windows)
     p = model.views
-    x = p["embedding"][_table_index(windows)].reshape(*windows.shape[:-1], -1)
+    x = p["embedding"][embedding_rows(windows)].reshape(*windows.shape[:-1], -1)
     inputs, pres, hiddens = [], [], []
     for i in range(1, model.config.n_blocks + 1):
         inputs.append(x)
@@ -245,6 +255,7 @@ def loss_and_grads(
     targets,
     clip: Optional[float] = None,
     out: Optional[np.ndarray] = None,
+    rows=...,
 ) -> Tuple[Union[float, np.ndarray], np.ndarray]:
     """Mean softmax cross-entropy (natural log) over the batch, with exact
     analytic gradients averaged over the batch, as one flat vector in the
@@ -258,7 +269,13 @@ def loss_and_grads(
     `targets` (K, B): row k of the result is bitwise the call on replica k
     alone, and the loss is a (K,) array. The gradient is written into `out`
     if given (shaped like the parameters). Token ids are not checked here;
-    see `check_tokens`."""
+    see `check_tokens`.
+
+    The embedding gradient is zero outside the rows of the batch's tokens.
+    `rows` indexes the (..., vocab, dim) embedding of the gradient, and only
+    those rows are zeroed before the batch is scattered into them, so it
+    must hold every row `embedding_rows(windows)` holds; the rest of the
+    embedding keeps what `out` held. The default is every row."""
     if clip is not None and not clip > 0:
         raise UsageError("clip bound must be > 0")
     windows, targets = _check_batch(model, windows, targets)
@@ -304,8 +321,8 @@ def loss_and_grads(
     for name, dout, a in layers:
         np.matmul(_t(dout), a, out=g[name + ".weight"])
         dout.sum(axis=-2, out=g[name + ".bias"])
-    g["embedding"][...] = 0.0
-    np.add.at(g["embedding"], _table_index(windows), demb)
+    g["embedding"][rows] = 0.0
+    np.add.at(g["embedding"], embedding_rows(windows), demb)
     return (float(loss) if loss.ndim == 0 else loss), out
 
 
@@ -327,16 +344,23 @@ def _clip_scales(layers, windows, demb, clip) -> np.ndarray:
     return 1.0 / np.maximum(1.0, np.sqrt(sq) / clip) / windows.shape[-2]
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, rows=...) -> None:
     """One plain SGD step in place: p <- p - lr * g, computed as g *= lr;
-    p -= g, which rounds exactly as p - lr * g does and overwrites `grads`.
-    No momentum, no weight decay. Works row by row on a (K, P) stack."""
+    p -= g, which rounds exactly as p - lr * g does and may overwrite
+    `grads`. No momentum, no weight decay. Works row by row on a (K, P)
+    stack.
+
+    Only the entries that `rows` indexes in both arrays step; the default is
+    all of them. An entry indexed twice steps once. An entry left out keeps
+    its bits, as p - lr * 0.0 does for every p, signed zeros, inf and nan
+    included."""
     if lr < 0:
         raise UsageError("lr must be >= 0")
     if grads.shape != params.shape:
         raise UsageError(f"gradient has shape {grads.shape}, parameters {params.shape}")
-    grads *= lr
-    params -= grads
+    g = grads[rows]
+    g *= lr
+    params[rows] -= g
 
 
 EVAL_CHUNK = 512

@@ -129,7 +129,7 @@ def render_report(report: dict) -> str:
         lines.append(
             f"dp: clip={dp['clip']} sigma={dp['sigma']} delta={dp['delta']} "
             f"advisory_epsilon={eps_text} over rounds * local_epochs Gaussian steps, "
-            "no subsampling, add/remove of one training window"
+            "no subsampling, replace-one adjacency: one training window replaced"
         )
     losses = report.get("loss_curve") or []
     if losses:

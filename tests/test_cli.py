@@ -559,11 +559,11 @@ def test_sigma_0_report_is_strict_json(tmp_path, capsys):
 
 def test_dp_report_epsilon_is_the_gaussian_bound_of_rounds_times_epochs(tmp_path, capsys):
     """Each training window is used once per local epoch of every round, so
-    the report bounds R * E = 8 Gaussian steps, with no subsampling. With
-    sigma 1 and delta 1e-4 the continuous optimum of the Renyi order,
-    alpha* = 1 + sigma * sqrt(2 log(1/delta) / steps) = 2.52, lies between
-    orders 2 and 3."""
-    doc = _base_config(dp={"clip": 1.0, "sigma": 1.0})
+    the report bounds R * E = 8 Gaussian steps, with no subsampling, under
+    replace-one adjacency. With sigma 2 and delta 1e-4 the continuous
+    optimum of the Renyi order, alpha* = 1 + sigma * sqrt(log(1/delta) /
+    (2 steps)) = 2.52, lies between orders 2 and 3."""
+    doc = _base_config(dp={"clip": 1.0, "sigma": 2.0})
     doc["fed"]["local_epochs"] = 2
     cfg = _write_config(tmp_path, doc)
     trace, sidecar = tmp_path / "trace.jsonl", tmp_path / "sidecar.json"
@@ -574,12 +574,12 @@ def test_dp_report_epsilon_is_the_gaussian_bound_of_rounds_times_epochs(tmp_path
                  "--out", str(assignment)]) == EXIT_OK
     assert main(["report", "--trace", str(trace), "--assignment", str(assignment),
                  "--sidecar", str(sidecar), "--out", str(report_path)]) == EXIT_OK
-    assert "no subsampling, add/remove of one training window" in capsys.readouterr().out
+    assert "no subsampling, replace-one adjacency" in capsys.readouterr().out
     steps, log_inv_delta = 4 * 2, math.log(1.0 / 1e-4)
     assert read_trace_header(trace)["dp_steps"] == steps
-    alpha_star = 1 + math.sqrt(2 * log_inv_delta / steps)
+    alpha_star = 1 + 2.0 * math.sqrt(log_inv_delta / (2 * steps))
     assert 2 < alpha_star < 3
-    expected = min(steps * (a / 2.0) + log_inv_delta / (a - 1) for a in (2, 3))
+    expected = min(steps * (2.0 * a / 4.0) + log_inv_delta / (a - 1) for a in (2, 3))
     assert json.loads(report_path.read_text())["dp"]["advisory_epsilon"] == expected
 
 
@@ -937,6 +937,55 @@ def test_deeply_nested_json_is_exit_2_naming_the_file(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert f"malformed {kind} file {deep}: maximum recursion depth" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("embed_dim, ffn_mult", [(10**7, 10**4), (10**9, 10**9)])
+def test_model_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch, embed_dim, ffn_mult):
+    """A structurally valid model whose (K, P) float64 replica stack is larger
+    than any numpy array exits 2 naming the model's size, and nothing of
+    that size is allocated: `init_model` is never reached. In the second
+    model one weight alone has more entries than an int64 holds, so the
+    count must not wrap."""
+
+    def no_model(*args):
+        raise AssertionError("the oversized model was allocated")
+
+    monkeypatch.setattr(fedsim, "init_model", no_model)
+    doc = _base_config()
+    doc["model"].update(embed_dim=embed_dim, ffn_mult=ffn_mult)
+    cfg = _write_config(tmp_path, doc)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    d, h, vocab = embed_dim, ffn_mult * embed_dim, 2 + 20 + 3 * 15  # reserved, shared, topic
+    size = (h * 3 * d + h + d * h + d) + (h * d + h + d * h + d)  # blocks 1 and 2
+    size += 2 * vocab * d + vocab  # embedding and output
+    assert f"a model of {size:,} parameters is too large" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_memory_error_is_exit_2(tmp_path, capsys, monkeypatch):
+    """A config that fits numpy's largest array but not this machine's
+    memory exits 2, not with a MemoryError traceback."""
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 80.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_simulation", out_of_memory)
+    cfg = _write_config(tmp_path, _base_config())
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: out of memory: Unable to allocate 80.0 GiB" in err
+    assert "Traceback" not in err
+
+    def bare_out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_simulation", bare_out_of_memory)
+    assert main(argv) == EXIT_USAGE
+    assert "error: out of memory\n" in capsys.readouterr().err
 
 
 def test_divergence_is_exit_3(tmp_path, capsys):

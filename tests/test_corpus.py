@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from gradlink import corpus
 from gradlink.corpus import (
     MAX_SENTENCE_TOKENS,
     PAD_ID,
@@ -16,10 +18,76 @@ from gradlink.corpus import (
     windows_from_sentences,
 )
 from gradlink.errors import InputError, UsageError
+from gradlink.rng import labeled_rng
 
 
 def _token_set(shard):
     return set(int(t) for sent in shard.train + shard.valid for t in sent)
+
+
+def _choice_synthetic(spec, seed):
+    """The generator as it drew tokens with `rng.choice`, one call per
+    sentence and vocabulary: its shards and each client's generator at the
+    end."""
+    shared_ids = np.arange(2, 2 + spec.shared_vocab_size)
+    topic_ids = [
+        np.arange(start, start + spec.topic_vocab_size)
+        for start in range(2 + spec.shared_vocab_size, 2 + spec.shared_vocab_size
+                           + spec.n_clients * spec.topic_vocab_size, spec.topic_vocab_size)
+    ]
+    lo, hi = spec.sentence_len
+    shards, rngs = [], []
+    for c in range(spec.n_clients):
+        rng = labeled_rng(seed, f"corpus.client{c}")
+        sentences = []
+        for _ in range(spec.train_sentences + spec.valid_sentences):
+            length = int(rng.integers(lo, hi + 1))
+            from_shared = rng.random(length) < spec.overlap
+            sentences.append(np.where(
+                from_shared & (spec.shared_vocab_size > 0),
+                rng.choice(shared_ids, size=length) if spec.shared_vocab_size else 0,
+                rng.choice(topic_ids[c], size=length),
+            ).astype(np.int64))
+        shards.append(sentences)
+        rngs.append(rng)
+    return shards, rngs
+
+
+SYNTHETIC_CASES = {
+    "defaults": {},
+    "no-shared-vocabulary": dict(shared_vocab_size=0, overlap=0.5),
+    "one-topic-token": dict(topic_vocab_size=1, overlap=0.3),
+    "overlap-0": dict(overlap=0.0),
+    "overlap-1": dict(overlap=1.0),
+}
+
+
+@pytest.mark.parametrize("case", SYNTHETIC_CASES)
+def test_generation_equals_the_choice_generator(case, monkeypatch):
+    """Each token draw is an index draw into the vocabulary, which draws the
+    same numbers as `rng.choice` and leaves each client's generator in the
+    same state, so every shard is bitwise the old one."""
+    made = []
+
+    def recording_rng(seed, label):
+        made.append(labeled_rng(seed, label))
+        return made[-1]
+
+    monkeypatch.setattr(corpus, "labeled_rng", recording_rng)
+    spec = SyntheticSpec(n_clients=3, train_sentences=6, valid_sentences=2,
+                         **SYNTHETIC_CASES[case])
+    for seed in (0, 1, 7, 123):
+        made.clear()
+        shards, _ = generate_synthetic(spec, seed)
+        expected, expected_rngs = _choice_synthetic(spec, seed)
+        for shard, sentences in zip(shards, expected):
+            got = shard.train + shard.valid
+            assert len(got) == len(sentences)
+            for a, b in zip(got, sentences):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert [r.bit_generator.state for r in made] == [
+            r.bit_generator.state for r in expected_rngs
+        ]
 
 
 def test_overlap_zero_gives_disjoint_clients():
@@ -148,6 +216,37 @@ def test_windows_equal_the_per_position_loop():
     assert windows.dtype == targets.dtype == np.int64
     assert windows.tolist() == [w for w, _ in pairs]
     assert targets.tolist() == [t for _, t in pairs]
+
+
+def _per_sentence_windows(sentences, context):
+    """The windows as one sliding view per sentence, concatenated: the form
+    that one view over the sentences laid end to end replaced."""
+    rows = np.concatenate([np.empty((0, context + 1), dtype=np.int64)] + [
+        sliding_window_view(s[:MAX_SENTENCE_TOKENS], context + 1)
+        for s in sentences if min(len(s), MAX_SENTENCE_TOKENS) > context
+    ])
+    return rows[:, :context], rows[:, context]
+
+
+WINDOW_CASES = {
+    "empty-list": lambda c: [],
+    "no-sentence-longer-than-context": lambda c: [np.arange(c + 1)[:n] for n in (c, 0, 1)],
+    "exactly-context-plus-one": lambda c: [np.arange(c + 1), np.arange(50, 51 + c)],
+    "longer-than-the-cap": lambda c: [np.arange(MAX_SENTENCE_TOKENS + 9),
+                                      np.arange(60, 61 + MAX_SENTENCE_TOKENS)],
+    "mixed": lambda c: [np.random.default_rng(n).integers(0, 99, size=n)
+                        for n in (0, c, c + 1, 7, 45, 2, 40)],
+}
+
+
+@pytest.mark.parametrize("context", [1, 3, 4])
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_windows_equal_the_per_sentence_views(case, context):
+    got = windows_from_sentences(WINDOW_CASES[case](context), context)
+    expected = _per_sentence_windows(WINDOW_CASES[case](context), context)
+    for a, b in zip(got, expected):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sentences_truncated_at_cap():

@@ -234,23 +234,24 @@ def test_rdp_epsilon_is_inf_when_sigma_squared_underflows():
 
 def _gaussian_epsilon(sigma, steps, delta, alpha):
     """The epsilon of `steps` unsubsampled Gaussian steps at Renyi order
-    alpha: steps * alpha / (2 sigma^2) + log(1/delta) / (alpha - 1)."""
-    return steps * (alpha / (2.0 * sigma * sigma)) + math.log(1.0 / delta) / (alpha - 1)
+    alpha under replace-one adjacency (sensitivity twice the clip bound):
+    steps * 2 alpha / sigma^2 + log(1/delta) / (alpha - 1)."""
+    return steps * (2.0 * alpha / (sigma * sigma)) + math.log(1.0 / delta) / (alpha - 1)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.7, 1.0, 1.5, 8.0, 100.0])
 def test_rdp_epsilon_equals_the_closed_form_optimum(sigma):
     """Over real alpha > 1 the bound is convex, with its minimum
-    s / (2 sigma^2) + sqrt(2 s log(1/delta)) / sigma at
-    alpha* = 1 + sigma sqrt(2 log(1/delta) / s). So the integer-order result
-    is at least that minimum, and it is the better of the two integers
-    around alpha*, each clamped to the orders [2, 128] the accountant
-    searches. The grid reaches alpha* below 2 and above 128."""
+    2 s / sigma^2 + 2 sqrt(2 s log(1/delta)) / sigma at
+    alpha* = 1 + sigma sqrt(log(1/delta) / (2 s)). So the integer-order
+    result is at least that minimum, and it is the better of the two
+    integers around alpha*, each clamped to the orders [2, 128] the
+    accountant searches. The grid reaches alpha* below 2 and above 128."""
     for steps in (1, 6, 90, 10_000):
         for delta in (1e-9, 1e-4, 0.5):
             log_inv_delta = math.log(1.0 / delta)
-            optimum = steps / (2 * sigma**2) + math.sqrt(2 * steps * log_inv_delta) / sigma
-            alpha_star = 1 + sigma * math.sqrt(2 * log_inv_delta / steps)
+            optimum = 2 * steps / sigma**2 + 2 * math.sqrt(2 * steps * log_inv_delta) / sigma
+            alpha_star = 1 + sigma * math.sqrt(log_inv_delta / (2 * steps))
             around = {min(max(a, 2), 128) for a in (math.floor(alpha_star), math.ceil(alpha_star))}
             eps = rdp_epsilon(sigma, steps, delta)
             assert eps >= optimum

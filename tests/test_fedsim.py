@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import threading
 from collections import Counter
 
@@ -127,6 +128,25 @@ def _uneven_shards(k=5, seed=0):
     return shards, mcfg
 
 
+def _repeated_tokens(shards):
+    """Every token mapped onto three shared ids, so that a token repeats
+    within a window and across clients; sentence lengths are kept."""
+    return [dataclasses.replace(s, train=[2 + sent % 3 for sent in s.train]) for s in shards]
+
+
+def _odd_untouched_rows(snapshot, shards):
+    """The snapshot with -0.0, inf, nan and a mix of the three in embedding
+    rows that no training sentence uses: a step must leave them bitwise as
+    they are."""
+    used = {int(t) for s in shards for sent in s.train for t in sent}
+    free = [t for t in range(snapshot.config.vocab_size) if t not in used]
+    model = GlobalModel(snapshot.config, snapshot.params.copy())
+    emb = model.views["embedding"]
+    emb[free[0]], emb[free[1]], emb[free[2]] = -0.0, np.inf, np.nan
+    emb[free[3]] = np.resize([-0.0, np.inf, np.nan, 0.0], emb.shape[1])
+    return model
+
+
 LOCKSTEP_CASES = {
     "partial-batches": dict(batch_size=5),
     "two-epochs": dict(batch_size=5, local_epochs=2),
@@ -136,17 +156,35 @@ LOCKSTEP_CASES = {
     "dp-sigma-0": dict(batch_size=3, dp=DpConfig(clip=0.5, sigma=0.0)),
     "dp-noisy": dict(batch_size=3, dp=DpConfig(clip=0.5, sigma=0.3)),
     "dp-two-epochs": dict(batch_size=4, local_epochs=2, dp=DpConfig(clip=2.0, sigma=1.0)),
+    "repeated-tokens": dict(batch_size=5, shards=_repeated_tokens),
+    "untouched-rows-signed-zero-inf-nan": dict(batch_size=5, snapshot=_odd_untouched_rows),
+    "dp-sigma-0-untouched-rows": dict(
+        batch_size=3, dp=DpConfig(clip=0.5, sigma=0.0), snapshot=_odd_untouched_rows
+    ),
+    "dp-noisy-untouched-rows": dict(
+        batch_size=3, dp=DpConfig(clip=0.5, sigma=0.3), snapshot=_odd_untouched_rows
+    ),
 }
 
 
 @pytest.mark.parametrize("case", LOCKSTEP_CASES)
-def test_lockstep_round_equals_per_client_oracle(case):
+def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
     """Two rounds of the (K, P) stack against the per-client loop, bitwise.
     The second round starts from another snapshot and continues each DP
-    noise stream."""
+    noise stream. A step without noise updates only its plan's embedding
+    rows, a noisy step every row."""
     kwargs = dict(LOCKSTEP_CASES[case])
     dp_cfg = kwargs.pop("dp", None)
     shards, mcfg = _uneven_shards()
+    shards = kwargs.pop("shards", list)(shards)
+    prepare = kwargs.pop("snapshot", lambda snapshot, _: snapshot)
+    dense = []
+
+    def recording_loss_and_grads(*args, rows, **kw):
+        dense.append(rows is ...)
+        return loss_and_grads(*args, rows=rows, **kw)
+
+    monkeypatch.setattr(fedsim, "loss_and_grads", recording_loss_and_grads)
     fed = FedConfig(clients=len(shards), rounds=2, seed=4, client_lr=0.3, **kwargs)
     counts = [windows_from_sentences(s.train, mcfg.context)[0].shape[0] for s in shards]
     assert len(set(counts)) == len(counts) - 1 and counts != sorted(counts, reverse=True)
@@ -157,14 +195,18 @@ def test_lockstep_round_equals_per_client_oracle(case):
         return [labeled_rng(fed.seed, f"dp.client{s.client_id}") for s in shards]
 
     rngs, oracle_rngs = dp_rngs(), dp_rngs()
-    for snapshot in (init_model(mcfg, 0), init_model(mcfg, 1)):
-        with concurrent.futures.ThreadPoolExecutor(1) as pool:  # the noise draws, as in a run
+    for seed in (0, 1):
+        snapshot = prepare(init_model(mcfg, seed), shards)
+        # inf - inf in the payload of an inf row is nan, as in a run
+        with concurrent.futures.ThreadPoolExecutor(1) as pool, np.errstate(invalid="ignore"):
             stack = client_round(snapshot, clients, fed, dp_cfg, rngs, pool)
-        expected = [
-            _oracle_client_round(snapshot, s, fed, dp_cfg, rng)
-            for s, rng in zip(shards, oracle_rngs)
-        ]
-        np.testing.assert_array_equal(stack, np.stack(expected)[clients.order])
+            expected = np.stack([
+                _oracle_client_round(snapshot, s, fed, dp_cfg, rng)
+                for s, rng in zip(shards, oracle_rngs)
+            ])[clients.order]
+        np.testing.assert_array_equal(stack.view(np.uint64), expected.view(np.uint64))
+    noisy = dp_cfg is not None and dp_cfg.sigma > 0
+    assert set(dense) == (set() if fed.local_epochs == 0 else {noisy})
 
 
 def _oracle_simulation(fed, mcfg, shards, dp_cfg=None):
@@ -336,6 +378,46 @@ def test_aggregate_invariant_under_packet_permutation():
     a = aggregate(model, payloads, server_lr=0.1)
     b = aggregate(model, payloads[perm], server_lr=0.1)
     np.testing.assert_array_equal(a.params, b.params)
+
+
+def _stable_sort_aggregate(model, payloads, server_lr):
+    """`aggregate` as it sorted each coordinate with a stable sort."""
+    avg = np.sort(payloads, axis=0, kind="stable").sum(axis=0) / len(payloads)
+    return model.params - server_lr * avg
+
+
+def test_aggregate_equals_the_stable_sort_under_every_row_permutation():
+    """Values that compare equal differ in bits only as +0.0 and -0.0, and a
+    block of zeros sums to the same bits in any order, so the default sort
+    gives the stable sort's bits for each of the 5! row orders. The first
+    columns mix signed zeros with other values, hold only -0.0, only zeros
+    of both signs, ties and infinities. Of the rest, half are small
+    multiples of 0.5 with random signs, so most of them tie, and half span
+    six orders of magnitude, so their sum rounds differently in another
+    order."""
+    fed, mcfg, _ = _setup()
+    model = init_model(mcfg, 0)
+    inf = np.inf
+    special = np.array([
+        [-0.0, 0.0, 1.5, -0.0, -2.0],
+        [-0.0] * 5,
+        [0.0, -0.0, -0.0, 0.0, -0.0],
+        [1.0, 1.0, -3.0, 1.0, 2.5],
+        [inf, -0.0, 0.0, inf, 1.0],
+        [-inf, -0.0, -inf, 0.0, -1.0],
+    ]).T
+    rng = np.random.default_rng(8)
+    half = (param_count(mcfg) - special.shape[1]) // 2
+    rest = rng.integers(-2, 3, size=(5, half)) * 0.5
+    rest *= rng.choice([-1.0, 1.0], size=rest.shape)  # 0.0 * -1.0 is -0.0
+    width = param_count(mcfg) - special.shape[1] - half
+    spread = rng.standard_normal((5, width)) * 10.0 ** rng.uniform(-3, 3, size=(5, width))
+    payloads = np.concatenate([special, rest, spread], axis=1)
+    assert (np.signbit(rest) & (rest == 0)).any() and (~np.signbit(rest) & (rest == 0)).any()
+    expected = _stable_sort_aggregate(model, payloads, 0.5).view(np.uint64)
+    for perm in itertools.permutations(range(5)):
+        got = aggregate(model, payloads[list(perm)], server_lr=0.5).params
+        np.testing.assert_array_equal(got.view(np.uint64), expected)
 
 
 def test_aggregate_payload_of_wrong_length_is_usage_error():
