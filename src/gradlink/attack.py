@@ -160,6 +160,19 @@ def symmetric_eigen(a: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return vals[:k], vecs[:, :k]
 
 
+def _median(values: np.ndarray) -> float:
+    """`float(np.median(values))` of a non-empty 1-d float array, bit for
+    bit: the middle value, or the mean of the two middle values, and NaN if
+    any value is NaN. np.median imports numpy.ma on its first call."""
+    n = values.size
+    part = np.partition(values, ((n - 1) // 2, n // 2, n - 1))
+    if np.isnan(part[-1]):  # partition sorts NaN last
+        return float("nan")
+    if n % 2:
+        return float(part[n // 2])
+    return float((part[n // 2 - 1] + part[n // 2]) / 2)
+
+
 def spectral_points(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Spectral clustering: Gaussian affinity with median-distance bandwidth,
     symmetric normalized Laplacian, k smallest eigenvectors, row-normalized
@@ -168,7 +181,7 @@ def spectral_points(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     n = len(d2)
     dist = np.sqrt(d2)
     iu = np.triu_indices(n, k=1)
-    gamma = float(np.median(dist[iu])) if iu[0].size else 0.0
+    gamma = _median(dist[iu]) if iu[0].size else 0.0
     if gamma == 0.0:
         # all points (nearly) identical: a single cluster
         return np.zeros(n, dtype=np.int64)

@@ -63,10 +63,16 @@ def _build_shards(cfg: ExperimentConfig):
     return generate_synthetic(cfg.data, cfg.fed.seed)
 
 
-def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
-    for path in (trace_path, sidecar_path):  # fail before training, not after
+def _check_out_dirs(*paths) -> None:
+    """Fail before a command's work, not after it, if an output path has no
+    directory to be written into."""
+    for path in paths:
         if not Path(path).parent.is_dir():
             raise UsageError(f"no directory to write {path} into: {Path(path).parent}")
+
+
+def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
+    _check_out_dirs(trace_path, sidecar_path)
     shards, vocab = _build_shards(cfg)
     model_cfg = ModelConfig(vocab_size=vocab.size, **dataclasses.asdict(cfg.model))
     trace, truth, _ = run_simulation(cfg.fed, model_cfg, shards, cfg.dp)
@@ -106,6 +112,7 @@ def run_attack(trace, method: str, selector: str):
 
 
 def attack_to_file(trace_path, method: str, selector: str, assignment_path) -> None:
+    _check_out_dirs(assignment_path)
     trace = read_trace(trace_path)
     labels = run_attack(trace, method, selector)
     write_assignment(
@@ -119,6 +126,8 @@ def attack_to_file(trace_path, method: str, selector: str, assignment_path) -> N
 
 
 def report_from_files(trace_path, assignment_path, sidecar_path, report_path=None) -> dict:
+    if report_path:
+        _check_out_dirs(report_path)
     report = build_report(
         read_trace_header(trace_path), read_assignment(assignment_path), read_sidecar(sidecar_path)
     )

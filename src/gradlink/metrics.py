@@ -3,7 +3,9 @@
 
 Each metric is a closed form over the pred x true contingency table. `pred`
 is one labeling of shape (n,), scored to a float, or a stack of labelings of
-shape (trials, n), scored to one value per row.
+shape (trials, n), scored to one value per row. Stacked scoring works in place
+where it can: on the random baseline's (1000, K, K) stack, a fresh temporary
+costs more in page faults than the pass that fills it.
 """
 
 import numpy as np
@@ -14,17 +16,21 @@ from .errors import UsageError
 def _contingency(pred, true):
     """Count tables of shape pred.shape[:-1] + (clusters, classes), all built
     by one bincount over (row, pred, true)."""
-    pred = np.asarray(pred, dtype=np.int64)
-    true = np.asarray(true, dtype=np.int64)
+    pred, true = np.asarray(pred), np.asarray(true)
     if true.ndim != 1 or pred.ndim not in (1, 2) or pred.shape[-1] != true.shape[0]:
         raise UsageError("pred must be 1-d or 2-d with rows as long as the 1-d true")
     if pred.size == 0:
         raise UsageError("empty partition")
+    if pred.dtype.kind not in "iu" or true.dtype.kind not in "iu":
+        raise UsageError(f"labels must have an integer dtype, got {pred.dtype} and {true.dtype}")
+    pred, true = pred.astype(np.int64, copy=False), true.astype(np.int64, copy=False)
     if pred.min() < 0 or true.min() < 0:
         raise UsageError("labels must be non-negative integers")
     rows = pred.reshape(-1, true.size)
     k, j = int(rows.max()) + 1, int(true.max()) + 1
-    cells = (np.arange(rows.shape[0])[:, None] * k + rows) * j + true
+    cells = np.arange(rows.shape[0])[:, None] * k + rows
+    cells *= j
+    cells += true
     table = np.bincount(cells.ravel(), minlength=rows.shape[0] * k * j)
     return table.reshape(pred.shape[:-1] + (k, j))
 
@@ -49,7 +55,10 @@ def rand_index(pred, true):
         raise UsageError("rand index needs at least 2 points")
 
     def pairs(counts, axis):
-        return (counts * (counts - 1) // 2).sum(axis=axis)
+        # each c * (c - 1) is even, so halving the sum once is exact
+        products = counts - 1
+        products *= counts
+        return products.sum(axis=axis) // 2
 
     total = n * (n - 1) // 2
     same_same = pairs(table, (-2, -1))
@@ -64,10 +73,16 @@ def mutual_information(pred, true):
     zero."""
     table = _contingency(pred, true)
     n = float(len(true))
-    present = table > 0
+    empty = table == 0
+    # every cell unmasked, in two float buffers: an empty cell's ratio is
+    # 1 / 1, so its log and its term are +0.0, as if it were skipped
     logs = n * table
-    np.divide(logs, table.sum(axis=-1, keepdims=True) * table.sum(axis=-2, keepdims=True),
-              out=logs, where=present)
-    np.log(logs, out=logs, where=present)  # empty cells keep 0
-    logs *= table / n
+    logs += empty
+    scale = np.multiply(table.sum(axis=-1, keepdims=True), table.sum(axis=-2, keepdims=True),
+                        out=np.empty(table.shape))
+    scale *= ~empty
+    scale += empty
+    logs /= scale
+    np.log(logs, out=logs)
+    logs *= np.divide(table, n, out=scale)
     return _value(np.maximum(logs.sum(axis=(-2, -1)), 0.0))

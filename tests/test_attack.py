@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from gradlink import attack
 from gradlink.attack import (
     FeatureMatrix,
     _gram,
     _lloyd,
+    _median,
     build_features,
     greedy_match,
     kmeans,
@@ -359,6 +361,48 @@ def test_spectral_duplicate_rows_share_a_cluster():
     labels = spectral_points(pts, 2, seed=0)
     assert labels[0] == labels[1]
     assert labels[2] == labels[3]
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [15, 20, 120])
+def test_bandwidth_is_np_median_bit_for_bit(n):
+    """The bandwidth is the median of the n (n - 1) / 2 pairwise distances:
+    105, 190 and 7,140 of them, odd and even counts."""
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = rng.normal(size=(n, 6))
+        dist = np.sqrt(_gram(x, 1)[1])[np.triu_indices(n, k=1)]
+        assert dist.size == n * (n - 1) // 2
+        assert _bits(_median(dist)) == _bits(float(np.median(dist)))
+
+
+def test_median_is_np_median_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for size in list(range(1, 12)) + [1000, 1001]:
+        for values in (rng.normal(size=size), rng.integers(0, 3, size=size) * 0.1,
+                       rng.normal(size=size) * 1e300):
+            assert _bits(_median(values)) == _bits(float(np.median(values)))
+    with_nan = rng.normal(size=9)
+    with_nan[4] = np.nan
+    assert np.isnan(_median(with_nan))
+
+
+def test_spectral_labels_equal_those_with_np_median(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = np.vstack([rng.normal(size=(10, 4)) + c for c in (0.0, 3.0, 6.0)])
+    labels = spectral_points(x, 3, seed=1)
+    monkeypatch.setattr(attack, "_median", lambda values: float(np.median(values)))
+    assert np.array_equal(spectral_points(x, 3, seed=1), labels)
+
+
+def test_spectral_of_identical_points_is_one_cluster():
+    """Every pairwise distance is 0, so the bandwidth is 0 and no affinity
+    can be built: one cluster, whatever k asks for."""
+    labels = spectral_points(np.ones((6, 3)), 3, seed=0)
+    assert labels.dtype == np.int64 and labels.tolist() == [0] * 6
 
 
 # ---------------------------------------------------------------- LSAP

@@ -6,6 +6,8 @@ import functools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -529,6 +531,40 @@ def test_full_pipeline_and_report_round_trip(tmp_path, capsys):
     assert rendered == render_report(json.loads(report_path.read_text()))
 
 
+# The seven commands of one pipeline run in one process, as the benchmark's
+# worker runs them; prints whether numpy.ma was ever imported.
+PIPELINE_SCRIPT = """
+import contextlib, io, sys
+from gradlink.cli import main
+cfg, d = sys.argv[1], sys.argv[2]
+trace, sidecar = d + "/trace.jsonl", d + "/sidecar.json"
+steps = [["simulate", "--config", cfg, "--out", trace, "--sidecar", sidecar]]
+for m in ("kmeans", "spectral", "greedy"):
+    steps.append(["attack", "--trace", trace, "--method", m, "--out", f"{d}/a_{m}.json"])
+for m in ("kmeans", "spectral", "greedy"):
+    steps.append(["report", "--trace", trace, "--assignment", f"{d}/a_{m}.json",
+                  "--sidecar", sidecar, "--out", f"{d}/r_{m}.json"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in steps]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_pipeline_never_imports_numpy_ma(tmp_path):
+    """numpy imports numpy.ma lazily, at a cost of 14-29 ms, on the first
+    np.median and the like. No command of the pipeline needs it, so a fresh
+    process that runs all seven never loads it."""
+    cfg = _write_config(tmp_path, _base_config())
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE_SCRIPT, str(cfg), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0] False\n"
+
+
 def _strict_json(text):
     """`json.loads` without NaN, Infinity and -Infinity, which JSON lacks."""
     def reject(constant):
@@ -835,8 +871,8 @@ def test_mismatched_assignment_is_exit_2(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-def _must_not_train(*args, **kwargs):
-    raise AssertionError("simulate trained before checking its output paths")
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a command did its work before checking its output paths")
 
 
 @pytest.mark.parametrize("command", ["simulate", "simulate-sidecar", "attack", "report"])
@@ -848,7 +884,8 @@ def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypa
     write_sidecar(tmp_path / "sidecar.json", truth)
     write_assignment(tmp_path / "a.json", [0, 1, 2] * 2, clients=3, rounds=2,
                      method="greedy", selector="both")
-    monkeypatch.setattr(cli, "run_simulation", _must_not_train)
+    for name in ("run_simulation", "read_trace", "read_trace_header"):
+        monkeypatch.setattr(cli, name, _must_not_run)
     argv = {
         "simulate": ["simulate", "--config", str(cfg), "--out", str(bad)],
         "simulate-sidecar": ["simulate", "--config", str(cfg),
@@ -860,7 +897,7 @@ def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypa
                    "--sidecar", str(tmp_path / "sidecar.json"), "--out", str(bad)],
     }[command]
     assert main(argv) == EXIT_USAGE
-    assert str(bad) in capsys.readouterr().err
+    assert f"no directory to write {bad} into: {bad.parent}" in capsys.readouterr().err
     assert not (tmp_path / "t.jsonl").exists()
 
 

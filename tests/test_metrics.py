@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradlink.errors import UsageError
-from gradlink.metrics import mutual_information, purity, rand_index
+from gradlink.metrics import _contingency, mutual_information, purity, rand_index
 from gradlink.report import random_baseline, score
 
 
@@ -216,3 +216,86 @@ def test_random_baseline_equals_the_per_trial_loop(clients, rounds):
         assert got["trials"] == 300
         for key, val in want.items():
             assert got[key] == pytest.approx(val, abs=1e-12)
+
+
+# ---------------------------------------------------------------- bitwise oracles
+# The masked and per-term forms that the unmasked passes replace, kept as
+# oracles: every value must match them bit for bit, not within a tolerance.
+
+
+def _mi_masked(pred, true):
+    table = _contingency(pred, true)
+    n = float(len(true))
+    present = table > 0
+    logs = n * table
+    np.divide(logs, table.sum(axis=-1, keepdims=True) * table.sum(axis=-2, keepdims=True),
+              out=logs, where=present)
+    np.log(logs, out=logs, where=present)
+    logs *= table / n
+    return np.maximum(logs.sum(axis=(-2, -1)), 0.0)
+
+
+def _rand_per_term(pred, true):
+    table = _contingency(pred, true)
+    n = len(true)
+
+    def pairs(counts, axis):
+        return (counts * (counts - 1) // 2).sum(axis=axis)
+
+    total = n * (n - 1) // 2
+    return (total + 2 * pairs(table, (-2, -1)) - pairs(table.sum(axis=-1), -1)
+            - pairs(table.sum(axis=-2), -1)) / total
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(3)
+    yield [0, 1], [1, 0]  # K=2, n=2
+    yield [0, 0], [0, 1]
+    yield [0] * 6, [0, 1, 2, 0, 1, 2]  # a single predicted cluster
+    yield [0, 3, 3, 0, 5, 5], [0, 0, 4, 4, 2, 2]  # empty rows and columns
+    for k in (2, 3, 5, 20, 50):
+        for n in (2, 7, 4 * k):
+            true = rng.integers(0, k, size=n)
+            yield rng.integers(0, k, size=n), true
+            preds = rng.integers(0, k + 3, size=(30, n))  # some rows skip labels
+            preds[0] = 0
+            preds[1] = k + 2  # one cluster, far above every other label
+            yield preds, true
+
+
+def test_mi_and_rand_index_equal_the_masked_forms_bit_for_bit():
+    for pred, true in _oracle_cases():
+        assert np.array_equal(_bits(mutual_information(pred, true)), _bits(_mi_masked(pred, true)))
+        assert np.array_equal(_bits(rand_index(pred, true)), _bits(_rand_per_term(pred, true)))
+
+
+@pytest.mark.parametrize("clients, rounds", [(5, 3), (5, 4), (10, 4), (20, 6)])
+def test_random_baseline_equals_the_masked_forms_bit_for_bit(clients, rounds):
+    true = np.random.default_rng(rounds).permuted(
+        np.tile(np.arange(clients), (rounds, 1)), axis=1).ravel()
+    got = random_baseline(true, clients, 1000, seed=11)
+    preds = np.random.default_rng(11).integers(0, clients, size=(1000, true.size))
+    for key, oracle in (("rand_index", _rand_per_term), ("mutual_information", _mi_masked)):
+        assert _bits(got[key]) == _bits(float(oracle(preds, true).mean()))
+
+
+@pytest.mark.parametrize("pred, true", [
+    ([0.7, 1.2, 1.9], [0, 1, 1]),
+    ([0, 1, 1], [0.0, 1.0, 1.0]),
+    ([True, False, True], [0, 1, 1]),
+    (np.array([0, 1, 1]), np.array([False, True, True])),
+], ids=["float-pred", "float-true", "bool-pred", "bool-true"])
+def test_non_integer_labels_are_rejected(pred, true):
+    for metric in (purity, rand_index, mutual_information):
+        with pytest.raises(UsageError, match="integer dtype"):
+            metric(pred, true)
+
+
+def test_unsigned_labels_score_as_signed():
+    pred, true = [0, 1, 1, 2], [0, 0, 1, 1]
+    unsigned = np.array(pred, dtype=np.uint8), np.array(true, dtype=np.uint32)
+    assert score(*unsigned) == score(pred, true)
