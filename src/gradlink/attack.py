@@ -83,9 +83,24 @@ def _gram(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
 def _sq_dists(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Squared distances from every point to each centre `w @ x` (one weight
     row per centre), from the Gram matrix g = x xᵀ alone:
-    d2[i, c] = G_ii + w_cᵀ G w_c - 2 (G w_c)_i."""
-    gw = g @ w.T
-    return np.diag(g)[:, None] + np.sum(w * gw.T, axis=1)[None, :] - 2.0 * gw
+    d2[i, c] = G_ii + w_cᵀ G w_c - 2 (G w_c)_i. A (k, n) `w` gives (n, k)
+    distances, and an (r, k, n) stack of them (r, n, k)."""
+    gw = g @ np.swapaxes(w, -1, -2)
+    centre_sq = np.sum(w * np.swapaxes(gw, -1, -2), axis=-1)
+    return np.diag(g)[:, None] + centre_sq[..., None, :] - 2.0 * gw
+
+
+def _pp_index(d2: np.ndarray, rng: np.random.Generator):
+    """The next k-means++ centre: index i with probability d2[i] / d2.sum(),
+    drawn from one uniform exactly as `rng.choice(n, p=d2 / total)` draws
+    it, without the checks choice makes of `p` on every call; a uniform
+    `rng.integers(n)` if every d2 is 0."""
+    total = d2.sum()
+    if total == 0.0:
+        return rng.integers(d2.size)
+    cdf = (d2 / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(), side="right")
 
 
 def _kmeans_pp_init(pair_d2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -94,58 +109,67 @@ def _kmeans_pp_init(pair_d2: np.ndarray, k: int, rng: np.random.Generator) -> np
     chosen = [rng.integers(n)]
     d2 = pair_d2[:, chosen[0]]
     for _ in range(1, k):
-        total = d2.sum()
-        if total == 0.0:
-            chosen.append(rng.integers(n))
-            continue
-        chosen.append(rng.choice(n, p=d2 / total))
+        chosen.append(_pp_index(d2, rng))
         d2 = np.minimum(d2, pair_d2[:, chosen[-1]])
     return np.eye(n)[chosen]
 
 
-def _lloyd(g: np.ndarray, w: np.ndarray):
-    """Lloyd's loop on the Gram matrix. Each centre is a weight row `w[c]`:
-    one-hot after seeding or repair, 1/|S| on its members after an update."""
-    k = w.shape[0]
-    rows = np.arange(g.shape[0])
-    labels = None
-    prev_inertia = np.inf
+def _lloyd(g: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lloyd's loop on the Gram matrix for an (r, k, n) stack of restarts in
+    lockstep. Each centre is a weight row `w[j, c]`: one-hot after seeding or
+    repair, 1/|S| on its members after an update. A restart that converges
+    stops with the weights its last pass ran on while the others go on; a
+    repair in that pass refills a cluster with the one point it held, so it
+    would write back the same one-hot row. Returns each restart's labels
+    (r, n) and final inertia (r,)."""
+    r, k, n = w.shape
+    rows = np.arange(n)
+    labels = np.full((r, n), -1)  # no label is -1, so no restart stops on its first pass
+    prev_inertia = np.full(r, np.inf)
+    active = np.arange(r)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_dists(g, w)
-        new_labels = np.argmin(d2, axis=1)
+        wa = w[active]
+        d2 = _sq_dists(g, wa)
+        new_labels = np.argmin(d2, axis=2)
+        cells = new_labels + k * np.arange(len(active))[:, None]
+        empty = np.bincount(cells.ravel(), minlength=len(active) * k).reshape(-1, k) == 0
         # repair empty clusters with the point farthest from its own centroid,
         # among clusters of two or more, so no repair empties another cluster
-        for c in range(k):
-            if not np.any(new_labels == c):
-                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
-                far = int(np.argmax(np.where(shared, d2[rows, new_labels], -np.inf)))
-                new_labels[far] = c
-                w[c] = rows == far
-                d2[:, c] = _sq_dists(g, w[c : c + 1])[:, 0]
-        inertia = float(d2[rows, new_labels].sum())
-        if inertia > prev_inertia + 1e-9:
-            raise NumericalError(f"k-means inertia increased from {prev_inertia} to {inertia}")
-        if labels is not None and np.array_equal(new_labels, labels):
+        for j, c in zip(*np.nonzero(empty)):
+            own = new_labels[j]
+            shared = np.bincount(own, minlength=k)[own] > 1
+            far = int(np.argmax(np.where(shared, d2[j, rows, own], -np.inf)))
+            own[far] = c
+            wa[j, c] = rows == far
+            d2[j, :, c] = _sq_dists(g, wa[j, c : c + 1])[:, 0]
+        inertia = np.take_along_axis(d2, new_labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        rising = np.flatnonzero(inertia > prev_inertia[active] + 1e-9)
+        if rising.size:
+            before, after = prev_inertia[active[rising[0]]], inertia[rising[0]]
+            raise NumericalError(f"k-means inertia increased from {before} to {after}")
+        done = np.all(new_labels == labels[active], axis=1)
+        active, new_labels, inertia = active[~done], new_labels[~done], inertia[~done]
+        if not active.size:
             break
-        labels = new_labels
-        members = labels[None, :] == np.arange(k)[:, None]
-        w = members / members.sum(axis=1, keepdims=True)
-        prev_inertia = inertia
-    return labels, float(_sq_dists(g, w)[rows, labels].sum())
+        labels[active] = new_labels
+        members = new_labels[:, None, :] == np.arange(k)[None, :, None]
+        w[active] = members / members.sum(axis=2, keepdims=True)
+        prev_inertia[active] = inertia
+    final = np.take_along_axis(_sq_dists(g, w), labels[:, :, None], axis=2)[:, :, 0]
+    return labels, final.sum(axis=1)
 
 
 def kmeans_points(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding on raw points; best of
-    `KMEANS_RESTARTS` by inertia, deterministic under seed. Every distance
-    comes from the (n, n) Gram matrix, built once (kernel k-means)."""
+    `KMEANS_RESTARTS` by inertia (the first of equals), deterministic under
+    seed. The restarts are seeded one after another from one generator and
+    then run in lockstep. Every distance comes from the (n, n) Gram matrix,
+    built once (kernel k-means)."""
     g, pair_d2 = _gram(x, k)
     rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        labels, inertia = _lloyd(g, _kmeans_pp_init(pair_d2, k, rng))
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels
+    w = np.stack([_kmeans_pp_init(pair_d2, k, rng) for _ in range(KMEANS_RESTARTS)])
+    labels, inertia = _lloyd(g, w)
+    return labels[int(np.argmin(inertia))]
 
 
 def kmeans(features: FeatureMatrix, k: int, seed: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Experiment runner CLI: simulate | attack | report | sweep.
 
-Exit codes: 0 ok, 2 usage/config error, unreadable/unwritable path or out
-of memory, 3 numerical divergence.
+Exit codes: 0 ok, 1 any other gradlink error (today only a k-means inertia
+that rises, a NumericalError), 2 usage/config error, unreadable/unwritable
+path or out of memory, 3 numerical divergence.
 """
 
 import argparse
@@ -32,6 +33,7 @@ from .report import build_report, read_sidecar, render_report, write_report, wri
 from .traceio import read_assignment, read_trace, read_trace_header, write_assignment, write_trace
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
@@ -320,7 +322,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except GradlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import sys
 import warnings
 
 import numpy as np
@@ -9,10 +10,13 @@ from scipy.sparse.csgraph import connected_components
 
 from gradlink import attack
 from gradlink.attack import (
+    KMEANS_MAX_ITER,
     FeatureMatrix,
     _gram,
+    _kmeans_pp_init,
     _lloyd,
     _median,
+    _pp_index,
     build_features,
     greedy_match,
     kmeans,
@@ -274,9 +278,167 @@ def test_gram_lloyd_matches_oracle_from_centres_inside_the_hull():
         pts = rng.normal(size=(n, int(rng.integers(2, 30))))
         weights = rng.dirichlet(np.ones(n), size=k)
         g, _ = _gram(pts, k)
-        labels, _ = _lloyd(g, weights.copy())
+        labels, _ = _lloyd(g, weights[None].copy())
         oracle_labels, _ = _oracle_lloyd(pts, weights @ pts, 300)
-        np.testing.assert_array_equal(labels, oracle_labels)
+        np.testing.assert_array_equal(labels[0], oracle_labels)
+
+
+# The sequential Gram k-means that the lockstep restarts replaced, kept
+# verbatim as their oracle: one Lloyd loop per restart, seeded through
+# Generator.choice. The point-space oracles above check it all end to end.
+
+
+def _sequential_sq_dists(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    gw = g @ w.T
+    return np.diag(g)[:, None] + np.sum(w * gw.T, axis=1)[None, :] - 2.0 * gw
+
+
+def _sequential_kmeans_pp_init(pair_d2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: a one-hot weight row per chosen point."""
+    n = pair_d2.shape[0]
+    chosen = [rng.integers(n)]
+    d2 = pair_d2[:, chosen[0]]
+    for _ in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            chosen.append(rng.integers(n))
+            continue
+        chosen.append(rng.choice(n, p=d2 / total))
+        d2 = np.minimum(d2, pair_d2[:, chosen[-1]])
+    return np.eye(n)[chosen]
+
+
+def _sequential_lloyd(g: np.ndarray, w: np.ndarray):
+    """Lloyd's loop on the Gram matrix. Each centre is a weight row `w[c]`:
+    one-hot after seeding or repair, 1/|S| on its members after an update."""
+    k = w.shape[0]
+    rows = np.arange(g.shape[0])
+    labels = None
+    prev_inertia = np.inf
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = _sequential_sq_dists(g, w)
+        new_labels = np.argmin(d2, axis=1)
+        # repair empty clusters with the point farthest from its own centroid,
+        # among clusters of two or more, so no repair empties another cluster
+        for c in range(k):
+            if not np.any(new_labels == c):
+                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                far = int(np.argmax(np.where(shared, d2[rows, new_labels], -np.inf)))
+                new_labels[far] = c
+                w[c] = rows == far
+                d2[:, c] = _sequential_sq_dists(g, w[c : c + 1])[:, 0]
+        inertia = float(d2[rows, new_labels].sum())
+        if inertia > prev_inertia + 1e-9:
+            raise NumericalError(f"k-means inertia increased from {prev_inertia} to {inertia}")
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        members = labels[None, :] == np.arange(k)[:, None]
+        w = members / members.sum(axis=1, keepdims=True)
+        prev_inertia = inertia
+    return labels, float(_sequential_sq_dists(g, w)[rows, labels].sum())
+
+
+def _traced_sequential_lloyd(monkeypatch):
+    """`_sequential_lloyd` that also returns, per call, its number of passes
+    and whether it repaired an empty cluster in the pass it converged on:
+    each pass asks for k distance columns at once, each repair for one, and
+    the final inertia for k more."""
+    widths = []
+
+    def sq_dists(g, w, inner=_sequential_sq_dists):
+        widths.append(w.shape[0])
+        return inner(g, w)
+
+    monkeypatch.setattr(sys.modules[__name__], "_sequential_sq_dists", sq_dists)
+
+    def run(g, w):
+        widths.clear()
+        labels, inertia = _sequential_lloyd(g, w)
+        k = w.shape[0]
+        assert k > 1 and widths[-1] == k
+        return labels, inertia, widths.count(k) - 1, widths[-2] == 1
+
+    return run
+
+
+def _lockstep_matches_sequential(g, w, run):
+    """Assert that each restart of the (r, k, n) stack `w` ends in lockstep
+    with the labels and, bit for bit, the inertia of its own sequential
+    loop. Returns each restart's (passes, repaired in its last pass)."""
+    labels, inertia = _lloyd(g, w.copy())
+    assert labels.shape == w.shape[::2] and inertia.shape == w.shape[:1]
+    traced = []
+    for j in range(len(w)):
+        oracle_labels, oracle_inertia, passes, last_repaired = run(g, w[j].copy())
+        np.testing.assert_array_equal(labels[j], oracle_labels)
+        assert _bits(inertia[j]) == _bits(oracle_inertia)
+        traced.append((passes, last_repaired))
+    return traced
+
+
+def test_lockstep_lloyd_matches_sequential_oracle_on_duplicate_points(monkeypatch):
+    """Every point twice and k above the distinct points, so an argmin tie
+    empties a cluster in most passes, the pass of convergence included.
+    Small-integer coordinates keep every tie exact in both codes. Restarts
+    from one-hot seeds converge on different passes within one stack, and
+    one that converges on a repair must keep its repaired weights."""
+    run = _traced_sequential_lloyd(monkeypatch)
+    spread, last_repairs = 0, 0
+    for seed in range(12):
+        rng = np.random.default_rng(300 + seed)
+        base = rng.integers(-2, 3, size=(int(rng.integers(3, 7)), 2)).astype(np.float64)
+        pts = np.repeat(base, 2, axis=0)
+        n = len(pts)
+        k = int(rng.integers(2, n))
+        g, _ = _gram(pts, k)
+        w = np.eye(n)[np.stack([rng.choice(n, size=k, replace=False) for _ in range(6)])]
+        traced = _lockstep_matches_sequential(g, w, run)
+        spread += len({passes for passes, _ in traced}) > 1
+        last_repairs += sum(last_repaired for _, last_repaired in traced)
+    assert spread >= 6 and last_repairs >= 6
+
+
+def test_lockstep_lloyd_matches_sequential_oracle_from_centres_inside_the_hull(monkeypatch):
+    """Stacks of random mixtures of Gaussian points: restarts repair at
+    positive distances and run for different numbers of passes."""
+    run = _traced_sequential_lloyd(monkeypatch)
+    for seed in range(8):
+        rng = np.random.default_rng(400 + seed)
+        n, k = int(rng.integers(30, 61)), int(rng.integers(4, 13))
+        pts = rng.normal(size=(n, int(rng.integers(2, 30))))
+        g, _ = _gram(pts, k)
+        w = rng.dirichlet(np.ones(n), size=(5, k))
+        traced = _lockstep_matches_sequential(g, w, run)
+        assert len({passes for passes, _ in traced}) > 1
+
+
+def test_pp_index_is_generator_choice():
+    """The seeding draw returns the index that Generator.choice returns for
+    the same weights, zero entries among them, and leaves the generator in
+    the same state; all-zero weights draw rng.integers(n) instead."""
+    rng = np.random.default_rng(6)
+    for _ in range(500):
+        n = int(rng.integers(1, 130))
+        d2 = rng.random(n) * (rng.random(n) < 0.6) * 10.0 ** int(rng.integers(-6, 7))
+        d2[int(rng.integers(n))] = rng.random() + 0.5
+        seed = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _pp_index(d2, ours) == theirs.choice(n, p=d2 / d2.sum())
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    for n in (1, 7, 120):
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        assert _pp_index(np.zeros(n), ours) == theirs.integers(n)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    # k above the distinct points reaches the all-zero draw inside the seeding
+    pts = np.repeat(np.eye(3), 2, axis=0)
+    _, pair_d2 = _gram(pts, 5)
+    for seed in range(10):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            _kmeans_pp_init(pair_d2, 5, ours), _sequential_kmeans_pp_init(pair_d2, 5, theirs)
+        )
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # ---------------------------------------------------------------- eigensolver

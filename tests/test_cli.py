@@ -3,6 +3,7 @@ import concurrent.futures
 import dataclasses
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradlink import cli, fedsim, traceio
-from gradlink.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from gradlink import attack, cli, fedsim, traceio
+from gradlink.cli import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from gradlink.config import METHODS, load_experiment, parse_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
@@ -1023,6 +1024,26 @@ def test_memory_error_is_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_simulation", bare_out_of_memory)
     assert main(argv) == EXIT_USAGE
     assert "error: out of memory\n" in capsys.readouterr().err
+
+
+def test_numerical_error_is_exit_1(tmp_path, capsys, monkeypatch):
+    """A k-means inertia that rises is a NumericalError, the one gradlink
+    error that no other exit code covers: exit 1 with one error line and no
+    traceback. Each call for distances here reads 10 more than the one
+    before; the unit feature rows are at most 2 apart, so the inertia of
+    the second pass rises."""
+    cfg = _write_config(tmp_path, _base_config())
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "assignment.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    shift, sq_dists = itertools.count(), attack._sq_dists
+    monkeypatch.setattr(attack, "_sq_dists", lambda g, w: sq_dists(g, w) + 10.0 * next(shift))
+    argv = ["attack", "--trace", str(trace), "--method", "kmeans", "--out", str(out)]
+    assert main(argv) == EXIT_ERROR == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: k-means inertia increased from ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_divergence_is_exit_3(tmp_path, capsys):
