@@ -16,21 +16,18 @@ import sys
 from pathlib import Path
 
 from . import attack as attack_mod
-from .config import (
-    METHODS,
-    ExperimentConfig,
-    FilesSpec,
-    load_experiment,
-    parse_experiment,
-)
+from .config import ExperimentConfig, FilesSpec, load_experiment, parse_experiment
 from .corpus import generate_synthetic, load_text_shards
 from .errors import (
-    ConfigError, DivergedError, GradlinkError, InputError, UsageError, json_document, read_input
+    ConfigError, DivergedError, GradlinkError, InputError, UsageError, field, json_document,
+    known_keys, read_input
 )
 from .fedsim import run_simulation
 from .model import ModelConfig
 from .report import build_report, read_sidecar, render_report, write_report, write_sidecar
-from .traceio import read_assignment, read_trace, read_trace_header, write_assignment, write_trace
+from .traceio import (
+    METHODS, read_assignment, read_trace, read_trace_header, write_assignment, write_trace
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -157,7 +154,7 @@ def _apply_cell(base_doc: dict, overrides: dict) -> dict:
         if section == "dp" and doc.get("dp") is None:
             raise ConfigError(f"grid axis {axis!r} requires a 'dp' section in the base config")
         if not isinstance(doc.setdefault(section, {}), dict):
-            raise ConfigError(f"config.{section} must be an object")
+            raise ConfigError(f"config.{section} is not a JSON object")
         doc[section][axis] = value
     return doc
 
@@ -191,16 +188,10 @@ def run_sweep_cell(cell_dir: str, doc: dict) -> dict:
 
 
 def _grid_cells(grid_doc: dict):
-    base = grid_doc.get("base")
-    grid = grid_doc.get("grid")
-    unknown = set(grid_doc) - {"base", "grid"}
-    if unknown:
-        raise ConfigError(f"unknown keys in grid config: {sorted(unknown)}")
-    if not isinstance(base, dict) or not isinstance(grid, dict):
-        raise ConfigError("grid config needs 'base' and 'grid' objects")
-    bad = set(grid) - set(SWEEP_AXES)
-    if bad:
-        raise ConfigError(f"unknown grid axes: {sorted(bad)} (allowed: {tuple(SWEEP_AXES)})")
+    known_keys(grid_doc, ("base", "grid"), "grid config")
+    base = field(grid_doc, "base", "a JSON object", lambda v: isinstance(v, dict))
+    grid = known_keys(grid_doc["grid"], SWEEP_AXES, f"grid axes (allowed: {', '.join(SWEEP_AXES)})",
+                      required=())
     if not grid or any(not isinstance(vals, list) or not vals for vals in grid.values()):
         raise ConfigError("grid must map each axis to a non-empty list of values")
     cells = [{}]

@@ -1,6 +1,6 @@
 """Experiment configuration: a single strict JSON document. Each section's
 keys are the fields of its dataclass; unknown keys are errors so that sweep
-typos fail loudly.
+typos fail loudly, and so are missing fields that have no default.
 """
 
 import dataclasses
@@ -9,11 +9,12 @@ from typing import List, Optional, Union
 
 from .corpus import SyntheticSpec
 from .dp import DpConfig
-from .errors import ConfigError, GradlinkError, json_document, read_input, require_integers
+from .errors import (
+    ConfigError, GradlinkError, json_document, known_keys, read_input, require_integers
+)
 from .fedsim import FedConfig
 from .model import ModelArch, layer_names
-
-METHODS = ("kmeans", "spectral", "greedy")
+from .traceio import METHODS
 
 
 @dataclass(frozen=True)
@@ -57,25 +58,14 @@ def _build(cls, doc, where: str, **given):
     """A `cls` from the config section `doc` found at `where`. The section's
     keys are the fields of `cls` that `given` does not set, and those with
     no default are required."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object")
     accepted = [f for f in dataclasses.fields(cls) if f.name not in given]
-    unknown = set(doc) - {f.name for f in accepted}
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = [f.name for f in accepted if f.name not in doc
-               and f.default is f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {missing}")
-    return cls(**doc, **given)
+    required = [f.name for f in accepted if f.default is f.default_factory is dataclasses.MISSING]
+    return cls(**known_keys(doc, [f.name for f in accepted], where, required), **given)
 
 
 def parse_experiment(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - {"seed"} - {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    top = ["seed", *(f.name for f in dataclasses.fields(ExperimentConfig))]
+    known_keys(doc, top, "config", required=())
     data_doc = doc.get("data", {})
     if not isinstance(data_doc, dict) or set(data_doc) not in (set(), {"synthetic"}, {"files"}):
         raise ConfigError("config.data must hold exactly one of 'synthetic' or 'files'")

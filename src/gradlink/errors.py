@@ -1,12 +1,12 @@
 """Exception hierarchy shared across the simulator, attacks, and CLI, the
-field checks the config dataclasses raise them from, and `read_input`, the
-one place the package reads a file: every config, grid config, corpus,
-trace, sidecar and assignment file goes through it, so a missing or
-malformed input of any kind is an InputError."""
+checks of JSON documents and of config fields that raise them, and
+`read_input`, the one place the package reads a file: every config, grid
+config, corpus, trace, sidecar and assignment file goes through it, so a
+missing or malformed input of any kind is an InputError."""
 
 import json
-import math
 import numbers
+import sys
 from pathlib import Path
 
 
@@ -27,7 +27,9 @@ class InputError(GradlinkError):
 
 
 class ConfigError(GradlinkError):
-    """An experiment configuration is inconsistent or contains unknown keys."""
+    """A JSON document is not the object its format describes: a config or a
+    grid config, or a run file, whose error `read_input` turns into an
+    InputError naming the file."""
 
 
 class DivergedError(GradlinkError):
@@ -40,8 +42,38 @@ def is_integer(value) -> bool:
 
 
 def is_finite_number(value) -> bool:
-    """True for a finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a real number that is not a bool and that a float holds
+    finitely (JSON gives an int of any length)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def int_from(minimum: int):
+    """A check that a value is an integer (not a bool) >= `minimum`."""
+    return lambda v: is_integer(v) and v >= minimum
+
+
+def known_keys(doc, keys, what: str = "the document", required=None) -> dict:
+    """`doc`, or ConfigError unless it is a JSON object whose keys are all in
+    `keys` and include all of `required` (by default, all of `keys`). The
+    message names `what` and the unknown or missing keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {what}: {sorted(unknown)}")
+    missing = [key for key in (keys if required is None else required) if key not in doc]
+    if missing:
+        raise ConfigError(f"missing keys in {what}: {missing}")
+    return doc
+
+
+def field(doc: dict, key: str, expected: str, ok):
+    """`doc[key]`, or ConfigError saying it must be `expected` if not `ok`."""
+    value = doc[key]
+    if not ok(value):
+        raise ConfigError(f"{key} must be {expected}, got {value!r:.80}")
+    return value
 
 
 def require_integers(obj, minimums) -> None:
@@ -65,16 +97,18 @@ def require_finite(obj, names) -> None:
 def read_input(path, kind: str, parse):
     """`parse(fh)` of the file at `path`, open for binary reading, a `kind`
     file: InputError "missing" if there is no such file, "malformed" for any
-    error of the parse. Each parser decodes UTF-8 itself, so a file that is
-    not UTF-8 is malformed (UnicodeDecodeError is a ValueError), and JSON
-    nested too deep for `json.loads` (RecursionError) is malformed too."""
+    error of the parse, a failed document check (ConfigError) included. Each
+    parser decodes UTF-8 itself, so a file that is not UTF-8 is malformed
+    (UnicodeDecodeError is a ValueError), and JSON nested too deep for
+    `json.loads` (RecursionError) is malformed too."""
     p = Path(path)
     if not p.is_file():
         raise InputError(f"missing {kind} file: {p}")
     try:
         with open(p, "rb") as fh:
             return parse(fh)
-    except (InputError, UsageError, KeyError, ValueError, TypeError, RecursionError) as exc:
+    except (ConfigError, InputError, UsageError, KeyError, ValueError, TypeError,
+            RecursionError) as exc:
         raise InputError(f"malformed {kind} file {p}: {exc}") from exc
 
 

@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from .dp import rdp_epsilon
-from .errors import InputError, json_document, read_input
+from .errors import InputError, field, int_from, json_document, known_keys, read_input
 from .metrics import mutual_information, purity, rand_index
-from .traceio import field, int_from, known_keys
 
 RANDOM_BASELINE_TRIALS = 1000
 

@@ -6,7 +6,8 @@ tests/test_structure.py checks that the attack cannot import them.
 A trace file (format version 3) has two lines of JSON. Line 1 is a header
 object with exactly the keys `format_version`, `clients` (K), `rounds` (T),
 `seed`, `layer_manifest` (the FC/Proj weight layers, each exactly `name`,
-`rows` and `cols`), `dp`, `dp_steps` and `loss_curve`; an unknown key is
+`rows` and `cols`, no name twice), `dp` (null, or exactly `clip`, `sigma`
+and `delta`), `dp_steps` and `loss_curve`; an unknown or a missing key is
 malformed. Line 2 is exactly a double quote, the base64 of the
 little-endian float32 (K*T, dim) update matrix, a double quote and a
 newline, with no whitespace and no escapes. Rows are in (round, slot)
@@ -25,10 +26,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dp import DpConfig
-from .errors import InputError, is_finite_number, is_integer, json_document, read_input
+from .errors import (
+    InputError, field, int_from, is_finite_number, is_integer, json_document, known_keys, read_input
+)
 
 TRACE_FORMAT_VERSION = 3
 _BODY_DTYPE = np.dtype("<f4")
+# the attack methods, each named in the assignments it writes
+METHODS = ("kmeans", "spectral", "greedy")
 
 
 @dataclasses.dataclass
@@ -49,6 +54,11 @@ class TraceStore:
     dp_steps: Optional[int] = None
 
 
+# a header's keys: its format version and every TraceStore field but the rows
+_HEADER_KEYS = ["format_version",
+                *(f.name for f in dataclasses.fields(TraceStore) if f.name != "updates")]
+
+
 def write_trace(path, trace: TraceStore) -> None:
     header = {
         "format_version": TRACE_FORMAT_VERSION,
@@ -67,30 +77,6 @@ def write_trace(path, trace: TraceStore) -> None:
         fh.writelines((b'"', body, b'"\n'))
 
 
-def int_from(minimum: int):
-    """A check that a value is an integer (not a bool) >= `minimum`."""
-    return lambda v: is_integer(v) and v >= minimum
-
-
-def known_keys(doc, keys, what: str = "the document") -> dict:
-    """`doc`, or InputError unless it is a JSON object with no key outside
-    `keys`, naming the unknown keys."""
-    if not isinstance(doc, dict):
-        raise InputError(f"{what} is not a JSON object")
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise InputError(f"unknown keys in {what}: {sorted(unknown)}")
-    return doc
-
-
-def field(doc: dict, key: str, expected: str, ok):
-    """`doc[key]`, or InputError saying it must be `expected` if not `ok`."""
-    value = doc[key]
-    if not ok(value):
-        raise InputError(f"{key} must be {expected}, got {value!r:.80}")
-    return value
-
-
 def _trace_fields(header) -> dict:
     """TraceStore fields, all but `updates`, from a checked version-3 header."""
     if not isinstance(header, dict):
@@ -100,6 +86,7 @@ def _trace_fields(header) -> dict:
         old = is_integer(version) and 0 < version < TRACE_FORMAT_VERSION
         hint = "; re-run `gradlink simulate` to write it again" if old else ""
         raise InputError(f"format version {version!r} is not {TRACE_FORMAT_VERSION}{hint}")
+    known_keys(header, _HEADER_KEYS, "the header")
     rounds = field(header, "rounds", "an integer >= 2", int_from(2))
     entries = field(header, "layer_manifest", "a non-empty list", lambda v: isinstance(v, list) and v)
     entries = [known_keys(e, ("name", "rows", "cols"), "a layer_manifest entry") for e in entries]
@@ -109,23 +96,26 @@ def _trace_fields(header) -> dict:
          field(entry, "cols", "an integer >= 1", int_from(1)))
         for entry in entries
     ]
-    dp = field(header, "dp", "null or an object of finite numbers",
-               lambda v: v is None
-               or isinstance(v, dict) and all(map(is_finite_number, v.values())))
-    fields = {
+    names = [name for name, _, _ in manifest]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InputError(f"layer names repeated in layer_manifest: {repeated}")
+    dp = header["dp"]
+    if dp is not None:
+        dp = DpConfig(**known_keys(dp, [f.name for f in dataclasses.fields(DpConfig)],
+                                   "the header's dp"))
+    return {
         "clients": field(header, "clients", "an integer >= 2", int_from(2)),
         "rounds": rounds,
         "seed": field(header, "seed", "an integer >= 0", int_from(0)),
         "layer_manifest": manifest,
-        "dp": None if dp is None else DpConfig(**dp),
+        "dp": dp,
         "dp_steps": field(header, "dp_steps", "an integer >= 0 with dp, else null",
                           lambda v: v is None if dp is None else int_from(0)(v)),
         "loss_curve": field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
                             lambda v: isinstance(v, list) and len(v) == rounds + 1
                             and all(map(is_finite_number, v))),
     }
-    known_keys(header, ["format_version", *fields], "the header")
-    return fields
 
 
 def _read_header(fh) -> dict:
@@ -184,8 +174,8 @@ def read_assignment(path) -> dict:
 
 def _parse_assignment(fh) -> dict:
     doc = known_keys(json_document(fh), ("method", "selector", "clients", "rounds", "labels"))
-    for key in ("method", "selector"):
-        field(doc, key, "a string", lambda v: isinstance(v, str))
+    field(doc, "method", f"one of {METHODS}", lambda v: v in METHODS)
+    field(doc, "selector", "a string", lambda v: isinstance(v, str))
     k = field(doc, "clients", "an integer >= 2", int_from(2))
     t = field(doc, "rounds", "an integer >= 2", int_from(2))
     field(doc, "labels", f"a list of clients * rounds = {k * t} integers in [0, {k})",

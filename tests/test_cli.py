@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from gradlink import attack, cli, fedsim, traceio
 from gradlink.cli import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
-from gradlink.config import METHODS, load_experiment, parse_experiment
+from gradlink.config import load_experiment, parse_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
@@ -28,6 +28,7 @@ from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.model import ModelConfig, layer_names
 from gradlink.report import build_report, read_sidecar, render_report, write_report, write_sidecar
 from gradlink.traceio import (
+    METHODS,
     TraceStore,
     read_assignment,
     read_trace,
@@ -234,12 +235,22 @@ MALFORMED_TRACES = {
         _header(_four_values(h), layer_manifest=[
             {"name": "block1.fc", "rows": 1, "cols": 1, "bias": False}]),
         _b64(raw[:16])],
+    # the third layer of the same size as the first, under the first's name
+    "repeated-layer-name": lambda h, raw, row: [
+        _header(h, layer_manifest=[
+            dict(e, name="block1.fc") if i == 2 else e
+            for i, e in enumerate(json.loads(h)["layer_manifest"])]),
+        _b64(raw)],
+    # JSON has integers of any length; no float holds this one
+    "loss-beyond-float": lambda h, raw, row: [_header(h, loss_curve=[10**400] * 4), _b64(raw)],
 }
-# the message of each unknown-key case names the keys
-UNKNOWN_TRACE_KEYS = {
+# the message of each case that names what is wrong
+MALFORMED_TRACE_MESSAGES = {
     "sample-rate-key": "unknown keys in the header: ['dp_sample_rate']",
     "unknown-key": "unknown keys in the header: ['dp_step']",
     "unknown-layer-key": "unknown keys in a layer_manifest entry: ['bias']",
+    "repeated-layer-name": "layer names repeated in layer_manifest: ['block1.fc']",
+    "loss-beyond-float": "loss_curve must be a list of 4 finite numbers",
 }
 
 
@@ -251,7 +262,7 @@ def test_malformed_v2_trace_is_exit_2(tmp_path, capsys, case):
     assert _attack_code(tmp_path, path) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "malformed trace file" in err
-    assert UNKNOWN_TRACE_KEYS.get(case, "") in err
+    assert MALFORMED_TRACE_MESSAGES.get(case, "") in err
 
 
 def test_v2_trace_is_exit_2_and_says_to_simulate_again(tmp_path, capsys):
@@ -447,7 +458,7 @@ def test_fuzzed_assignment_is_valid_or_input_error(tmp_path_factory, data):
     assert all(type(v) is int for v in (k, t, *doc["labels"]))
     assert k >= 2 and t >= 2 and len(doc["labels"]) == k * t
     assert all(0 <= v < k for v in doc["labels"])
-    assert isinstance(doc["method"], str) and isinstance(doc["selector"], str)
+    assert doc["method"] in METHODS and isinstance(doc["selector"], str)
 
 
 @settings(max_examples=300, deadline=None)
@@ -692,6 +703,7 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     ("dp", "sigma", float("nan")),
     ("dp", "sigma", float("inf")),
     ("dp", "delta", "0.1"),
+    pytest.param("dp", "clip", 10**400, id="dp-clip-int-beyond-float"),
 ])
 def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, value):
     doc = _base_config(dp={"clip": 1.0, "sigma": 0.1})
@@ -923,6 +935,7 @@ MALFORMED_ASSIGNMENTS = {
     "rounds-string": _assignment_doc(rounds="2"),
     "clients-below-2": _assignment_doc(clients=1, labels=[0, 0]),
     "method-not-a-string": _assignment_doc(method=["greedy"]),
+    "method-unknown": _assignment_doc(method="bogus"),
     "unknown-key": _assignment_doc(seed=0),
     "not-an-object": [0, 1, 2, 2, 1, 0],
 }
@@ -944,6 +957,8 @@ def test_malformed_assignment_is_exit_2(tmp_path, capsys, case):
     assert "malformed assignment file" in err
     if case == "unknown-key":
         assert "unknown keys in the document: ['seed']" in err
+    if case == "method-unknown":
+        assert f"method must be one of {METHODS}, got 'bogus'" in err
 
 
 def _deep_json(path):
@@ -975,6 +990,82 @@ def test_deeply_nested_json_is_exit_2_naming_the_file(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert f"malformed {kind} file {deep}: maximum recursion depth" in err
     assert "Traceback" not in err
+
+
+# Each kind of JSON object a command reads: the file that holds it, the path
+# to it in that file's document (a trace's is its header line), its name in
+# messages, and a key whose deletion is its missing-key defect, with that
+# defect's message if the key is not the one named. The top level of a
+# config and the grid axes require no key of their own: deleting `fed`
+# leaves `config.fed` without `clients` and `rounds`, and deleting the one
+# axis leaves an empty grid.
+OBJECT_KINDS = {
+    "config": ("config", (), "config", "fed",
+               "missing keys in config.fed: ['clients', 'rounds']"),
+    "config-section": ("config", ("fed",), "config.fed", "clients", None),
+    "grid-config": ("grid config", (), "grid config", "grid", None),
+    "grid-axes": ("grid config", ("grid",), f"grid axes (allowed: {', '.join(cli.SWEEP_AXES)})",
+                  "server_lr", "grid must map each axis to a non-empty list of values"),
+    "trace-header": ("trace", (), "the header", "seed", None),
+    "manifest-entry": ("trace", ("layer_manifest", 0), "a layer_manifest entry", "cols", None),
+    "header-dp": ("trace", ("dp",), "the header's dp", "delta", None),
+    "assignment": ("assignment", (), "the document", "method", None),
+    "sidecar": ("sidecar", (), "the document", "rounds", None),
+}
+OBJECT_DEFECTS = {
+    "not-an-object": lambda obj, key: 3,
+    "unknown-key": lambda obj, key: dict(obj, bogus=1),
+    "missing-key": lambda obj, key: {k: v for k, v in obj.items() if k != key},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(OBJECT_DEFECTS))
+@pytest.mark.parametrize("kind", list(OBJECT_KINDS))
+def test_json_object_with_a_defect_is_exit_2_naming_it(tmp_path, capsys, kind, defect):
+    """Every JSON object a command reads, run through `main`: one that is
+    not an object, has a key its format does not, or lacks a key it
+    requires exits 2 with a message that names the object and the key. A
+    trace header's `dp` without `delta` does not load with the default."""
+    file_kind, path, what, key, missing = OBJECT_KINDS[kind]
+    trace, truth, _ = _run_trace(k=3, t=2)
+    files = {"config": tmp_path / "config.json", "grid config": tmp_path / "grid.json",
+             "trace": tmp_path / "trace.jsonl", "assignment": tmp_path / "a.json",
+             "sidecar": tmp_path / "sidecar.json"}
+    _write_config(tmp_path, _base_config(), files["config"].name)
+    _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": [0.1]}},
+                  files["grid config"].name)
+    write_trace(files["trace"], dataclasses.replace(trace, dp=DpConfig(**DP), dp_steps=2))
+    write_sidecar(files["sidecar"], truth)
+    write_assignment(files["assignment"], [0, 1, 2] * 2, clients=3, rounds=2,
+                     method="greedy", selector="both")
+
+    lines = files[file_kind].read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[0])
+    if path:
+        *outer, last = path
+        parent = functools.reduce(lambda node, k: node[k], outer, doc)
+        parent[last] = OBJECT_DEFECTS[defect](parent[last], key)
+    else:
+        doc = OBJECT_DEFECTS[defect](doc, key)
+    files[file_kind].write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n", encoding="utf-8")
+    argv = {
+        "config": ["simulate", "--config", str(files["config"]), "--out", str(tmp_path / "t")],
+        "grid config": ["sweep", "--config", str(files["grid config"]),
+                        "--out-dir", str(tmp_path / "s")],
+        "trace": ["attack", "--trace", str(files["trace"]), "--method", "greedy",
+                  "--out", str(tmp_path / "out.json")],
+    }.get(file_kind, ["report", "--trace", str(files["trace"]), "--assignment",
+                      str(files["assignment"]), "--sidecar", str(files["sidecar"])])
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    expected = {
+        "not-an-object": f"{what} is not a JSON object",
+        "unknown-key": f"unknown keys in {what}: ['bogus']",
+        "missing-key": missing or f"missing keys in {what}: ['{key}']",
+    }[defect]
+    assert expected in err and "Traceback" not in err
+    if file_kind in ("trace", "assignment", "sidecar"):
+        assert f"malformed {file_kind} file {files[file_kind]}: " in err
 
 
 @pytest.mark.parametrize("embed_dim, ffn_mult", [(10**7, 10**4), (10**9, 10**9)])
@@ -1157,7 +1248,7 @@ def test_sweep_axis_into_a_section_that_is_not_an_object_is_exit_2(tmp_path, cap
     doc = {"base": _base_config(**{section: 3}), "grid": {axis: [2]}}
     cfg = _write_config(tmp_path, doc, "grid.json")
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
-    assert f"config.{section} must be an object" in capsys.readouterr().err
+    assert f"config.{section} is not a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

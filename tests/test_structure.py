@@ -9,6 +9,9 @@ place, `errors.read_input`, so a bad file of any kind fails the same way.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,9 +73,10 @@ def _identifiers(tree):
 def boundary_violations(trees, start="attack"):
     """Why the modules `start` reaches through package imports could see
     the truth: a truth module in the closure, or a truth name in a module
-    of it. The package `__init__` is left out; it re-exports for users."""
-    modules = set(trees) - {"__init__"}
-    closure, todo = set(), [start]
+    of it. Importing any module of the package runs its `__init__` first,
+    so the closure starts from both."""
+    modules = set(trees)
+    closure, todo = set(), [start, "__init__"]
     while todo:
         name = todo.pop()
         if name not in closure:
@@ -108,15 +112,32 @@ def _planted(**sources):
         "fedsim": "from .traceio import TraceStore\ntruth = None\n",
         "report": "def read_sidecar(path):\n    pass\n",
         "cli": "from . import attack as attack_mod\nfrom .report import read_sidecar\n",
-        "__init__": "from .fedsim import truth\nfrom .report import read_sidecar\n",
+        "__init__": '__version__ = "0.1.0"\n',
     }
     base.update(sources)
     return {name: ast.parse(source) for name, source in base.items()}
 
 
 def test_boundary_check_passes_the_planted_baseline():
-    """The package `__init__` and `cli` may import the truth modules."""
+    """`cli` may import the truth modules."""
     assert boundary_violations(_planted()) == []
+
+
+def test_boundary_check_reports_a_truth_import_in_the_package_init():
+    trees = _planted(__init__="from .fedsim import run_simulation\n")
+    assert boundary_violations(trees) == ["attack reaches fedsim"]
+
+
+def test_importing_the_attack_loads_no_truth_module():
+    """In a fresh interpreter, as the package runs rather than as its
+    source reads."""
+    probe = "import sys, gradlink.attack; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env, timeout=60)
+    loaded = set(out.stdout.split())
+    assert "gradlink.attack" in loaded
+    assert sorted(loaded & {f"gradlink.{name}" for name in TRUTH_MODULES}) == []
 
 
 @pytest.mark.parametrize("attack_source, expected", [
