@@ -66,8 +66,10 @@ class FedConfig:
             self, {"clients": 2, "rounds": 2, "local_epochs": 0, "batch_size": 1, "seed": 0}
         )
         require_finite(self, ("client_lr", "server_lr"))
-        if self.client_lr <= 0 or self.server_lr < 0:
-            raise ConfigError("learning rates must be positive")
+        if self.client_lr <= 0:
+            raise ConfigError(f"client_lr must be > 0, got {self.client_lr!r}")
+        if self.server_lr < 0:
+            raise ConfigError(f"server_lr must be >= 0, got {self.server_lr!r}")
 
 
 def linear_layer_manifest(config: ModelConfig) -> List[Tuple[str, int, int]]:

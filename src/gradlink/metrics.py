@@ -1,11 +1,11 @@
 """Clustering evaluation: purity, Rand index, and mutual information
 (natural log) of a predicted partition against the ground truth.
 
-Each metric is a closed form over the pred x true contingency table. `pred`
-is one labeling of shape (n,), scored to a float, or a stack of labelings of
-shape (trials, n), scored to one value per row. Stacked scoring works in place
-where it can: on the random baseline's (1000, K, K) stack, a fresh temporary
-costs more in page faults than the pass that fills it.
+`contingency` checks the labels and counts the pred x true table, and each
+metric is a closed form over it that reads N from it: a float for the table of
+an (n,) labeling, one value per row for the tables of a (trials, n) stack.
+Stacked scoring works in place where it can: on the baseline's (1000, K, K)
+stack, a fresh temporary costs more in page faults than the pass that fills it.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import UsageError
 
 
-def _contingency(pred, true):
+def contingency(pred, true):
     """Count tables of shape pred.shape[:-1] + (clusters, classes), all built
     by one bincount over (row, pred, true)."""
     pred, true = np.asarray(pred), np.asarray(true)
@@ -39,19 +39,17 @@ def _value(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def purity(pred, true):
+def purity(table):
     """Fraction of points in the dominant true class of their predicted
     cluster: (1/N) * sum over clusters of max true-class overlap."""
-    table = _contingency(pred, true)
-    return _value(table.max(axis=-1).sum(axis=-1) / len(true))
+    return _value(table.max(axis=-1).sum(axis=-1) / table.sum(axis=(-2, -1)))
 
 
-def rand_index(pred, true):
+def rand_index(table):
     """Fraction of point pairs on which the two partitions agree (together
     in both, or apart in both)."""
-    table = _contingency(pred, true)
-    n = len(true)
-    if n < 2:
+    n = table.sum(axis=(-2, -1))
+    if np.min(n) < 2:
         raise UsageError("rand index needs at least 2 points")
 
     def pairs(counts, axis):
@@ -67,12 +65,11 @@ def rand_index(pred, true):
     return _value((total + 2 * same_same - pred_pairs - true_pairs) / total)
 
 
-def mutual_information(pred, true):
+def mutual_information(table):
     """Raw mutual information in nats: sum over non-empty intersections of
     (n_kj/N) * ln(N * n_kj / (n_k * n_j)). Empty intersections contribute
     zero."""
-    table = _contingency(pred, true)
-    n = float(len(true))
+    n = table.sum(axis=(-2, -1), keepdims=True, dtype=np.float64)
     empty = table == 0
     # every cell unmasked, in two float buffers: an empty cell's ratio is
     # 1 / 1, so its log and its term are +0.0, as if it were skipped

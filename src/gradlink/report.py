@@ -14,7 +14,7 @@ import numpy as np
 
 from .dp import rdp_epsilon
 from .errors import InputError, field, int_from, json_document, known_keys, read_input
-from .metrics import mutual_information, purity, rand_index
+from .metrics import contingency, mutual_information, purity, rand_index
 
 RANDOM_BASELINE_TRIALS = 1000
 
@@ -44,10 +44,11 @@ def _parse_sidecar(fh) -> np.ndarray:
 
 def score(pred, true) -> dict:
     """The three metrics of one labeling, or arrays of them for a stack."""
+    table = contingency(pred, true)
     return {
-        "purity": purity(pred, true),
-        "rand_index": rand_index(pred, true),
-        "mutual_information": mutual_information(pred, true),
+        "purity": purity(table),
+        "rand_index": rand_index(table),
+        "mutual_information": mutual_information(table),
     }
 
 

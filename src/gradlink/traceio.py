@@ -82,7 +82,7 @@ def _trace_fields(header) -> dict:
     if not isinstance(header, dict):
         raise InputError("the header is not a JSON object")
     version = header.get("format_version")
-    if version != TRACE_FORMAT_VERSION or isinstance(version, bool):
+    if not is_integer(version) or version != TRACE_FORMAT_VERSION:
         old = is_integer(version) and 0 < version < TRACE_FORMAT_VERSION
         hint = "; re-run `gradlink simulate` to write it again" if old else ""
         raise InputError(f"format version {version!r} is not {TRACE_FORMAT_VERSION}{hint}")

@@ -18,7 +18,7 @@ from gradlink.cli import main
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon, start_noise
 from gradlink.fedsim import FedConfig, aggregate, client_round, local_training, run_simulation
-from gradlink.metrics import mutual_information, purity, rand_index
+from gradlink.metrics import contingency, mutual_information, purity, rand_index
 from gradlink.model import (
     ModelConfig,
     forward_trace,
@@ -53,15 +53,15 @@ def _synthetic_run(k, t, seed=0, dp_cfg=None, train_sentences=24, **fed_kwargs):
 
 def _greedy_scores(trace, truth):
     labels = greedy_match(build_features(trace, "both"))
-    true = truth.ravel()
-    return purity(labels, true), mutual_information(labels, true)
+    table = contingency(labels, truth.ravel())
+    return purity(table), mutual_information(table)
 
 
 def test_mutual_information_anchors():
     with _criterion("MI anchors 1.099/1.609/2.303/2.996 for K=3/5/10/20"):
         for k, expected in {3: 1.099, 5: 1.609, 10: 2.303, 20: 2.996}.items():
             labels = np.repeat(np.arange(k), 6)
-            assert mutual_information(labels, labels) == pytest.approx(
+            assert mutual_information(contingency(labels, labels)) == pytest.approx(
                 expected, abs=1e-3
             )
 
@@ -73,8 +73,9 @@ def test_perfect_attack_identities():
             true = rng.integers(0, 5, size=30)
             relabel = rng.permutation(5)
             pred = relabel[true]
-            assert purity(pred, true) == 1.0
-            assert rand_index(pred, true) == 1.0
+            table = contingency(pred, true)
+            assert purity(table) == 1.0
+            assert rand_index(table) == 1.0
 
 
 def test_assignment_solver_exactness():
@@ -177,7 +178,7 @@ def test_attack_succeeds_at_desk_scale():
             assert mi >= 0.9 * np.log(k), f"K={k} greedy MI {mi}"
             spec_labels = spectral(build_features(trace, "both"), k, seed=0)
             baseline = random_baseline(true, k, trials=200, seed=0)["purity"]
-            spec_pur = purity(spec_labels, true)
+            spec_pur = purity(contingency(spec_labels, true))
             assert spec_pur > baseline + 0.1, f"K={k} spectral {spec_pur} vs {baseline}"
 
 
@@ -249,19 +250,20 @@ def test_metrics_match_exhaustive_oracles():
             n = int(rng.integers(2, 9))
             pred = rng.integers(0, 4, size=n).tolist()
             true = rng.integers(0, 4, size=n).tolist()
+            table = contingency(pred, true)
 
             pur_oracle = Fraction(0)
             for c in set(pred):
                 members = [t for p, t in zip(pred, true) if p == c]
                 pur_oracle += max(members.count(v) for v in set(members))
-            assert purity(pred, true) == float(pur_oracle / n)
+            assert purity(table) == float(pur_oracle / n)
 
             agree = sum(
                 1
                 for i, j in itertools.combinations(range(n), 2)
                 if (pred[i] == pred[j]) == (true[i] == true[j])
             )
-            assert rand_index(pred, true) == float(
+            assert rand_index(table) == float(
                 Fraction(agree, n * (n - 1) // 2)
             )
 
@@ -273,7 +275,7 @@ def test_metrics_match_exhaustive_oracles():
                         mi += (nkj / n) * np.log(
                             n * nkj / (pred.count(c) * true.count(d))
                         )
-            assert mutual_information(pred, true) == pytest.approx(mi, abs=1e-12)
+            assert mutual_information(table) == pytest.approx(mi, abs=1e-12)
 
 
 def test_simulation_outputs_are_byte_reproducible(tmp_path):

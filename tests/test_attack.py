@@ -29,7 +29,7 @@ from gradlink.attack import (
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.errors import NumericalError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
-from gradlink.metrics import purity, rand_index
+from gradlink.metrics import contingency, purity, rand_index
 from gradlink.model import ModelConfig, layer_names
 
 
@@ -169,7 +169,7 @@ def test_kmeans_matches_brute_force_on_sphere_bundles():
     pts = np.array(pts)
     labels = kmeans_points(pts, 3, seed=1)
     _, best_labels = _brute_force_min_inertia(pts, 3)
-    assert rand_index(labels, best_labels) == 1.0
+    assert rand_index(contingency(labels, best_labels)) == 1.0
 
 
 def _oracle_kmeans_pp_init(x, k, rng):
@@ -502,7 +502,7 @@ def test_spectral_two_blobs_match_connected_components():
     labels = spectral_points(pts, 2, seed=0)
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     _, comp = connected_components(d < 1.0, directed=False)
-    assert rand_index(labels, comp) == 1.0
+    assert rand_index(contingency(labels, comp)) == 1.0
 
 
 def test_spectral_k1_is_single_cluster():
@@ -705,4 +705,4 @@ def test_greedy_perfect_on_frozen_model():
     trace, truth, _ = _small_trace(k=4, t=5, server_lr=0.0)
     f = build_features(trace, "both")
     labels = greedy_match(f)
-    assert purity(labels, truth.ravel()) == 1.0
+    assert purity(contingency(labels, truth.ravel())) == 1.0

@@ -243,6 +243,8 @@ MALFORMED_TRACES = {
         _b64(raw)],
     # JSON has integers of any length; no float holds this one
     "loss-beyond-float": lambda h, raw, row: [_header(h, loss_curve=[10**400] * 4), _b64(raw)],
+    # the version is the integer 3, not a float equal to it
+    "format-version-float": lambda h, raw, row: [_header(h, format_version=3.0), _b64(raw)],
 }
 # the message of each case that names what is wrong
 MALFORMED_TRACE_MESSAGES = {
@@ -251,6 +253,7 @@ MALFORMED_TRACE_MESSAGES = {
     "unknown-layer-key": "unknown keys in a layer_manifest entry: ['bias']",
     "repeated-layer-name": "layer names repeated in layer_manifest: ['block1.fc']",
     "loss-beyond-float": "loss_curve must be a list of 4 finite numbers",
+    "format-version-float": "format version 3.0 is not 3",
 }
 
 
@@ -697,6 +700,8 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     ("fed", "client_lr", float("nan")),
     ("fed", "client_lr", True),
     ("fed", "server_lr", float("inf")),
+    pytest.param("fed", "client_lr", 0, id="client-lr-zero"),
+    pytest.param("fed", "server_lr", -1, id="server-lr-negative"),
     ("dp", "clip", float("nan")),
     ("dp", "clip", float("inf")),
     ("dp", "clip", True),

@@ -6,45 +6,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradlink import report
 from gradlink.errors import UsageError
-from gradlink.metrics import _contingency, mutual_information, purity, rand_index
-from gradlink.report import random_baseline, score
+from gradlink.metrics import contingency, mutual_information, purity, rand_index
+from gradlink.report import RANDOM_BASELINE_TRIALS, build_report, random_baseline, score
 
 
 # ---------------------------------------------------------------- hand examples
 
 
 def test_perfect_match_scores():
-    pred = [0, 0, 1, 1, 2, 2]
-    assert purity(pred, pred) == 1.0
-    assert rand_index(pred, pred) == 1.0
-    assert mutual_information(pred, pred) == pytest.approx(np.log(3), abs=1e-12)
+    table = contingency([0, 0, 1, 1, 2, 2], [0, 0, 1, 1, 2, 2])
+    assert purity(table) == 1.0
+    assert rand_index(table) == 1.0
+    assert mutual_information(table) == pytest.approx(np.log(3), abs=1e-12)
 
 
 def test_purity_hand_example():
     # cluster 0 holds classes {0,0,1}, cluster 1 holds {1}; (2+1)/4
-    assert purity([0, 0, 0, 1], [0, 0, 1, 1]) == pytest.approx(0.75)
+    assert purity(contingency([0, 0, 0, 1], [0, 0, 1, 1])) == pytest.approx(0.75)
 
 
 def test_purity_half():
-    assert purity([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.5)
+    assert purity(contingency([0, 0, 1, 1], [0, 1, 0, 1])) == pytest.approx(0.5)
 
 
 def test_rand_index_hand_example():
     # pairs: (0,1) together/together agree; (2,3) apart/apart agree;
     # (0,2),(0,3),(1,2),(1,3): pred apart, true (0,3),(1,2) mixed
-    assert rand_index([0, 0, 1, 2], [0, 0, 1, 1]) == pytest.approx(5 / 6)
+    assert rand_index(contingency([0, 0, 1, 2], [0, 0, 1, 1])) == pytest.approx(5 / 6)
 
 
 def test_rand_index_half():
-    assert rand_index([0, 1, 0, 1], [0, 0, 1, 1]) == pytest.approx(1 / 3)
+    assert rand_index(contingency([0, 1, 0, 1], [0, 0, 1, 1])) == pytest.approx(1 / 3)
 
 
 def test_single_cluster_prediction():
-    true = [0, 1, 2, 0, 1, 2]
-    pred = [0] * 6
-    assert purity(pred, true) == pytest.approx(1 / 3)
-    assert mutual_information(pred, true) == pytest.approx(0.0, abs=1e-12)
+    table = contingency([0] * 6, [0, 1, 2, 0, 1, 2])
+    assert purity(table) == pytest.approx(1 / 3)
+    assert mutual_information(table) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_k_ceiling_anchors():
@@ -53,18 +53,20 @@ def test_log_k_ceiling_anchors():
     anchors = {3: 1.099, 5: 1.609, 10: 2.303, 20: 2.996}
     for k, expected in anchors.items():
         labels = np.repeat(np.arange(k), 4)
-        assert mutual_information(labels, labels) == pytest.approx(expected, abs=1e-3)
+        assert mutual_information(contingency(labels, labels)) == pytest.approx(expected, abs=1e-3)
 
 
 def test_degenerate_inputs_rejected():
     with pytest.raises(UsageError):
-        purity([], [])
+        contingency([], [])
     with pytest.raises(UsageError):
-        purity([0, 1], [0])
+        contingency([0, 1], [0])
     with pytest.raises(UsageError):
-        rand_index([0], [0])
+        contingency([-1, 0], [0, 0])
     with pytest.raises(UsageError):
-        purity([-1, 0], [0, 0])
+        rand_index(contingency([0], [0]))
+    with pytest.raises(UsageError):
+        rand_index(contingency(np.zeros((3, 1), dtype=np.int64), [0]))
 
 
 # ---------------------------------------------------------------- brute-force oracles
@@ -107,9 +109,10 @@ def test_metrics_match_brute_force_on_random_partitions():
         n = int(rng.integers(2, 9))
         pred = rng.integers(0, 4, size=n).tolist()
         true = rng.integers(0, 4, size=n).tolist()
-        assert purity(pred, true) == float(_purity_oracle(pred, true))
-        assert rand_index(pred, true) == float(_rand_oracle(pred, true))
-        assert mutual_information(pred, true) == pytest.approx(
+        table = contingency(pred, true)
+        assert purity(table) == float(_purity_oracle(pred, true))
+        assert rand_index(table) == float(_rand_oracle(pred, true))
+        assert mutual_information(table) == pytest.approx(
             _mi_oracle(pred, true), abs=1e-12
         )
 
@@ -129,23 +132,22 @@ labels_pairs = st.integers(2, 10).flatmap(
 @given(labels_pairs, st.permutations(list(range(5))))
 def test_scores_invariant_under_relabeling(pair, perm):
     pred, true = pair
-    relabeled = [perm[p] for p in pred]
-    assert purity(relabeled, true) == purity(pred, true)
-    assert rand_index(relabeled, true) == rand_index(pred, true)
-    assert mutual_information(relabeled, true) == pytest.approx(
-        mutual_information(pred, true), abs=1e-12
-    )
+    table, relabeled = contingency(pred, true), contingency([perm[p] for p in pred], true)
+    assert purity(relabeled) == purity(table)
+    assert rand_index(relabeled) == rand_index(table)
+    assert mutual_information(relabeled) == pytest.approx(mutual_information(table), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(labels_pairs)
 def test_ranges_and_mi_symmetry(pair):
     pred, true = pair
-    assert 0.0 <= purity(pred, true) <= 1.0
-    assert 0.0 <= rand_index(pred, true) <= 1.0
-    mi = mutual_information(pred, true)
+    table = contingency(pred, true)
+    assert 0.0 <= purity(table) <= 1.0
+    assert 0.0 <= rand_index(table) <= 1.0
+    mi = mutual_information(table)
     assert mi >= 0.0
-    assert mi == pytest.approx(mutual_information(true, pred), abs=1e-12)
+    assert mi == pytest.approx(mutual_information(contingency(true, pred)), abs=1e-12)
     k = len(set(pred) | set(true))
     assert mi <= np.log(max(k, 2)) + 1e-12
 
@@ -156,7 +158,7 @@ def test_mi_hits_ceiling_only_for_bijective_relabelings():
     true = [0, 0, 1, 1, 2, 2]
     ceiling = np.log(3)
     for pred in itertools.product(range(3), repeat=6):
-        mi = mutual_information(list(pred), true)
+        mi = mutual_information(contingency(list(pred), true))
         groups_match = {
             frozenset(i for i in range(6) if pred[i] == c) for c in set(pred)
         } == {frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})}
@@ -174,7 +176,7 @@ def test_purity_never_decreases_under_refinement():
         coarse = rng.integers(0, 3, size=n)
         # split each coarse cluster in two: a strictly finer partition
         fine = coarse * 2 + rng.integers(0, 2, size=n)
-        assert purity(fine, true) >= purity(coarse, true)
+        assert purity(contingency(fine, true)) >= purity(contingency(coarse, true))
 
 
 # ---------------------------------------------------------------- batched scoring
@@ -194,6 +196,28 @@ def test_score_rows_of_a_stack_equal_one_dimensional_calls():
             assert batched["mutual_information"][i] == pytest.approx(
                 single["mutual_information"], abs=1e-12
             )
+
+
+def test_a_score_builds_one_table_and_a_report_two(monkeypatch):
+    """The three metrics of a labeling share one contingency table, so a
+    report counts labels twice: the attack's labeling and the baseline's
+    stack of random labelings."""
+    shapes = []
+
+    def counted(pred, true):
+        shapes.append(np.shape(pred))
+        return contingency(pred, true)
+
+    monkeypatch.setattr(report, "contingency", counted)
+    truth = np.tile(np.arange(5), (4, 1))
+    header = {"clients": 5, "rounds": 4, "seed": 0, "loss_curve": [], "dp": None}
+    assignment = {"clients": 5, "rounds": 4, "method": "greedy", "selector": "both",
+                  "labels": truth.ravel().tolist()}
+    build_report(header, assignment, truth)
+    assert shapes == [(20,), (RANDOM_BASELINE_TRIALS, 20)]
+    shapes.clear()
+    score(truth, truth[0])
+    assert shapes == [(4, 5)]
 
 
 def _random_baseline_loop(true, clients, trials, seed):
@@ -224,7 +248,7 @@ def test_random_baseline_equals_the_per_trial_loop(clients, rounds):
 
 
 def _mi_masked(pred, true):
-    table = _contingency(pred, true)
+    table = contingency(pred, true)
     n = float(len(true))
     present = table > 0
     logs = n * table
@@ -236,7 +260,7 @@ def _mi_masked(pred, true):
 
 
 def _rand_per_term(pred, true):
-    table = _contingency(pred, true)
+    table = contingency(pred, true)
     n = len(true)
 
     def pairs(counts, axis):
@@ -269,8 +293,9 @@ def _oracle_cases():
 
 def test_mi_and_rand_index_equal_the_masked_forms_bit_for_bit():
     for pred, true in _oracle_cases():
-        assert np.array_equal(_bits(mutual_information(pred, true)), _bits(_mi_masked(pred, true)))
-        assert np.array_equal(_bits(rand_index(pred, true)), _bits(_rand_per_term(pred, true)))
+        table = contingency(pred, true)
+        assert np.array_equal(_bits(mutual_information(table)), _bits(_mi_masked(pred, true)))
+        assert np.array_equal(_bits(rand_index(table)), _bits(_rand_per_term(pred, true)))
 
 
 @pytest.mark.parametrize("clients, rounds", [(5, 3), (5, 4), (10, 4), (20, 6)])
@@ -290,9 +315,8 @@ def test_random_baseline_equals_the_masked_forms_bit_for_bit(clients, rounds):
     (np.array([0, 1, 1]), np.array([False, True, True])),
 ], ids=["float-pred", "float-true", "bool-pred", "bool-true"])
 def test_non_integer_labels_are_rejected(pred, true):
-    for metric in (purity, rand_index, mutual_information):
-        with pytest.raises(UsageError, match="integer dtype"):
-            metric(pred, true)
+    with pytest.raises(UsageError, match="integer dtype"):
+        contingency(pred, true)
 
 
 def test_unsigned_labels_score_as_signed():
