@@ -9,12 +9,10 @@ from typing import List, Optional, Union
 
 from .corpus import SyntheticSpec
 from .dp import DpConfig
-from .errors import (
-    ConfigError, GradlinkError, json_document, known_keys, read_input, require_integers
-)
+from .errors import ConfigError, check_fields, integer, json_document, known_keys, read_input
 from .fedsim import FedConfig
 from .model import ModelArch, layer_names
-from .traceio import METHODS
+from .traceio import METHOD_RULE, SELECTOR_RULE
 
 
 @dataclass(frozen=True)
@@ -25,9 +23,11 @@ class FilesSpec:
     freq_cutoff: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.paths, list) or not all(isinstance(x, str) for x in self.paths):
-            raise ConfigError(f"paths must be a list of file names, got {self.paths!r}")
-        require_integers(self, {"train_sentences": 1, "valid_sentences": 1, "freq_cutoff": 1})
+        check_fields(self, {
+            "paths": ("a list of file names",
+                      lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+            "train_sentences": integer(1), "valid_sentences": integer(1), "freq_cutoff": integer(1),
+        })
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,7 @@ class AttackSpec:
     selector: str = "both"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"attack method must be one of {METHODS}")
-        if not isinstance(self.selector, str):
-            raise ConfigError(f"attack selector must be a string, got {self.selector!r}")
+        check_fields(self, {"method": METHOD_RULE, "selector": SELECTOR_RULE})
 
 
 @dataclass
@@ -69,27 +66,19 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     data_doc = doc.get("data", {})
     if not isinstance(data_doc, dict) or set(data_doc) not in (set(), {"synthetic"}, {"files"}):
         raise ConfigError("config.data must hold exactly one of 'synthetic' or 'files'")
-    try:
-        fed = _build(FedConfig, doc.get("fed", {}), "config.fed", seed=doc.get("seed", 0))
-        model = _build(ModelArch, doc.get("model", {}), "config.model")
-        if "files" in data_doc:
-            data: Union[SyntheticSpec, FilesSpec] = _build(
-                FilesSpec, data_doc["files"], "config.data.files"
-            )
-            if len(data.paths) != fed.clients:
-                raise ConfigError(f"config.fed.clients={fed.clients} but data.files "
-                                  f"has {len(data.paths)} paths, one per client")
-        else:
-            syn_doc = data_doc.get("synthetic", {})
-            if isinstance(syn_doc, dict) and "sentence_len" in syn_doc:
-                syn_doc = dict(syn_doc, sentence_len=tuple(syn_doc["sentence_len"]))
-            data = _build(SyntheticSpec, syn_doc, "config.data.synthetic", n_clients=fed.clients)
-        dp = None if doc.get("dp") is None else _build(DpConfig, doc["dp"], "config.dp")
-        attack = _build(AttackSpec, doc.get("attack", {}), "config.attack")
-    except GradlinkError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    fed = _build(FedConfig, doc.get("fed", {}), "config.fed", seed=doc.get("seed", 0))
+    model = _build(ModelArch, doc.get("model", {}), "config.model")
+    if "files" in data_doc:
+        data: Union[SyntheticSpec, FilesSpec] = _build(FilesSpec, data_doc["files"],
+                                                       "config.data.files")
+        if len(data.paths) != fed.clients:
+            raise ConfigError(f"config.fed.clients={fed.clients} but data.files "
+                              f"has {len(data.paths)} paths, one per client")
+    else:
+        data = _build(SyntheticSpec, data_doc.get("synthetic", {}), "config.data.synthetic",
+                      n_clients=fed.clients)
+    dp = None if doc.get("dp") is None else _build(DpConfig, doc["dp"], "config.dp")
+    attack = _build(AttackSpec, doc.get("attack", {}), "config.attack")
 
     layer_names(attack.selector, model.n_blocks)  # UsageError unless the selector fits the model
     return ExperimentConfig(fed=fed, model=model, data=data, dp=dp, attack=attack)

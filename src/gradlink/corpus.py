@@ -10,15 +10,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ConfigError,
-    InputError,
-    UsageError,
-    is_integer,
-    read_input,
-    require_finite,
-    require_integers,
-)
+from .errors import InputError, UsageError, check_fields, finite, integer, is_integer, read_input
 from .rng import labeled_rng
 
 PAD_ID = 0
@@ -59,28 +51,20 @@ class SyntheticSpec:
     n_clients: int
     train_sentences: int = 64
     valid_sentences: int = 8
-    sentence_len: Tuple[int, int] = (6, 12)
+    sentence_len: Sequence[int] = (6, 12)  # [lo, hi], a list when read from JSON
     topic_vocab_size: int = 15
     shared_vocab_size: int = 20
     overlap: float = 0.1  # fraction of tokens drawn from the shared vocabulary
 
     def __post_init__(self):
-        # types first; the ranges below keep their own messages
-        counts = ("n_clients", "train_sentences", "valid_sentences", "topic_vocab_size",
-                  "shared_vocab_size")
-        require_integers(self, dict.fromkeys(counts, 0))
-        require_finite(self, ("overlap",))
-        if len(self.sentence_len) != 2 or not all(map(is_integer, self.sentence_len)):
-            raise ConfigError(f"sentence_len must be two integers, got {self.sentence_len!r}")
-        if self.n_clients < 2:
-            raise UsageError("need at least 2 clients")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise UsageError("overlap must be in [0, 1]")
-        lo, hi = self.sentence_len
-        if lo < 2 or hi < lo:
-            raise UsageError("bad sentence length range")
-        if self.topic_vocab_size < 1 or self.shared_vocab_size < 0:
-            raise UsageError("bad vocabulary sizes")
+        check_fields(self, {
+            "n_clients": integer(2), "train_sentences": integer(0), "valid_sentences": integer(0),
+            "sentence_len": ("a list of two integers [lo, hi] with 2 <= lo <= hi",
+                             lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                             and all(map(is_integer, v)) and 2 <= v[0] <= v[1]),
+            "topic_vocab_size": integer(1), "shared_vocab_size": integer(0),
+            "overlap": finite("in [0, 1]", lambda v: 0 <= v <= 1),
+        })
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Tuple[List[ClientShard], Vocab]:

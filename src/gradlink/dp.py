@@ -36,7 +36,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UsageError, require_finite
+from .errors import UsageError, check_fields, finite
 
 MAX_RDP_ORDER = 128
 
@@ -48,13 +48,11 @@ class DpConfig:
     delta: float = 1e-4
 
     def __post_init__(self):
-        require_finite(self, ("clip", "sigma", "delta"))
-        if self.clip <= 0:
-            raise UsageError("clip bound must be > 0")
-        if self.sigma < 0:
-            raise UsageError("noise multiplier must be >= 0")
-        if not 0.0 < self.delta < 1.0:
-            raise UsageError("delta must be in (0, 1)")
+        check_fields(self, {
+            "clip": finite("> 0", lambda v: v > 0),
+            "sigma": finite(">= 0", lambda v: v >= 0),
+            "delta": finite("in (0, 1)", lambda v: 0 < v < 1),
+        })
 
 
 def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:

@@ -48,11 +48,6 @@ def is_finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def int_from(minimum: int):
-    """A check that a value is an integer (not a bool) >= `minimum`."""
-    return lambda v: is_integer(v) and v >= minimum
-
-
 def known_keys(doc, keys, what: str = "the document", required=None) -> dict:
     """`doc`, or ConfigError unless it is a JSON object whose keys are all in
     `keys` and include all of `required` (by default, all of `keys`). The
@@ -76,22 +71,23 @@ def field(doc: dict, key: str, expected: str, ok):
     return value
 
 
-def require_integers(obj, minimums) -> None:
-    """Raise ConfigError unless each named field of `obj` is an integer (not
-    a bool) at or above its minimum."""
-    for name, minimum in minimums.items():
-        value = getattr(obj, name)
-        if not is_integer(value) or value < minimum:
-            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def integer(minimum: int):
+    """The rule of a field that is an integer (not a bool) >= `minimum`."""
+    return f"an integer >= {minimum}", lambda v: is_integer(v) and v >= minimum
 
 
-def require_finite(obj, names) -> None:
-    """Raise ConfigError unless each named field of `obj` is a finite real
-    number (not a bool)."""
-    for name in names:
-        value = getattr(obj, name)
-        if not is_finite_number(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+def finite(bound: str, ok):
+    """The rule of a field that is a finite real number (not a bool) for
+    which `ok` holds, as `bound` says in words."""
+    return f"a finite number {bound}", lambda v: is_finite_number(v) and ok(v)
+
+
+def check_fields(obj, rules: dict) -> None:
+    """ConfigError unless every field of the dataclass `obj` obeys its rule in
+    `rules`, an (expected, ok) pair for `field`: the first field that does
+    not, in field order, is named."""
+    for key in vars(obj):
+        field(vars(obj), key, *rules[key])
 
 
 def read_input(path, kind: str, parse):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import ClientShard, batch_iter, windows_from_sentences
 from .dp import DpConfig, privatize, start_noise
-from .errors import ConfigError, DivergedError, UsageError, require_finite, require_integers
+from .errors import ConfigError, DivergedError, UsageError, check_fields, finite, integer
 from .model import (
     GlobalModel,
     ModelConfig,
@@ -62,14 +62,12 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(
-            self, {"clients": 2, "rounds": 2, "local_epochs": 0, "batch_size": 1, "seed": 0}
-        )
-        require_finite(self, ("client_lr", "server_lr"))
-        if self.client_lr <= 0:
-            raise ConfigError(f"client_lr must be > 0, got {self.client_lr!r}")
-        if self.server_lr < 0:
-            raise ConfigError(f"server_lr must be >= 0, got {self.server_lr!r}")
+        check_fields(self, {
+            "clients": integer(2), "rounds": integer(2),
+            "client_lr": finite("> 0", lambda v: v > 0),
+            "server_lr": finite(">= 0", lambda v: v >= 0),
+            "local_epochs": integer(0), "batch_size": integer(1), "seed": integer(0),
+        })
 
 
 def linear_layer_manifest(config: ModelConfig) -> List[Tuple[str, int, int]]:
@@ -235,19 +233,27 @@ def run_simulation(
     shuffle -> record payloads -> aggregate. The trace's loss curve holds
     eval_loss on the union of validation shards, before training and after
     every round; DivergedError once one is non-finite. ConfigError, before
-    anything is allocated, for a model whose (K, P) float64 replica stack
-    exceeds the largest array numpy can allocate."""
+    anything is allocated, for a run whose (K, P) float64 replica stack or
+    (K·T, dim) float32 trace exceeds the largest array numpy can allocate."""
     if len(shards) != fed_cfg.clients:
         raise ConfigError(
             f"config says {fed_cfg.clients} clients but got {len(shards)} shards"
         )
     size = param_count(model_cfg)
-    if fed_cfg.clients * size * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(
-            f"a model of {size:,} parameters is too large: the stack of {fed_cfg.clients} "
-            f"client replicas would need {fed_cfg.clients * size * 8:,} bytes, more than the "
-            "largest array numpy can allocate"
-        )
+    manifest = linear_layer_manifest(model_cfg)
+    dim = sum(rows * cols for _, rows, cols in manifest)
+    records = fed_cfg.rounds * fed_cfg.clients
+    for what, nbytes in (
+        (f"a model of {size:,} parameters is too large: the stack of {fed_cfg.clients} "
+         "client replicas", fed_cfg.clients * size * 8),
+        (f"a run of {fed_cfg.rounds:,} rounds is too long: the trace of {records:,} updates "
+         f"of {dim:,} values each", records * dim * 4),
+    ):
+        if nbytes > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"{what} would need {nbytes:,} bytes, more than the largest array numpy "
+                "can allocate"
+            )
     model = init_model(model_cfg, fed_cfg.seed)
     shuffle_rng = labeled_rng(fed_cfg.seed, "shuffle")
     dp_rngs = [labeled_rng(fed_cfg.seed, f"dp.client{s.client_id}") for s in shards]
@@ -259,18 +265,16 @@ def run_simulation(
     clients = local_training(shards, fed_cfg, model_cfg)
     row_of_shard = np.argsort(clients.order)
 
-    manifest = linear_layer_manifest(model_cfg)
     # positions of the FC/Proj weights in a flat vector, in trace-row order
-    positions = views(model_cfg, np.arange(param_count(model_cfg)))
+    positions = views(model_cfg, np.arange(size))
     columns = np.concatenate([positions[name + ".weight"].ravel() for name, _, _ in manifest])
-    dim = len(columns)
     trace = TraceStore(
         clients=fed_cfg.clients,
         rounds=fed_cfg.rounds,
         seed=fed_cfg.seed,
         layer_manifest=manifest,
         dp=dp_cfg,
-        updates=np.empty((fed_cfg.rounds * fed_cfg.clients, dim), dtype=np.float32),
+        updates=np.empty((records, dim), dtype=np.float32),
     )
     if dp_cfg is not None:  # each window is used once per local epoch (see `dp`)
         trace.dp_steps = fed_cfg.rounds * fed_cfg.local_epochs

@@ -20,13 +20,13 @@ tolerates it as `fedsim.run_simulation` does.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import UsageError, require_integers
+from .errors import UsageError, check_fields, integer
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -40,7 +40,7 @@ class ModelArch:
     ffn_mult: int = 4
 
     def __post_init__(self):  # every field, `vocab_size` of a ModelConfig too
-        require_integers(self, {f.name: 1 for f in fields(self)})
+        check_fields(self, dict.fromkeys(vars(self), integer(1)))
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .dp import rdp_epsilon
-from .errors import InputError, field, int_from, json_document, known_keys, read_input
+from .errors import InputError, field, is_integer, json_document, known_keys, read_input
 from .metrics import contingency, mutual_information, purity, rand_index
 
 RANDOM_BASELINE_TRIALS = 1000
@@ -37,7 +37,7 @@ def _parse_sidecar(fh) -> np.ndarray:
     rounds = field(doc, "rounds", "a non-empty list of equal-length permutations of 0..K-1",
                    lambda v: isinstance(v, list) and v and all(
                        isinstance(r, list) and r and len(r) == len(v[0])
-                       and all(map(int_from(0), r)) and sorted(r) == list(range(len(r)))
+                       and all(map(is_integer, r)) and sorted(r) == list(range(len(r)))
                        for r in v))
     return np.array(rounds, dtype=np.int64)
 

@@ -27,13 +27,16 @@ import numpy as np
 
 from .dp import DpConfig
 from .errors import (
-    InputError, field, int_from, is_finite_number, is_integer, json_document, known_keys, read_input
+    InputError, field, integer, is_finite_number, is_integer, json_document, known_keys, read_input
 )
 
 TRACE_FORMAT_VERSION = 3
 _BODY_DTYPE = np.dtype("<f4")
 # the attack methods, each named in the assignments it writes
 METHODS = ("kmeans", "spectral", "greedy")
+# the rules of an attack's method and selector, in a config and in an assignment file
+METHOD_RULE = (f"one of {METHODS}", lambda v: v in METHODS)
+SELECTOR_RULE = ("a string", lambda v: isinstance(v, str))
 
 
 @dataclasses.dataclass
@@ -87,13 +90,13 @@ def _trace_fields(header) -> dict:
         hint = "; re-run `gradlink simulate` to write it again" if old else ""
         raise InputError(f"format version {version!r} is not {TRACE_FORMAT_VERSION}{hint}")
     known_keys(header, _HEADER_KEYS, "the header")
-    rounds = field(header, "rounds", "an integer >= 2", int_from(2))
+    rounds = field(header, "rounds", *integer(2))
     entries = field(header, "layer_manifest", "a non-empty list", lambda v: isinstance(v, list) and v)
     entries = [known_keys(e, ("name", "rows", "cols"), "a layer_manifest entry") for e in entries]
     manifest = [
         (field(entry, "name", "a string", lambda v: isinstance(v, str)),
-         field(entry, "rows", "an integer >= 1", int_from(1)),
-         field(entry, "cols", "an integer >= 1", int_from(1)))
+         field(entry, "rows", *integer(1)),
+         field(entry, "cols", *integer(1)))
         for entry in entries
     ]
     names = [name for name, _, _ in manifest]
@@ -105,13 +108,13 @@ def _trace_fields(header) -> dict:
         dp = DpConfig(**known_keys(dp, [f.name for f in dataclasses.fields(DpConfig)],
                                    "the header's dp"))
     return {
-        "clients": field(header, "clients", "an integer >= 2", int_from(2)),
+        "clients": field(header, "clients", *integer(2)),
         "rounds": rounds,
-        "seed": field(header, "seed", "an integer >= 0", int_from(0)),
+        "seed": field(header, "seed", *integer(0)),
         "layer_manifest": manifest,
         "dp": dp,
         "dp_steps": field(header, "dp_steps", "an integer >= 0 with dp, else null",
-                          lambda v: v is None if dp is None else int_from(0)(v)),
+                          lambda v: v is None if dp is None else is_integer(v) and v >= 0),
         "loss_curve": field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
                             lambda v: isinstance(v, list) and len(v) == rounds + 1
                             and all(map(is_finite_number, v))),
@@ -174,11 +177,11 @@ def read_assignment(path) -> dict:
 
 def _parse_assignment(fh) -> dict:
     doc = known_keys(json_document(fh), ("method", "selector", "clients", "rounds", "labels"))
-    field(doc, "method", f"one of {METHODS}", lambda v: v in METHODS)
-    field(doc, "selector", "a string", lambda v: isinstance(v, str))
-    k = field(doc, "clients", "an integer >= 2", int_from(2))
-    t = field(doc, "rounds", "an integer >= 2", int_from(2))
+    field(doc, "method", *METHOD_RULE)
+    field(doc, "selector", *SELECTOR_RULE)
+    k = field(doc, "clients", *integer(2))
+    t = field(doc, "rounds", *integer(2))
     field(doc, "labels", f"a list of clients * rounds = {k * t} integers in [0, {k})",
           lambda v: isinstance(v, list) and len(v) == k * t
-          and all(int_from(0)(x) and x < k for x in v))
+          and all(is_integer(x) and 0 <= x < k for x in v))
     return doc

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from gradlink import attack, cli, fedsim, traceio
 from gradlink.cli import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
-from gradlink.config import load_experiment, parse_experiment
+from gradlink.config import AttackSpec, FilesSpec, load_experiment, parse_experiment
 from gradlink.corpus import SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
-from gradlink.model import ModelConfig, layer_names
+from gradlink.model import ModelArch, ModelConfig, layer_names
 from gradlink.report import build_report, read_sidecar, render_report, write_report, write_sidecar
 from gradlink.traceio import (
     METHODS,
@@ -709,10 +709,19 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     ("dp", "sigma", float("inf")),
     ("dp", "delta", "0.1"),
     pytest.param("dp", "clip", 10**400, id="dp-clip-int-beyond-float"),
+    pytest.param("dp", "clip", 0, id="dp-clip-zero"),
+    pytest.param("dp", "sigma", -0.1, id="dp-sigma-negative"),
+    pytest.param("data.synthetic", "topic_vocab_size", 0, id="topic-vocab-zero"),
+    pytest.param("data.synthetic", "sentence_len", [1, 3], id="sentence-len-below-2"),
+    pytest.param("data.synthetic", "sentence_len", 5, id="sentence-len-not-a-list"),
+    pytest.param("data.synthetic", "sentence_len", None, id="sentence-len-null"),
 ])
 def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, value):
     doc = _base_config(dp={"clip": 1.0, "sigma": 0.1})
-    (doc[section] if section else doc)[key] = value
+    where = doc
+    for name in section.split(".") if section else ():
+        where = where[name]
+    where[key] = value
     cfg = _write_config(tmp_path, doc)
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
     assert code == EXIT_USAGE
@@ -1097,6 +1106,50 @@ def test_model_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch, em
     assert f"a model of {size:,} parameters is too large" in err
     assert "Traceback" not in err
     assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_too_long_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch):
+    """A run whose (K·T, dim) float32 trace is larger than any numpy array
+    exits 2 naming the trace's size, and nothing is allocated first."""
+
+    def no_model(*args):
+        raise AssertionError("a model was allocated")
+
+    monkeypatch.setattr(fedsim, "init_model", no_model)
+    doc = _base_config()
+    doc["fed"]["rounds"] = 10**17
+    cfg = _write_config(tmp_path, doc)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    d, h, records = 8, 16, 3 * 10**17
+    dim = (h * 3 * d + d * h) + (h * d + d * h)  # FC and Proj weights of blocks 1 and 2
+    assert (f"the trace of {records:,} updates of {dim:,} values each would need "
+            f"{records * dim * 4:,} bytes") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+# valid arguments of each config dataclass, so one field at a time can be bad
+_VALID_CONFIG_ARGS = {
+    FedConfig: {"clients": 3, "rounds": 4},
+    ModelArch: {},
+    ModelConfig: {"vocab_size": 5},
+    SyntheticSpec: {"n_clients": 3},
+    FilesSpec: {"paths": ["a.txt"]},
+    DpConfig: {"clip": 1.0, "sigma": 0.1},
+    AttackSpec: {},
+}
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in _VALID_CONFIG_ARGS for f in dataclasses.fields(cls)
+])
+def test_every_config_field_has_a_rule(cls, name):
+    """Each field, set to None, is a ConfigError that names the field and its rule."""
+    cls(**_VALID_CONFIG_ARGS[cls])
+    with pytest.raises(ConfigError, match=f"^{name} must be .+, got None$"):
+        cls(**{**_VALID_CONFIG_ARGS[cls], name: None})
 
 
 def test_memory_error_is_exit_2(tmp_path, capsys, monkeypatch):

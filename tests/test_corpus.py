@@ -17,7 +17,7 @@ from gradlink.corpus import (
     load_text_shards,
     windows_from_sentences,
 )
-from gradlink.errors import InputError, UsageError
+from gradlink.errors import ConfigError, InputError, UsageError
 from gradlink.rng import labeled_rng
 
 
@@ -287,7 +287,7 @@ def test_batch_iter_empty_shard_is_usage_error():
 
 
 def test_bad_spec_rejected():
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         SyntheticSpec(n_clients=1)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         SyntheticSpec(n_clients=3, overlap=1.5)

@@ -259,11 +259,11 @@ def test_rdp_epsilon_equals_the_closed_form_optimum(sigma):
 
 
 def test_dp_config_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         DpConfig(clip=0.0, sigma=1.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         DpConfig(clip=1.0, sigma=-0.1)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         DpConfig(clip=1.0, sigma=1.0, delta=1.5)
     for bad in (float("nan"), float("inf"), True, "1"):
         for field in ("clip", "sigma", "delta"):
