@@ -20,6 +20,10 @@ RESERVED = ("<pad>", "<unk>")
 # Sentences are truncated to this many tokens before windowing.
 MAX_SENTENCE_TOKENS = 40
 
+# The largest synthetic sentence length and vocabulary size: each is built
+# in memory as int64 arrays, so a config rule refuses a larger one.
+MAX_SYNTHETIC_SIZE = 10**6
+
 
 @dataclass
 class Vocab:
@@ -59,10 +63,12 @@ class SyntheticSpec:
     def __post_init__(self):
         check_fields(self, {
             "n_clients": integer(2), "train_sentences": integer(0), "valid_sentences": integer(0),
-            "sentence_len": ("a list of two integers [lo, hi] with 2 <= lo <= hi",
-                             lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                             and all(map(is_integer, v)) and 2 <= v[0] <= v[1]),
-            "topic_vocab_size": integer(1), "shared_vocab_size": integer(0),
+            "sentence_len": (
+                f"a list of two integers [lo, hi] with 2 <= lo <= hi <= {MAX_SYNTHETIC_SIZE}",
+                lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                and all(map(is_integer, v)) and 2 <= v[0] <= v[1] <= MAX_SYNTHETIC_SIZE),
+            "topic_vocab_size": integer(1, MAX_SYNTHETIC_SIZE),
+            "shared_vocab_size": integer(0, MAX_SYNTHETIC_SIZE),
             "overlap": finite("in [0, 1]", lambda v: 0 <= v <= 1),
         })
 

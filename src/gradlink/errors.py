@@ -71,9 +71,10 @@ def field(doc: dict, key: str, expected: str, ok):
     return value
 
 
-def integer(minimum: int):
-    """The rule of a field that is an integer (not a bool) >= `minimum`."""
-    return f"an integer >= {minimum}", lambda v: is_integer(v) and v >= minimum
+def integer(minimum: int, maximum=float("inf")):
+    """The rule of a field that is an integer (not a bool) in [`minimum`, `maximum`]."""
+    bound = f">= {minimum}" if maximum == float("inf") else f"in [{minimum}, {maximum}]"
+    return f"an integer {bound}", lambda v: is_integer(v) and minimum <= v <= maximum
 
 
 def finite(bound: str, ok):

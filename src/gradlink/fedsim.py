@@ -33,9 +33,9 @@ from .model import (
     embedding_rows,
     eval_loss,
     init_model,
+    linear_layers,
     loss_and_grads,
     param_count,
-    param_layout,
     sgd_step,
     views,
 )
@@ -68,15 +68,6 @@ class FedConfig:
             "server_lr": finite(">= 0", lambda v: v >= 0),
             "local_epochs": integer(0), "batch_size": integer(1), "seed": integer(0),
         })
-
-
-def linear_layer_manifest(config: ModelConfig) -> List[Tuple[str, int, int]]:
-    """(name, rows, cols) of each FC and Proj weight, block by block."""
-    return [
-        (name[: -len(".weight")], *shape)
-        for name, shape in param_layout(config)
-        if name.startswith("block") and name.endswith(".weight")
-    ]
 
 
 @dataclass
@@ -240,7 +231,7 @@ def run_simulation(
             f"config says {fed_cfg.clients} clients but got {len(shards)} shards"
         )
     size = param_count(model_cfg)
-    manifest = linear_layer_manifest(model_cfg)
+    manifest = list(linear_layers(model_cfg))
     dim = sum(rows * cols for _, rows, cols in manifest)
     records = fed_cfg.rounds * fed_cfg.clients
     for what, nbytes in (

@@ -47,42 +47,36 @@ class ModelArch:
 class ModelConfig(ModelArch):
     vocab_size: int
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.ffn_mult * self.embed_dim
 
-    def block_input_dim(self, index: int) -> int:
-        """Input width of block `index` (1-based); block 1 sees the
-        concatenated context embeddings."""
-        return self.context * self.embed_dim if index == 1 else self.embed_dim
+def linear_layers(config: ModelConfig) -> Tuple[Tuple[str, int, int], ...]:
+    """(name, rows, cols) of each block's FC and Proj weight, block by
+    block: the layers whose gradients the trace records. Block 1's FC reads
+    the concatenated context embeddings, each later FC the residual stream."""
+    d, h = config.embed_dim, config.ffn_mult * config.embed_dim
+    widths = [config.context * d] + [d] * (config.n_blocks - 1)
+    return tuple(layer for i, w in enumerate(widths, 1)
+                 for layer in ((f"block{i}.fc", h, w), (f"block{i}.proj", d, h)))
 
 
 def param_layout(config: ModelConfig) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
     """Name and shape of every parameter, in the order they sit in the flat
-    vector: the blocks first (each FC weight, FC bias, Proj weight, Proj
-    bias), then `embedding`, `output.weight`, `output.bias`. Weight layout
-    is (out, in): y = W x + b. DP noise is drawn over the vector in this
-    order, so reordering it changes every DP trace."""
-    d, h, v = config.embed_dim, config.hidden_dim, config.vocab_size
-    layout = []
-    for i in range(1, config.n_blocks + 1):
-        layout += [
-            (f"block{i}.fc.weight", (h, config.block_input_dim(i))),
-            (f"block{i}.fc.bias", (h,)),
-            (f"block{i}.proj.weight", (d, h)),
-            (f"block{i}.proj.bias", (d,)),
-        ]
-    layout += [("embedding", (v, d)), ("output.weight", (v, d)), ("output.bias", (v,))]
-    return tuple(layout)
+    vector: each of `linear_layers` as its weight and then its bias, then
+    `embedding`, `output.weight`, `output.bias`. Weight layout is (out,
+    in): y = W x + b. DP noise is drawn over the vector in this order, so
+    reordering it changes every DP trace."""
+    d, v = config.embed_dim, config.vocab_size
+    layout = [entry for name, rows, cols in linear_layers(config)
+              for entry in ((f"{name}.weight", (rows, cols)), (f"{name}.bias", (rows,)))]
+    return tuple(layout + [("embedding", (v, d)), ("output.weight", (v, d)), ("output.bias", (v,))])
 
 
 def layer_names(selector: str, n_blocks: int) -> Tuple[str, ...]:
     """The linear layers whose gradients feed the attack, named as in
-    `param_layout` without ".weight". `selector` is "fc", "proj" or "both",
-    optionally with a list of 1-based blocks as in "fc@1,3" (default: all
-    blocks). FC layers come first, blocks ascending, then Proj layers, so
-    that FC + Proj concatenated equals Both. UsageError for a bad part, an
-    empty or non-integer block list, a block named twice or a block outside
+    `linear_layers`. `selector` is "fc", "proj" or "both", optionally with a
+    list of 1-based blocks as in "fc@1,3" (default: all blocks). FC layers
+    come first, blocks ascending, then Proj layers, so that FC + Proj
+    concatenated equals Both. UsageError for a bad part, an empty or
+    non-integer block list, a block named twice or a block outside
     1..n_blocks."""
     part, at, rest = selector.strip().lower().partition("@")
     if part not in ("fc", "proj", "both"):
@@ -151,15 +145,13 @@ class GlobalModel:
 
 def init_model(config: ModelConfig, seed: int) -> GlobalModel:
     """Deterministic init: weights uniform(-s, s) with s = 1/sqrt(fan_in),
-    biases exactly zero. Weights are drawn embedding first, then each
-    block's FC and Proj weight, then the output weight; this order fixes
-    the initial values of each seed."""
+    biases exactly zero. Weights are drawn embedding first, then each of
+    `linear_layers`, then the output weight; this order fixes the initial
+    values of each seed."""
     rng = np.random.default_rng(seed)
     model = GlobalModel(config, np.zeros(param_count(config)))
-    blocks = [
-        f"block{i}.{part}.weight" for i in range(1, config.n_blocks + 1) for part in ("fc", "proj")
-    ]
-    for name in ["embedding", *blocks, "output.weight"]:
+    linear = [f"{name}.weight" for name, _, _ in linear_layers(config)]
+    for name in ["embedding", *linear, "output.weight"]:
         w = model.views[name]
         s = 1.0 / np.sqrt(w.shape[1])  # fan_in is the width of a row
         w[...] = rng.uniform(-s, s, size=w.shape)

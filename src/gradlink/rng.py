@@ -1,8 +1,11 @@
 """Labeled RNG streams.
 
-One master seed spawns independent named streams (client batching, shuffler,
-DP noise, weight init) so that toggling one feature never perturbs the draws
-of another.
+One master seed spawns independent named streams (corpus generation per
+client, client batching, the shuffler, DP noise per client) so that
+toggling one feature never perturbs the draws of another. Three draws use
+`np.random.default_rng(seed)` directly instead of a named stream: the
+initial weights (`model.init_model`), the k-means seeding
+(`attack.kmeans_points`) and the random baseline (`report.random_baseline`).
 """
 
 import zlib

@@ -51,13 +51,14 @@ class TraceStore:
     layer_manifest: List[Tuple[str, int, int]]  # (name, rows, cols)
     dp: Optional[DpConfig]
     updates: np.ndarray  # (clients * rounds, sum of rows * cols) float32
-    loss_curve: List[float] = dataclasses.field(default_factory=list)
     # the Gaussian steps each training window faces, rounds * local epochs,
     # which the advisory epsilon counts (see `dp`); set exactly when dp is
     dp_steps: Optional[int] = None
+    loss_curve: List[float] = dataclasses.field(default_factory=list)
 
 
-# a header's keys: its format version and every TraceStore field but the rows
+# a header's keys, in the order a trace file writes them: its format version
+# and every TraceStore field but the rows
 _HEADER_KEYS = ["format_version",
                 *(f.name for f in dataclasses.fields(TraceStore) if f.name != "updates")]
 
@@ -65,13 +66,10 @@ _HEADER_KEYS = ["format_version",
 def write_trace(path, trace: TraceStore) -> None:
     header = {
         "format_version": TRACE_FORMAT_VERSION,
-        "clients": trace.clients,
-        "rounds": trace.rounds,
-        "seed": trace.seed,
+        **{key: getattr(trace, key) for key in _HEADER_KEYS[1:]},
+        # two fields are not JSON as they stand; a key keeps its first place
         "layer_manifest": [{"name": n, "rows": r, "cols": c} for n, r, c in trace.layer_manifest],
         "dp": None if trace.dp is None else dataclasses.asdict(trace.dp),
-        "dp_steps": trace.dp_steps,
-        "loss_curve": trace.loss_curve,
     }
     body = binascii.b2a_base64(np.ascontiguousarray(trace.updates, _BODY_DTYPE), newline=False)
     with open(path, "wb") as fh:
@@ -113,8 +111,9 @@ def _trace_fields(header) -> dict:
         "seed": field(header, "seed", *integer(0)),
         "layer_manifest": manifest,
         "dp": dp,
-        "dp_steps": field(header, "dp_steps", "an integer >= 0 with dp, else null",
-                          lambda v: v is None if dp is None else is_integer(v) and v >= 0),
+        "dp_steps": field(header, "dp_steps", "a finite integer >= 0 with dp, else null",
+                          lambda v: v is None if dp is None
+                          else is_integer(v) and v >= 0 and is_finite_number(v)),
         "loss_curve": field(header, "loss_curve", f"a list of {rounds + 1} finite numbers",
                             lambda v: isinstance(v, list) and len(v) == rounds + 1
                             and all(map(is_finite_number, v))),

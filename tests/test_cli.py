@@ -243,6 +243,7 @@ MALFORMED_TRACES = {
         _b64(raw)],
     # JSON has integers of any length; no float holds this one
     "loss-beyond-float": lambda h, raw, row: [_header(h, loss_curve=[10**400] * 4), _b64(raw)],
+    "steps-beyond-float": lambda h, raw, row: [_header(h, dp=DP, dp_steps=10**400), _b64(raw)],
     # the version is the integer 3, not a float equal to it
     "format-version-float": lambda h, raw, row: [_header(h, format_version=3.0), _b64(raw)],
 }
@@ -253,6 +254,7 @@ MALFORMED_TRACE_MESSAGES = {
     "unknown-layer-key": "unknown keys in a layer_manifest entry: ['bias']",
     "repeated-layer-name": "layer names repeated in layer_manifest: ['block1.fc']",
     "loss-beyond-float": "loss_curve must be a list of 4 finite numbers",
+    "steps-beyond-float": "dp_steps must be a finite integer >= 0 with dp, else null",
     "format-version-float": "format version 3.0 is not 3",
 }
 
@@ -715,6 +717,10 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     pytest.param("data.synthetic", "sentence_len", [1, 3], id="sentence-len-below-2"),
     pytest.param("data.synthetic", "sentence_len", 5, id="sentence-len-not-a-list"),
     pytest.param("data.synthetic", "sentence_len", None, id="sentence-len-null"),
+    # numpy's int64 range ends below these: each fails in numpy without a bound
+    pytest.param("data.synthetic", "sentence_len", [2, 10**19], id="sentence-len-beyond-int64"),
+    pytest.param("data.synthetic", "topic_vocab_size", 10**19, id="topic-vocab-beyond-int64"),
+    pytest.param("data.synthetic", "shared_vocab_size", 10**19, id="shared-vocab-beyond-int64"),
 ])
 def test_non_integer_config_value_is_exit_2(tmp_path, capsys, section, key, value):
     doc = _base_config(dp={"clip": 1.0, "sigma": 0.1})

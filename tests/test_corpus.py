@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from gradlink import corpus
 from gradlink.corpus import (
     MAX_SENTENCE_TOKENS,
+    MAX_SYNTHETIC_SIZE,
     PAD_ID,
     UNK_ID,
     ClientShard,
@@ -291,3 +292,14 @@ def test_bad_spec_rejected():
         SyntheticSpec(n_clients=1)
     with pytest.raises(ConfigError):
         SyntheticSpec(n_clients=3, overlap=1.5)
+
+
+@pytest.mark.parametrize("key, at_max, beyond", [
+    ("sentence_len", [2, MAX_SYNTHETIC_SIZE], [2, MAX_SYNTHETIC_SIZE + 1]),
+    ("topic_vocab_size", MAX_SYNTHETIC_SIZE, MAX_SYNTHETIC_SIZE + 1),
+    ("shared_vocab_size", MAX_SYNTHETIC_SIZE, MAX_SYNTHETIC_SIZE + 1),
+])
+def test_synthetic_sizes_are_bounded_and_the_rule_says_so(key, at_max, beyond):
+    SyntheticSpec(n_clients=2, **{key: at_max})  # checked only, never generated
+    with pytest.raises(ConfigError, match=rf"^{key} must be .* {MAX_SYNTHETIC_SIZE}\]?, got "):
+        SyntheticSpec(n_clients=2, **{key: beyond})

@@ -15,7 +15,6 @@ from gradlink.fedsim import (
     FedConfig,
     aggregate,
     client_round,
-    linear_layer_manifest,
     local_training,
     run_simulation,
     shuffle_round,
@@ -24,6 +23,7 @@ from gradlink.model import (
     GlobalModel,
     ModelConfig,
     init_model,
+    linear_layers,
     loss_and_grads,
     param_count,
     views,
@@ -216,7 +216,7 @@ def _oracle_simulation(fed, mcfg, shards, dp_cfg=None):
     model = init_model(mcfg, fed.seed)
     shuffle_rng = labeled_rng(fed.seed, "shuffle")
     dp_rngs = {s.client_id: labeled_rng(fed.seed, f"dp.client{s.client_id}") for s in shards}
-    manifest = linear_layer_manifest(mcfg)
+    manifest = linear_layers(mcfg)
     rows, perms = [], []
     for _ in range(fed.rounds):
         payloads = [

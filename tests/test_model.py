@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gradlink.corpus import SyntheticSpec, generate_synthetic, windows_from_sentences
 from gradlink.errors import ConfigError, UsageError
-from gradlink.fedsim import linear_layer_manifest
 from gradlink.model import (
     GlobalModel,
     ModelConfig,
@@ -14,6 +13,7 @@ from gradlink.model import (
     forward_trace,
     init_model,
     layer_names,
+    linear_layers,
     loss_and_grads,
     param_count,
     param_layout,
@@ -283,13 +283,20 @@ def test_views_of_wrong_length_are_usage_errors():
 
 def test_linear_layer_manifest_matches_layout_weight_shapes():
     for cfg in (SMALL, ModelConfig(vocab_size=9, embed_dim=4, context=2, n_blocks=3, ffn_mult=3)):
-        shapes = dict(param_layout(cfg))
-        manifest = linear_layer_manifest(cfg)
-        assert [name for name, _, _ in manifest] == [
-            f"block{i}.{part}" for i in range(1, cfg.n_blocks + 1) for part in ("fc", "proj")
+        d, h, v = cfg.embed_dim, cfg.ffn_mult * cfg.embed_dim, cfg.vocab_size
+        expected = []
+        for i in range(1, cfg.n_blocks + 1):
+            expected += [
+                (f"block{i}.fc.weight", (h, cfg.context * d if i == 1 else d)),
+                (f"block{i}.fc.bias", (h,)),
+                (f"block{i}.proj.weight", (d, h)),
+                (f"block{i}.proj.bias", (d,)),
+            ]
+        expected += [("embedding", (v, d)), ("output.weight", (v, d)), ("output.bias", (v,))]
+        assert list(param_layout(cfg)) == expected
+        assert [(f"{name}.weight", (rows, cols)) for name, rows, cols in linear_layers(cfg)] == [
+            (name, shape) for name, shape in expected if name.startswith("block") and len(shape) == 2
         ]
-        for name, rows, cols in manifest:
-            assert shapes[name + ".weight"] == (rows, cols)
 
 
 def test_selector_layer_order_and_feature_length():
@@ -299,9 +306,9 @@ def test_selector_layer_order_and_feature_length():
     fc = layer_names("fc", cfg.n_blocks)
     proj = layer_names("proj", cfg.n_blocks)
     assert fc + proj == both
-    hidden = cfg.hidden_dim
+    hidden = cfg.ffn_mult * cfg.embed_dim
     size = sum(int(np.prod(shapes[name + ".weight"])) for name in both)
-    assert size == hidden * cfg.block_input_dim(1) + cfg.embed_dim * hidden
+    assert size == hidden * cfg.context * cfg.embed_dim + cfg.embed_dim * hidden
     # a block list picks its blocks in ascending order, FC layers first
     assert layer_names(" Both@3,1 ", 3) == ("block1.fc", "block3.fc", "block1.proj", "block3.proj")
     assert layer_names("proj@2", 3) == ("block2.proj",)
