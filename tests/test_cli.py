@@ -610,6 +610,25 @@ def test_sigma_0_report_is_strict_json(tmp_path, capsys):
         write_report(tmp_path / "nan.json", {"advisory_epsilon": math.nan})
 
 
+@pytest.mark.parametrize("steps, json_epsilon, text_epsilon", [
+    (10**300, pytest.approx(4e302), "4e+302"),  # 2 * 2 / 0.1**2 per step at order 2
+    (10**308, None, "inf"),  # past the largest float: no finite bound
+], ids=["huge", "past-float"])
+def test_huge_dp_steps_report_epsilon(tmp_path, steps, json_epsilon, text_epsilon):
+    """A huge step count prints its epsilon in six significant digits, and a
+    bound past the largest float is null, like sigma 0's."""
+    truth = np.tile(np.arange(3), (2, 1))
+    header = {"clients": 3, "rounds": 2, "seed": 0, "loss_curve": [],
+              "dp": DpConfig(clip=1.0, sigma=0.1), "dp_steps": steps}
+    assignment = {"clients": 3, "rounds": 2, "method": "greedy", "selector": "both",
+                  "labels": truth.ravel().tolist()}
+    report = build_report(header, assignment, truth)
+    assert report["dp"]["advisory_epsilon"] == json_epsilon
+    write_report(tmp_path / "report.json", report)
+    assert _strict_json((tmp_path / "report.json").read_text(encoding="utf-8")) == report
+    assert f" advisory_epsilon={text_epsilon} over " in render_report(report)
+
+
 def test_dp_report_epsilon_is_the_gaussian_bound_of_rounds_times_epochs(tmp_path, capsys):
     """Each training window is used once per local epoch of every round, so
     the report bounds R * E = 8 Gaussian steps, with no subsampling, under

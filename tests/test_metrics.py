@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +272,18 @@ def _rand_per_term(pred, true):
             - pairs(table.sum(axis=-2), -1)) / total
 
 
+def _purity_per_trial(pred, true):
+    """Each trial's purity from its own labels: the largest class count of
+    each predicted cluster, summed in Python and divided by n."""
+    out = []
+    for row in np.atleast_2d(pred).tolist():
+        largest = {}
+        for (cluster, _), count in Counter(zip(row, list(true))).items():
+            largest[cluster] = max(largest.get(cluster, 0), count)
+        out.append(sum(largest.values()) / len(row))
+    return np.array(out)
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
@@ -304,8 +317,28 @@ def test_random_baseline_equals_the_masked_forms_bit_for_bit(clients, rounds):
         np.tile(np.arange(clients), (rounds, 1)), axis=1).ravel()
     got = random_baseline(true, clients, 1000, seed=11)
     preds = np.random.default_rng(11).integers(0, clients, size=(1000, true.size))
-    for key, oracle in (("rand_index", _rand_per_term), ("mutual_information", _mi_masked)):
-        assert _bits(got[key]) == _bits(float(oracle(preds, true).mean()))
+    for key, oracle in (("purity", _purity_per_trial), ("rand_index", _rand_per_term),
+                        ("mutual_information", _mi_masked)):
+        assert _bits(got[key]) == _bits(float(oracle(preds, true).mean())), key
+
+
+@pytest.mark.parametrize("cells", [
+    report.SCORE_BLOCK_CELLS,  # at K=20: six blocks of 163 trials and one of 22
+    3 * 20 * 20,  # blocks of 3 trials, so 1000 trials end in a block of 1
+    20 * 20,  # one trial per block
+    7,  # fewer cells than one trial holds: still one trial per block
+], ids=["default", "ragged", "one-trial", "under-one-trial"])
+def test_blocked_scoring_equals_scoring_the_whole_stack_bit_for_bit(monkeypatch, cells):
+    true = np.random.default_rng(6).permuted(np.tile(np.arange(20), (6, 1)), axis=1).ravel()
+    preds = np.random.default_rng(12).integers(0, 20, size=(1000, true.size))
+    table = contingency(preds, true)
+    whole = {"purity": purity(table), "rand_index": rand_index(table),
+             "mutual_information": mutual_information(table)}
+    monkeypatch.setattr(report, "SCORE_BLOCK_CELLS", cells)
+    got = score(preds, true)
+    for key, want in whole.items():
+        assert got[key].shape == (1000,)
+        assert np.array_equal(_bits(got[key]), _bits(want)), key
 
 
 @pytest.mark.parametrize("pred, true", [

@@ -14,7 +14,8 @@ change that alters outputs on purpose, re-pin with
 
     PYTHONPATH=src python tests/test_output_pin.py
 
-which rewrites the table for the installed numpy.
+which rewrites the table for the installed numpy and prints the
+(workload, seed, file) of every digest that changed, or that none did.
 """
 
 import contextlib
@@ -81,12 +82,34 @@ def test_outputs_equal_the_pinned_digests(tmp_path, workload, config):
         "re-pin with `PYTHONPATH=src python tests/test_output_pin.py` if outputs may change")
     workdir = tmp_path / "out"
     workdir.mkdir()
-    got, want = pipeline_digests(config, workdir), pin["digests"][workload][str(config["seed"])]
-    differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    seed = str(config["seed"])
+    got = {workload: {seed: pipeline_digests(config, workdir)}}
+    differ = changed_digests({workload: {seed: pin["digests"][workload][seed]}}, got)
     assert not differ, f"files that differ from the pin: {differ}"
 
 
+def changed_digests(old, new):
+    """The sorted (workload, seed, file) of every digest that differs between
+    two tables of {workload: {seed: {file: digest}}}, a file that only one
+    of them holds included."""
+    def flat(table):
+        return {(workload, seed, name): digest for workload, seeds in table.items()
+                for seed, files in seeds.items() for name, digest in files.items()}
+
+    old, new = flat(old), flat(new)
+    return sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+
+
+def test_changed_digests_names_each_differing_file():
+    old = {"w": {"1": {"a": "x", "b": "y"}, "2": {"a": "x"}}, "v": {"1": {"a": "x"}}}
+    assert changed_digests(old, old) == []
+    new = {"w": {"1": {"a": "x", "b": "z"}, "2": {"a": "x", "c": "x"}}, "u": {"1": {"a": "x"}}}
+    assert changed_digests(old, new) == [
+        ("u", "1", "a"), ("v", "1", "a"), ("w", "1", "b"), ("w", "2", "c")]
+
+
 def repin():
+    old = json.loads(PIN.read_text(encoding="utf-8"))
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, (workload, config) in enumerate(CONFIGS):
@@ -98,6 +121,11 @@ def repin():
                               sort_keys=True) + "\n", encoding="utf-8")
     print(f"pinned {sum(len(d) for w in digests.values() for d in w.values())} digests "
           f"under numpy {np.__version__} in {PIN}")
+    changed = changed_digests(old["digests"], digests)
+    print(f"{len(changed)} changed against the table pinned under numpy {old['numpy']}:"
+          if changed else "no digest changed")
+    for workload, seed, name in changed:
+        print(f"  {workload} seed {seed}: {name}")
 
 
 if __name__ == "__main__":
