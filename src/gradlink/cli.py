@@ -11,6 +11,7 @@ import copy
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -34,18 +35,8 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
-# Grid axes the sweep command accepts, each mapped to the config section
-# that holds the field of its name.
-SWEEP_AXES = {
-    "server_lr": "fed",
-    "rounds": "fed",
-    "clients": "fed",
-    "clip": "dp",
-    "sigma": "dp",
-    "method": "attack",
-    "selector": "attack",
-}
-# The summary columns of a sweep cell after its axis values.
+# The summary columns of a sweep cell after its axis values; a `seed` axis
+# is the `seed` column.
 SUMMARY_COLUMNS = (
     "seed", "config_hash", "purity", "rand_index", "mutual_information", "status", "error"
 )
@@ -53,25 +44,26 @@ SUMMARY_COLUMNS = (
 
 def _build_shards(cfg: ExperimentConfig):
     if isinstance(cfg.data, FilesSpec):
-        return load_text_shards(
-            cfg.data.paths,
-            cfg.data.train_sentences,
-            cfg.data.valid_sentences,
-            cfg.data.freq_cutoff,
-        )
+        return load_text_shards(**dataclasses.asdict(cfg.data))
     return generate_synthetic(cfg.data, cfg.fed.seed)
 
 
-def _check_out_dirs(*paths) -> None:
+def _check_out_paths(outputs: dict, inputs: dict) -> None:
     """Fail before a command's work, not after it, if an output path has no
-    directory to be written into."""
-    for path in paths:
+    directory to be written into, or is the file of an input or of another
+    output. Each dict maps a flag to its path, None if it is not given."""
+    flag_of = {Path(path).resolve(): flag for flag, path in inputs.items()}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
         if not Path(path).parent.is_dir():
             raise UsageError(f"no directory to write {path} into: {Path(path).parent}")
+        other = flag_of.setdefault(Path(path).resolve(), flag)
+        if other != flag:
+            raise UsageError(f"{flag} and {other} name the same file: {path}")
 
 
 def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
-    _check_out_dirs(trace_path, sidecar_path)
     shards, vocab = _build_shards(cfg)
     model_cfg = ModelConfig(vocab_size=vocab.size, **dataclasses.asdict(cfg.model))
     trace, truth, _ = run_simulation(cfg.fed, model_cfg, shards, cfg.dp)
@@ -80,15 +72,12 @@ def simulate_to_files(cfg: ExperimentConfig, trace_path, sidecar_path):
     return trace.loss_curve
 
 
-def _default_sidecar(trace_path) -> Path:
-    return Path(str(trace_path) + ".sidecar.json")
-
-
 def cmd_simulate(args) -> int:
+    sidecar_path = args.sidecar or Path(f"{args.out}.sidecar.json")
+    _check_out_paths({"--out": args.out, "--sidecar": sidecar_path}, {"--config": args.config})
     cfg = load_experiment(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, fed=dataclasses.replace(cfg.fed, seed=args.seed))
-    sidecar_path = args.sidecar or _default_sidecar(args.out)
     losses = simulate_to_files(cfg, args.out, sidecar_path)
     print(
         f"simulated K={cfg.fed.clients} T={cfg.fed.rounds}: "
@@ -111,7 +100,6 @@ def run_attack(trace, method: str, selector: str):
 
 
 def attack_to_file(trace_path, method: str, selector: str, assignment_path) -> None:
-    _check_out_dirs(assignment_path)
     trace = read_trace(trace_path)
     labels = run_attack(trace, method, selector)
     write_assignment(
@@ -125,8 +113,6 @@ def attack_to_file(trace_path, method: str, selector: str, assignment_path) -> N
 
 
 def report_from_files(trace_path, assignment_path, sidecar_path, report_path=None) -> dict:
-    if report_path:
-        _check_out_dirs(report_path)
     report = build_report(
         read_trace_header(trace_path), read_assignment(assignment_path), read_sidecar(sidecar_path)
     )
@@ -136,26 +122,34 @@ def report_from_files(trace_path, assignment_path, sidecar_path, report_path=Non
 
 
 def cmd_attack(args) -> int:
+    _check_out_paths({"--out": args.out}, {"--trace": args.trace})
     attack_to_file(args.trace, args.method, args.selector, args.out)
     print(f"assignment: {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
+    _check_out_paths({"--out": args.out}, {
+        "--trace": args.trace, "--assignment": args.assignment, "--sidecar": args.sidecar
+    })
     report = report_from_files(args.trace, args.assignment, args.sidecar, args.out)
     sys.stdout.write(render_report(report))
     return EXIT_OK
 
 
 def _apply_cell(base_doc: dict, overrides: dict) -> dict:
+    """`base_doc` with each value of `overrides` set at its axis, the dotted
+    path of a config value, such as `dp.sigma` or `seed`; each section on
+    the path that the base lacks starts empty."""
     doc = copy.deepcopy(base_doc)
     for axis, value in overrides.items():
-        section = SWEEP_AXES[axis]
-        if section == "dp" and doc.get("dp") is None:
-            raise ConfigError(f"grid axis {axis!r} requires a 'dp' section in the base config")
-        if not isinstance(doc.setdefault(section, {}), dict):
-            raise ConfigError(f"config.{section} is not a JSON object")
-        doc[section][axis] = value
+        *sections, key = axis.split(".")
+        node, where = doc, "config"
+        for section in sections:
+            node, where = node.setdefault(section, {}), f"{where}.{section}"
+            if not isinstance(node, dict):
+                raise ConfigError(f"{where} is not a JSON object")
+        node[key] = value
     return doc
 
 
@@ -188,15 +182,17 @@ def run_sweep_cell(cell_dir: str, doc: dict) -> dict:
 
 
 def _grid_cells(grid_doc: dict):
+    """The (overrides, config document) of each cell of a grid config: every
+    combination of one value per axis, the axes in name order. Each cell's
+    document is checked as a config, so a path that names no config value
+    fails here, before any cell runs."""
     known_keys(grid_doc, ("base", "grid"), "grid config")
     base = field(grid_doc, "base", "a JSON object", lambda v: isinstance(v, dict))
-    grid = known_keys(grid_doc["grid"], SWEEP_AXES, f"grid axes (allowed: {', '.join(SWEEP_AXES)})",
-                      required=())
-    if not grid or any(not isinstance(vals, list) or not vals for vals in grid.values()):
-        raise ConfigError("grid must map each axis to a non-empty list of values")
-    cells = [{}]
-    for axis in sorted(grid):
-        cells = [dict(cell, **{axis: value}) for cell in cells for value in grid[axis]]
+    grid = field(grid_doc, "grid", "a JSON object mapping each axis to a non-empty list of values",
+                 lambda v: isinstance(v, dict) and v
+                 and all(isinstance(vals, list) and vals for vals in v.values()))
+    axes = sorted(grid)
+    cells = [dict(zip(axes, values)) for values in itertools.product(*map(grid.get, axes))]
     checked = []
     for i, overrides in enumerate(cells):  # fail before launching any cell
         try:
@@ -215,18 +211,16 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runs = []
-    for i, (overrides, doc) in enumerate(cells):
-        desc = "_".join(f"{k}-{overrides[k]}" for k in sorted(overrides))
-        runs.append((str(out_dir / f"cell_{i:03d}_{desc}"), doc))
+    # Cells are numbered, not named by their values, which may hold `/` or
+    # `..`: the summary's `cell` column and each config.json say what a cell holds.
+    runs = [(str(out_dir / f"cell_{i:03d}"), doc) for i, (_, doc) in enumerate(cells)]
     results = _sweep_results(runs, args.jobs)
     rows = [
-        dict({"cell": i}, **overrides, **result)
+        {"cell": i, **result, **overrides}
         for i, ((overrides, _), result) in enumerate(zip(cells, results))
     ]
 
-    axes = sorted({k for overrides, _ in cells for k in overrides})
-    fieldnames = ["cell", *axes, *SUMMARY_COLUMNS]
+    fieldnames = list(dict.fromkeys(["cell", *cells[0][0], *SUMMARY_COLUMNS]))
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -290,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_report)
 
     p_sw = sub.add_parser("sweep", help="run a grid of experiments")
-    p_sw.add_argument("--config", required=True, help="grid config (base + axes)")
+    p_sw.add_argument("--config", required=True, help="grid config: base + config-path axes")
     p_sw.add_argument("--out-dir", required=True)
     p_sw.add_argument("--jobs", type=int, default=1)
     p_sw.set_defaults(func=cmd_sweep)

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import ClientShard, batch_iter, windows_from_sentences
+from .corpus import MAX_SENTENCE_TOKENS, ClientShard, batch_iter, windows_from_sentences
 from .dp import DpConfig, privatize, start_noise
 from .errors import ConfigError, DivergedError, UsageError, check_fields, finite, integer
 from .model import (
@@ -106,7 +106,8 @@ def local_training(
         if not shard_batches:
             raise ConfigError(
                 f"client {shard.client_id} has no training window: none of its train "
-                f"sentences has more than context={model_cfg.context} tokens"
+                f"sentences, cut to their first {MAX_SENTENCE_TOKENS} tokens, has more than "
+                f"context={model_cfg.context} tokens"
             )
         batches.append(shard_batches)
     counts = [sum(len(t) for _, t in b) for b in batches]
@@ -252,7 +253,10 @@ def run_simulation(
     valid_sentences = [sent for s in shards for sent in s.valid]
     vw, vt = windows_from_sentences(valid_sentences, model_cfg.context)
     if vw.shape[0] == 0:
-        raise ConfigError("no validation windows across all shards")
+        raise ConfigError(
+            "no validation windows across all shards: no validation sentence, cut to its "
+            f"first {MAX_SENTENCE_TOKENS} tokens, has more than context={model_cfg.context} tokens"
+        )
     clients = local_training(shards, fed_cfg, model_cfg)
     row_of_shard = np.argsort(clients.order)
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from gradlink import attack, cli, fedsim, traceio
 from gradlink.cli import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from gradlink.config import AttackSpec, FilesSpec, load_experiment, parse_experiment
-from gradlink.corpus import SyntheticSpec, generate_synthetic
+from gradlink.corpus import MAX_SENTENCE_TOKENS, SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
 from gradlink.errors import ConfigError, InputError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
@@ -825,7 +825,23 @@ def test_client_without_a_training_window_is_exit_2(tmp_path, capsys):
     )
     cfg, trace = _write_config(tmp_path, doc), tmp_path / "t.jsonl"
     assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_USAGE
-    assert "client 0 has no training window" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "client 0 has no training window" in err
+    assert f"cut to their first {MAX_SENTENCE_TOKENS} tokens, has more than context=3" in err
+    assert not trace.exists()
+
+
+def test_sentences_cut_to_the_context_give_no_window_and_the_message_says_so(tmp_path, capsys):
+    """Windows come from each sentence's first MAX_SENTENCE_TOKENS tokens, so
+    50-60 token sentences give none at context 40."""
+    doc = _base_config()
+    doc["model"]["context"] = MAX_SENTENCE_TOKENS
+    doc["data"]["synthetic"]["sentence_len"] = [50, 60]
+    cfg, trace = _write_config(tmp_path, doc), tmp_path / "t.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == EXIT_USAGE
+    assert (f"no validation windows across all shards: no validation sentence, cut to its first "
+            f"{MAX_SENTENCE_TOKENS} tokens, has more than context={MAX_SENTENCE_TOKENS} tokens"
+            ) in capsys.readouterr().err
     assert not trace.exists()
 
 
@@ -927,10 +943,10 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("a command did its work before checking its output paths")
 
 
-@pytest.mark.parametrize("command", ["simulate", "simulate-sidecar", "attack", "report"])
-def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypatch, command):
-    bad = tmp_path / "nodir" / "out.json"
-    cfg = _write_config(tmp_path, _base_config())
+def _command_inputs(tmp_path, monkeypatch):
+    """Write a config, trace, sidecar and assignment into `tmp_path`, and make
+    every command fail if it trains or reads a trace."""
+    _write_config(tmp_path, _base_config())
     trace, truth, _ = _run_trace(k=3, t=2)
     write_trace(tmp_path / "trace.jsonl", trace)
     write_sidecar(tmp_path / "sidecar.json", truth)
@@ -938,6 +954,13 @@ def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypa
                      method="greedy", selector="both")
     for name in ("run_simulation", "read_trace", "read_trace_header"):
         monkeypatch.setattr(cli, name, _must_not_run)
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-sidecar", "attack", "report"])
+def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypatch, command):
+    bad = tmp_path / "nodir" / "out.json"
+    cfg = tmp_path / "config.json"
+    _command_inputs(tmp_path, monkeypatch)
     argv = {
         "simulate": ["simulate", "--config", str(cfg), "--out", str(bad)],
         "simulate-sidecar": ["simulate", "--config", str(cfg),
@@ -951,6 +974,30 @@ def test_output_path_in_a_missing_directory_is_exit_2(tmp_path, capsys, monkeypa
     assert main(argv) == EXIT_USAGE
     assert f"no directory to write {bad} into: {bad.parent}" in capsys.readouterr().err
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "attack", "report"])
+def test_output_path_that_names_another_file_is_exit_2(tmp_path, capsys, monkeypatch, command):
+    """An output that is an input, or another output, would be written over
+    it: the command exits 2 before any work, naming both flags. The attack's
+    output is the trace spelled another way."""
+    _command_inputs(tmp_path, monkeypatch)
+    files = sorted(tmp_path.iterdir())
+    before = [path.read_bytes() for path in files]
+    (tmp_path / "d").mkdir()
+    trace, sidecar = str(tmp_path / "trace.jsonl"), str(tmp_path / "sidecar.json")
+    argv, flags = {
+        "simulate": (["simulate", "--config", str(tmp_path / "config.json"), "--out", trace,
+                      "--sidecar", trace], ("--sidecar", "--out")),
+        "attack": (["attack", "--trace", trace, "--method", "greedy",
+                    "--out", str(tmp_path / "d" / ".." / "trace.jsonl")], ("--out", "--trace")),
+        "report": (["report", "--trace", trace, "--assignment", str(tmp_path / "a.json"),
+                    "--sidecar", sidecar, "--out", sidecar], ("--out", "--sidecar")),
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{flags[0]} and {flags[1]} name the same file" in err and "Traceback" not in err
+    assert [path.read_bytes() for path in files] == before
 
 
 def _assignment_doc(**overrides):
@@ -1033,27 +1080,29 @@ def test_deeply_nested_json_is_exit_2_naming_the_file(tmp_path, capsys, kind):
 
 # Each kind of JSON object a command reads: the file that holds it, the path
 # to it in that file's document (a trace's is its header line), its name in
-# messages, and a key whose deletion is its missing-key defect, with that
-# defect's message if the key is not the one named. The top level of a
-# config and the grid axes require no key of their own: deleting `fed`
+# messages, a key whose deletion is its missing-key defect, and the message
+# of each defect whose message does not follow from these. The top level of
+# a config and the grid axes require no key of their own: deleting `fed`
 # leaves `config.fed` without `clients` and `rounds`, and deleting the one
-# axis leaves an empty grid.
+# axis leaves an empty grid. An axis is the path of a config value, so an
+# unknown one is an unknown key of the config that a grid cell builds.
+GRID_RULE = "grid must be a JSON object mapping each axis to a non-empty list of values"
 OBJECT_KINDS = {
     "config": ("config", (), "config", "fed",
-               "missing keys in config.fed: ['clients', 'rounds']"),
-    "config-section": ("config", ("fed",), "config.fed", "clients", None),
-    "grid-config": ("grid config", (), "grid config", "grid", None),
-    "grid-axes": ("grid config", ("grid",), f"grid axes (allowed: {', '.join(cli.SWEEP_AXES)})",
-                  "server_lr", "grid must map each axis to a non-empty list of values"),
-    "trace-header": ("trace", (), "the header", "seed", None),
-    "manifest-entry": ("trace", ("layer_manifest", 0), "a layer_manifest entry", "cols", None),
-    "header-dp": ("trace", ("dp",), "the header's dp", "delta", None),
-    "assignment": ("assignment", (), "the document", "method", None),
-    "sidecar": ("sidecar", (), "the document", "rounds", None),
+               {"missing-key": "missing keys in config.fed: ['clients', 'rounds']"}),
+    "config-section": ("config", ("fed",), "config.fed", "clients", {}),
+    "grid-config": ("grid config", (), "grid config", "grid", {}),
+    "grid-axes": ("grid config", ("grid",), "config", "fed.server_lr",
+                  {"not-an-object": GRID_RULE, "missing-key": GRID_RULE}),
+    "trace-header": ("trace", (), "the header", "seed", {}),
+    "manifest-entry": ("trace", ("layer_manifest", 0), "a layer_manifest entry", "cols", {}),
+    "header-dp": ("trace", ("dp",), "the header's dp", "delta", {}),
+    "assignment": ("assignment", (), "the document", "method", {}),
+    "sidecar": ("sidecar", (), "the document", "rounds", {}),
 }
 OBJECT_DEFECTS = {
     "not-an-object": lambda obj, key: 3,
-    "unknown-key": lambda obj, key: dict(obj, bogus=1),
+    "unknown-key": lambda obj, key: dict(obj, bogus=[1]),
     "missing-key": lambda obj, key: {k: v for k, v in obj.items() if k != key},
 }
 
@@ -1065,13 +1114,13 @@ def test_json_object_with_a_defect_is_exit_2_naming_it(tmp_path, capsys, kind, d
     not an object, has a key its format does not, or lacks a key it
     requires exits 2 with a message that names the object and the key. A
     trace header's `dp` without `delta` does not load with the default."""
-    file_kind, path, what, key, missing = OBJECT_KINDS[kind]
+    file_kind, path, what, key, messages = OBJECT_KINDS[kind]
     trace, truth, _ = _run_trace(k=3, t=2)
     files = {"config": tmp_path / "config.json", "grid config": tmp_path / "grid.json",
              "trace": tmp_path / "trace.jsonl", "assignment": tmp_path / "a.json",
              "sidecar": tmp_path / "sidecar.json"}
     _write_config(tmp_path, _base_config(), files["config"].name)
-    _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": [0.1]}},
+    _write_config(tmp_path, {"base": _base_config(), "grid": {"fed.server_lr": [0.1]}},
                   files["grid config"].name)
     write_trace(files["trace"], dataclasses.replace(trace, dp=DpConfig(**DP), dp_steps=2))
     write_sidecar(files["sidecar"], truth)
@@ -1097,10 +1146,10 @@ def test_json_object_with_a_defect_is_exit_2_naming_it(tmp_path, capsys, kind, d
                       str(files["assignment"]), "--sidecar", str(files["sidecar"])])
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
-    expected = {
+    expected = messages.get(defect) or {
         "not-an-object": f"{what} is not a JSON object",
         "unknown-key": f"unknown keys in {what}: ['bogus']",
-        "missing-key": missing or f"missing keys in {what}: ['{key}']",
+        "missing-key": f"missing keys in {what}: ['{key}']",
     }[defect]
     assert expected in err and "Traceback" not in err
     if file_kind in ("trace", "assignment", "sidecar"):
@@ -1282,19 +1331,19 @@ def test_noise_overflow_on_the_worker_is_exit_3_without_a_warning(tmp_path, caps
 def test_sweep_sigma_axis(tmp_path, capsys):
     doc = {
         "base": _base_config(dp={"clip": 1.0, "sigma": 0.0}),
-        "grid": {"sigma": [0.0, 0.5], "method": ["greedy", "kmeans"]},
+        "grid": {"dp.sigma": [0.0, 0.5], "attack.method": ["greedy", "kmeans"]},
     }
     cfg = _write_config(tmp_path, doc, "grid.json")
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_OK
 
-    with open(out_dir / "summary.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
+    rows = _summary_rows(out_dir)
+    assert [(r["attack.method"], r["dp.sigma"]) for r in rows] == [
+        ("greedy", "0.0"), ("greedy", "0.5"), ("kmeans", "0.0"), ("kmeans", "0.5")]
     assert all(r["status"] == "ok" for r in rows)
 
     cells = sorted(out_dir.glob("cell_*"))
-    assert len(cells) == 4
+    assert [cell.name for cell in cells] == ["cell_000", "cell_001", "cell_002", "cell_003"]
     for cell in cells:
         report = _strict_json((cell / "report.json").read_text(encoding="utf-8"))
         assert report["dp"] is not None
@@ -1308,35 +1357,56 @@ def test_sweep_empty_grid_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("values", [[], 3, "23", {"a": 2}])
 def test_sweep_axis_values_that_are_not_a_non_empty_list_are_exit_2(tmp_path, capsys, values):
-    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"rounds": values}}, "grid.json")
+    grid = {"fed.rounds": values}
+    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": grid}, "grid.json")
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
     assert "non-empty list of values" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
 def test_sweep_with_an_invalid_cell_is_exit_2_before_any_cell_runs(tmp_path, capsys):
-    doc = {
-        "base": _base_config(dp={"clip": 1.0, "sigma": 0.0}),
-        "grid": {"sigma": [0.1, -1.0, "x"]},
-    }
-    cfg = _write_config(tmp_path, doc, "grid.json")
-    out_dir = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
-    assert "grid cell 1 {'sigma': -1.0}" in capsys.readouterr().err
-    assert not out_dir.exists()
+    """A cell's config keeps every rule of a config: a bad value, and a
+    `synthetic` section set beside a `files` corpus."""
+    files_base = _base_config(data={"files": {"paths": _client_files(tmp_path)}})
+    for base, grid, message in (
+        (_base_config(dp={"clip": 1.0, "sigma": 0.0}), {"dp.sigma": [0.1, -1.0, "x"]},
+         "grid cell 1 {'dp.sigma': -1.0}: sigma must be"),
+        (files_base, {"data.synthetic.overlap": [0.5]},
+         "grid cell 0 {'data.synthetic.overlap': 0.5}: config.data must hold exactly one of"),
+    ):
+        cfg = _write_config(tmp_path, {"base": base, "grid": grid}, "grid.json")
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("section, axis", [("fed", "rounds"), ("dp", "sigma"), ("attack", "method")])
-def test_sweep_axis_into_a_section_that_is_not_an_object_is_exit_2(tmp_path, capsys, section, axis):
-    doc = {"base": _base_config(**{section: 3}), "grid": {axis: [2]}}
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param("fed", "rounds", 3, id="fed-rounds"),
+    pytest.param("dp", "sigma", 3, id="dp-sigma"),
+    pytest.param("attack", "method", 3, id="attack-method"),
+    pytest.param("dp", "sigma", None, id="dp-null-sigma"),
+    pytest.param("data.synthetic", "overlap", 3, id="data.synthetic-overlap"),
+])
+def test_sweep_axis_into_a_section_that_is_not_an_object_is_exit_2(
+    tmp_path, capsys, section, key, value
+):
+    """An axis walks its path from the top of the base config; each section
+    it passes through must be an object, and `"dp": null` (no DP) is not."""
+    base = _base_config()
+    *outer, last = section.split(".")
+    functools.reduce(dict.__getitem__, outer, base)[last] = value
+    doc = {"base": base, "grid": {f"{section}.{key}": [2]}}
     cfg = _write_config(tmp_path, doc, "grid.json")
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
     assert f"config.{section} is not a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_non_positive_jobs_is_exit_2_before_any_cell_runs(tmp_path, capsys, jobs):
-    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": [0.1]}}, "grid.json")
+    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"fed.server_lr": [0.1]}},
+                        "grid.json")
     out_dir = tmp_path / "sweep"
     argv = ["sweep", "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs]
     assert main(argv) == EXIT_USAGE
@@ -1345,7 +1415,7 @@ def test_sweep_non_positive_jobs_is_exit_2_before_any_cell_runs(tmp_path, capsys
 
 
 def test_sweep_clients_axis_mi_bounded_by_log_k(tmp_path):
-    doc = {"base": _base_config(), "grid": {"clients": [3, 5]}}
+    doc = {"base": _base_config(), "grid": {"fed.clients": [3, 5]}}
     cfg = _write_config(tmp_path, doc, "grid.json")
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_OK
@@ -1355,6 +1425,23 @@ def test_sweep_clients_axis_mi_bounded_by_log_k(tmp_path):
         assert report["metrics"]["mutual_information"] <= np.log(k) + 1e-9
 
 
+def test_sweep_cell_directory_is_one_path_component_whatever_its_values(tmp_path):
+    """A `data.files.paths` value holds `/` and `..`; the cell still writes
+    one directory, `cell_000`, right under --out-dir, and nothing elsewhere."""
+    (tmp_path / "corp").mkdir()
+    paths = [str(tmp_path / "corp" / ".." / Path(p).name) for p in _client_files(tmp_path)]
+    files = {"paths": paths, "train_sentences": 2, "valid_sentences": 1}
+    doc = {"base": _base_config(data={"files": files}), "grid": {"data.files.paths": [paths]}}
+    cfg = _write_config(tmp_path, doc, "grid.json")
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_OK
+    assert [r["status"] for r in _summary_rows(out_dir)] == ["ok"]
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_dir()) == [
+        tmp_path / "corp", out_dir, out_dir / "cell_000"]
+    cell_config = json.loads((out_dir / "cell_000" / "config.json").read_text(encoding="utf-8"))
+    assert cell_config["data"]["files"]["paths"] == paths
+
+
 def _summary_rows(out_dir):
     with open(out_dir / "summary.csv", newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -1362,16 +1449,22 @@ def _summary_rows(out_dir):
 
 def test_sweep_rows_are_the_same_for_any_jobs_and_a_diverged_cell_fails(tmp_path, capsys):
     """A huge server rate makes its cells diverge; they get failed rows, the
-    other cells run, and the summary does not depend on --jobs."""
-    doc = {"base": _base_config(), "grid": {"rounds": [2, 3], "server_lr": [0.1, 1e30]}}
+    other cells run, and the summary does not depend on --jobs. A `seed`
+    axis is the summary's one `seed` column, failed rows included."""
+    doc = {"base": _base_config(), "grid": {"seed": [3, 4], "fed.server_lr": [0.1, 1e30]}}
     cfg = _write_config(tmp_path, doc, "grid.json")
     for jobs in ("1", "2"):
         argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / jobs), "--jobs", jobs]
         assert main(argv) == EXIT_OK
     summary = (tmp_path / "1" / "summary.csv").read_bytes()
     assert (tmp_path / "2" / "summary.csv").read_bytes() == summary
+    assert summary.splitlines()[0].split(b",").count(b"seed") == 1
     rows = _summary_rows(tmp_path / "1")
-    assert [r["status"] for r in rows] == ["ok", "failed", "ok", "failed"]
+    assert [r["status"] for r in rows] == ["ok", "ok", "failed", "failed"]
+    assert [r["seed"] for r in rows] == ["3", "4", "3", "4"]
+    configs = [json.loads((tmp_path / "1" / f"cell_{i:03d}" / "config.json").read_text())
+               for i in range(4)]
+    assert [c["seed"] for c in configs] == [3, 4, 3, 4]
     assert all(r["error"].startswith("DivergedError: ") for r in rows if r["status"] == "failed")
 
 
@@ -1380,7 +1473,7 @@ def test_dp_sweep_rows_are_the_same_for_any_jobs(tmp_path, capsys):
     does not depend on --jobs."""
     doc = {
         "base": _base_config(dp={"clip": 1.0, "sigma": 0.5}),
-        "grid": {"rounds": [2, 3], "sigma": [0.0, 0.5]},
+        "grid": {"fed.rounds": [2, 3], "dp.sigma": [0.0, 0.5]},
     }
     cfg = _write_config(tmp_path, doc, "grid.json")
     for jobs in ("1", "2"):
@@ -1399,7 +1492,7 @@ def test_sweep_worker_that_dies_gives_failed_rows(tmp_path, monkeypatch, capsys)
     """Every --jobs runs its cells in worker processes, the default one too,
     so a cell that ends its process fails its row and not the sweep."""
     monkeypatch.setattr(cli, "run_sweep_cell", _exit_process)  # runs in the worker processes
-    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": [0.1, 0.2]}},
+    cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"fed.server_lr": [0.1, 0.2]}},
                         "grid.json")
     for jobs in ("1", "2"):
         argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / jobs), "--jobs", jobs]
@@ -1426,7 +1519,7 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for lrs, jobs in (([0.1], "10000"), ([0.1, 0.2], "1")):
-        cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"server_lr": lrs}},
+        cfg = _write_config(tmp_path, {"base": _base_config(), "grid": {"fed.server_lr": lrs}},
                             "grid.json")
         out_dir = tmp_path / f"out{len(lrs)}"
         argv = ["sweep", "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs]
@@ -1438,9 +1531,12 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, capsys
 GRIDS = Path(__file__).resolve().parents[1] / "grids"
 
 
-@pytest.mark.parametrize("name, n_cells", [("client_scale", 9), ("dp_grid", 8), ("lr_sweep", 4)])
+@pytest.mark.parametrize("name, n_cells", [
+    ("client_scale", 9), ("dp_grid", 8), ("lr_sweep", 4), ("dp_hard_seeds", 36)
+])
 def test_checked_in_grids_are_valid(name, n_cells):
     grid_doc = json.loads((GRIDS / f"{name}.json").read_text(encoding="utf-8"))
     cells = cli._grid_cells(grid_doc)
     assert len(cells) == n_cells
-    assert all(doc["seed"] == 0 for _, doc in cells)
+    seeds = grid_doc["grid"].get("seed", [grid_doc["base"].get("seed", 0)])
+    assert sorted({doc.get("seed", 0) for _, doc in cells}) == sorted(seeds)
