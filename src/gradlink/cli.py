@@ -159,6 +159,14 @@ def _config_hash(doc: dict) -> str:
     ).hexdigest()[:12]
 
 
+def _summary_row(doc: dict, **columns) -> dict:
+    """The summary row of the cell whose checked config is `doc`: its seed
+    and config hash, which a failed cell has too, then `columns`, and ""
+    in every other column."""
+    keys = {"seed": parse_experiment(doc).fed.seed, "config_hash": _config_hash(doc)}
+    return dict.fromkeys(SUMMARY_COLUMNS, "") | keys | columns
+
+
 def run_sweep_cell(cell_dir: str, doc: dict) -> dict:
     """Run one grid cell end to end; returns its summary row."""
     out = Path(cell_dir)
@@ -175,10 +183,8 @@ def run_sweep_cell(cell_dir: str, doc: dict) -> dict:
     attack_to_file(trace_path, cfg.attack.method, cfg.attack.selector, assignment_path)
     report = report_from_files(trace_path, assignment_path, sidecar_path, report_path)
     metrics = report["metrics"]
-    return dict(zip(SUMMARY_COLUMNS, (
-        cfg.fed.seed, _config_hash(doc), metrics["purity"], metrics["rand_index"],
-        metrics["mutual_information"], "ok", "",
-    )))
+    return _summary_row(doc, purity=metrics["purity"], rand_index=metrics["rand_index"],
+                        mutual_information=metrics["mutual_information"], status="ok")
 
 
 def _grid_cells(grid_doc: dict):
@@ -215,8 +221,9 @@ def cmd_sweep(args) -> int:
     # `..`: the summary's `cell` column and each config.json say what a cell holds.
     runs = [(str(out_dir / f"cell_{i:03d}"), doc) for i, (_, doc) in enumerate(cells)]
     results = _sweep_results(runs, args.jobs)
+    # an axis value is written as JSON, so its column reads back as the value
     rows = [
-        {"cell": i, **result, **overrides}
+        {"cell": i, **result, **{axis: json.dumps(v) for axis, v in overrides.items()}}
         for i, ((overrides, _), result) in enumerate(zip(cells, results))
     ]
 
@@ -239,17 +246,16 @@ def _sweep_results(runs, jobs: int) -> list:
     cells with `BrokenProcessPool`, and the sweep still writes every row."""
     with concurrent.futures.ProcessPoolExecutor(min(jobs, len(runs))) as pool:
         futures = [pool.submit(run_sweep_cell, *run) for run in runs]
-        return [_cell_row(future.result) for future in futures]
+        return [_cell_row(future.result, doc) for future, (_, doc) in zip(futures, runs)]
 
 
-def _cell_row(run_cell) -> dict:
-    """The row `run_cell()` returns, or a failed row naming the exception it
-    raises: a failed cell must not stop the sweep."""
+def _cell_row(run_cell, doc: dict) -> dict:
+    """The row `run_cell()` returns, or a failed row of the cell `doc`
+    naming the exception it raises: a failed cell must not stop the sweep."""
     try:
         return run_cell()
     except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return dict.fromkeys(SUMMARY_COLUMNS, "") | {"status": "failed", "error": error}
+        return _summary_row(doc, status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:

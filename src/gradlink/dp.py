@@ -69,12 +69,12 @@ def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:
 
 
 def draw_noise(out: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
-    """Fill `out` with Gaussian noise of per-coordinate std `std`, bitwise
-    what `rng.normal(0.0, std, size=out.shape)` returns: normal computes
-    0.0 + std * z, and `+= 0.0` likewise turns a -0.0 into +0.0. Unlike
+    """Fill `out` with Gaussian noise of per-coordinate std `std`, drawn at
+    the dtype of `out`: std * z for standard normal z, where `+= 0.0` turns
+    a -0.0 into +0.0 as `Generator.normal`'s 0.0 + std * z does. Unlike
     `Generator.normal`, `standard_normal(out=...)` releases the GIL, so the
     draw runs in parallel with the main thread."""
-    rng.standard_normal(out=out)
+    rng.standard_normal(out=out, dtype=out.dtype)
     out *= std
     out += 0.0
     return out

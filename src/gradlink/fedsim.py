@@ -26,6 +26,7 @@ from .corpus import MAX_SENTENCE_TOKENS, ClientShard, batch_iter, windows_from_s
 from .dp import DpConfig, privatize, start_noise
 from .errors import ConfigError, DivergedError, UsageError, check_fields, finite, integer
 from .model import (
+    PARAM_DTYPE,
     GlobalModel,
     ModelConfig,
     check_tokens,
@@ -112,7 +113,7 @@ def local_training(
         batches.append(shard_batches)
     counts = [sum(len(t) for _, t in b) for b in batches]
     order = np.array(sorted(range(len(shards)), key=lambda i: -counts[i]), dtype=np.int64)
-    params = np.empty((len(shards), param_count(model_cfg)))
+    params = np.empty((len(shards), param_count(model_cfg)), dtype=PARAM_DTYPE)
     grads = np.empty_like(params)
     steps = []
     for j in range(max(map(len, batches), default=0)):
@@ -225,7 +226,7 @@ def run_simulation(
     shuffle -> record payloads -> aggregate. The trace's loss curve holds
     eval_loss on the union of validation shards, before training and after
     every round; DivergedError once one is non-finite. ConfigError, before
-    anything is allocated, for a run whose (K, P) float64 replica stack or
+    anything is allocated, for a run whose (K, P) float32 replica stack or
     (K·T, dim) float32 trace exceeds the largest array numpy can allocate."""
     if len(shards) != fed_cfg.clients:
         raise ConfigError(
@@ -236,8 +237,8 @@ def run_simulation(
     dim = sum(rows * cols for _, rows, cols in manifest)
     records = fed_cfg.rounds * fed_cfg.clients
     for what, nbytes in (
-        (f"a model of {size:,} parameters is too large: the stack of {fed_cfg.clients} "
-         "client replicas", fed_cfg.clients * size * 8),
+        (f"a model of {size:,} parameters is too large: the {PARAM_DTYPE} stack of "
+         f"{fed_cfg.clients} client replicas", fed_cfg.clients * size * PARAM_DTYPE.itemsize),
         (f"a run of {fed_cfg.rounds:,} rounds is too long: the trace of {records:,} updates "
          f"of {dim:,} values each", records * dim * 4),
     ):

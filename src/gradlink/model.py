@@ -1,7 +1,7 @@
 """Desk-scale next-token language model with the FC/Proj linear-layer layout
 the fingerprint attack consumes, plus exact analytic gradients.
 
-Parameters, gradients and client updates are each one flat float64 vector;
+Parameters, gradients and client updates are each one flat float32 vector;
 `param_layout` names its pieces and `views` exposes them as arrays. A round's
 K client replicas are one (K, P) stack of such vectors, and the forward and
 backward passes take that leading client axis: a (K, P) stack with (K, B,
@@ -27,6 +27,11 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import UsageError, check_fields, integer
+
+# The one dtype of a run's parameters, gradients, DP noise and updates: the
+# trace stores updates at this precision, and the attack reads nothing finer.
+# Every function below follows the dtype of the parameters it is given.
+PARAM_DTYPE = np.dtype(np.float32)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -132,7 +137,7 @@ def views(config: ModelConfig, flat: np.ndarray) -> Dict[str, np.ndarray]:
 
 @dataclass
 class GlobalModel:
-    """All parameters as one flat float64 vector, or a (K, P) stack of
+    """All parameters as one flat float32 vector, or a (K, P) stack of
     client replicas; `views` names its pieces and is built once per vector."""
 
     config: ModelConfig
@@ -145,11 +150,11 @@ class GlobalModel:
 
 def init_model(config: ModelConfig, seed: int) -> GlobalModel:
     """Deterministic init: weights uniform(-s, s) with s = 1/sqrt(fan_in),
-    biases exactly zero. Weights are drawn embedding first, then each of
-    `linear_layers`, then the output weight; this order fixes the initial
-    values of each seed."""
+    drawn in float64 and rounded to PARAM_DTYPE, biases exactly zero.
+    Weights are drawn embedding first, then each of `linear_layers`, then
+    the output weight; this order fixes the initial values of each seed."""
     rng = np.random.default_rng(seed)
-    model = GlobalModel(config, np.zeros(param_count(config)))
+    model = GlobalModel(config, np.zeros(param_count(config), dtype=PARAM_DTYPE))
     linear = [f"{name}.weight" for name, _, _ in linear_layers(config)]
     for name in ["embedding", *linear, "output.weight"]:
         w = model.views[name]

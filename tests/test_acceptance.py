@@ -20,6 +20,7 @@ from gradlink.dp import DpConfig, clip_gradient, privatize, rdp_epsilon, start_n
 from gradlink.fedsim import FedConfig, aggregate, client_round, local_training, run_simulation
 from gradlink.metrics import contingency, mutual_information, purity, rand_index
 from gradlink.model import (
+    GlobalModel,
     ModelConfig,
     forward_trace,
     init_model,
@@ -94,7 +95,9 @@ def test_assignment_solver_exactness():
 def test_gradient_finite_difference_agreement():
     with _criterion("analytic gradients match finite differences to 1e-4"):
         cfg = ModelConfig(vocab_size=10, embed_dim=8, context=3, n_blocks=2, ffn_mult=2)
-        m = init_model(cfg, 3)
+        # float64, so that a step of 1e-5 stands clear of rounding; the
+        # model code follows the dtype of its parameters
+        m = GlobalModel(cfg, init_model(cfg, 3).params.astype(np.float64))
         rng = np.random.default_rng(3)
         windows = rng.integers(0, cfg.vocab_size, size=(4, cfg.context))
         targets = rng.integers(0, cfg.vocab_size, size=4)

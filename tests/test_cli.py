@@ -3,6 +3,7 @@ import concurrent.futures
 import dataclasses
 import csv
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -1158,11 +1159,11 @@ def test_json_object_with_a_defect_is_exit_2_naming_it(tmp_path, capsys, kind, d
 
 @pytest.mark.parametrize("embed_dim, ffn_mult", [(10**7, 10**4), (10**9, 10**9)])
 def test_model_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch, embed_dim, ffn_mult):
-    """A structurally valid model whose (K, P) float64 replica stack is larger
-    than any numpy array exits 2 naming the model's size, and nothing of
-    that size is allocated: `init_model` is never reached. In the second
-    model one weight alone has more entries than an int64 holds, so the
-    count must not wrap."""
+    """A structurally valid model whose (K, P) float32 replica stack is larger
+    than any numpy array exits 2 naming the model's size and the stack's
+    bytes, 4 a value, and nothing of that size is allocated: `init_model` is
+    never reached. In the second model one weight alone has more entries
+    than an int64 holds, so the count must not wrap."""
 
     def no_model(*args):
         raise AssertionError("the oversized model was allocated")
@@ -1178,6 +1179,7 @@ def test_model_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch, em
     size = (h * 3 * d + h + d * h + d) + (h * d + h + d * h + d)  # blocks 1 and 2
     size += 2 * vocab * d + vocab  # embedding and output
     assert f"a model of {size:,} parameters is too large" in err
+    assert f"the float32 stack of 3 client replicas would need {3 * size * 4:,} bytes" in err
     assert "Traceback" not in err
     assert not (tmp_path / "t.jsonl").exists()
 
@@ -1339,7 +1341,7 @@ def test_sweep_sigma_axis(tmp_path, capsys):
 
     rows = _summary_rows(out_dir)
     assert [(r["attack.method"], r["dp.sigma"]) for r in rows] == [
-        ("greedy", "0.0"), ("greedy", "0.5"), ("kmeans", "0.0"), ("kmeans", "0.5")]
+        ('"greedy"', "0.0"), ('"greedy"', "0.5"), ('"kmeans"', "0.0"), ('"kmeans"', "0.5")]
     assert all(r["status"] == "ok" for r in rows)
 
     cells = sorted(out_dir.glob("cell_*"))
@@ -1440,6 +1442,58 @@ def test_sweep_cell_directory_is_one_path_component_whatever_its_values(tmp_path
         tmp_path / "corp", out_dir, out_dir / "cell_000"]
     cell_config = json.loads((out_dir / "cell_000" / "config.json").read_text(encoding="utf-8"))
     assert cell_config["data"]["files"]["paths"] == paths
+
+
+def _cell_config(out_dir, i):
+    return json.loads((out_dir / f"cell_{i:03d}" / "config.json").read_text(encoding="utf-8"))
+
+
+def test_sweep_axis_columns_read_back_as_json(tmp_path, capsys):
+    """Each axis column holds its value as JSON, whatever the value: a list
+    of paths, a string, null, an object and a number each read back through
+    json.loads as the value at that path of the cell's config.json."""
+    paths = _client_files(tmp_path)
+    files = {"paths": paths, "train_sentences": 2, "valid_sentences": 1}
+    grid = {"data.files.paths": [paths], "attack.method": ["greedy", "kmeans"],
+            "dp": [None, {"clip": 1.0, "sigma": 0.5}], "seed": [7]}
+    doc = {"base": _base_config(data={"files": files}), "grid": grid}
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "--config", str(_write_config(tmp_path, doc, "grid.json")),
+            "--out-dir", str(out_dir), "--jobs", "2"]
+    assert main(argv) == EXIT_OK
+    rows = _summary_rows(out_dir)
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    for i, row in enumerate(rows):
+        config = _cell_config(out_dir, i)
+        for axis in grid:
+            value = functools.reduce(dict.__getitem__, axis.split("."), config)
+            assert json.loads(row[axis]) == value, (i, axis)
+    assert json.loads(rows[0]["data.files.paths"]) == paths
+    assert [json.loads(r["dp"]) for r in rows[:2]] == [None, {"clip": 1.0, "sigma": 0.5}]
+
+
+def test_failed_sweep_cell_row_names_its_seed_and_config_hash(tmp_path, capsys):
+    """A `files` cell whose files are missing passes the config check and
+    fails when it runs. Its row still holds the seed and config hash of its
+    config.json, as the row of a cell that ran does."""
+    paths = _client_files(tmp_path)
+    missing = [str(tmp_path / "missing" / Path(p).name) for p in paths]
+    files = {"paths": paths, "train_sentences": 2, "valid_sentences": 1}
+    doc = {"base": _base_config(seed=5, data={"files": files}),
+           "grid": {"data.files.paths": [paths, missing]}}
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "--config", str(_write_config(tmp_path, doc, "grid.json")),
+            "--out-dir", str(out_dir)]
+    assert main(argv) == EXIT_OK
+    rows = _summary_rows(out_dir)
+    assert [r["status"] for r in rows] == ["ok", "failed"]
+    assert rows[1]["error"].startswith("InputError: ") and rows[1]["purity"] == ""
+    hashes = []
+    for i, row in enumerate(rows):
+        canonical = json.dumps(_cell_config(out_dir, i), sort_keys=True, separators=(",", ":"))
+        hashes.append(hashlib.sha256(canonical.encode()).hexdigest()[:12])
+        assert (row["seed"], row["config_hash"]) == ("5", hashes[-1])
+    assert hashes[0] != hashes[1]
 
 
 def _summary_rows(out_dir):

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from gradlink.corpus import PAD_ID
 from gradlink.dp import DpConfig, clip_gradient, draw_noise, privatize, rdp_epsilon, start_noise
 from gradlink.errors import ConfigError, UsageError
-from gradlink.model import ModelConfig, init_model, loss_and_grads
+from gradlink.model import PARAM_DTYPE, ModelConfig, init_model, loss_and_grads
 
 FLAT_DIM = 22
+EPS = np.finfo(PARAM_DTYPE).eps
 
 
 def _random_grads(rng, norm=None):
@@ -76,6 +77,13 @@ def _loop_clipped_average(per_sample, clip):
     return functools.reduce(np.add, clipped) / len(clipped)
 
 
+def _sum_rounding(per_sample, clip):
+    """Absolute tolerance of a batched clipped average against the loop: a
+    float32 sum of B clipped gradients rounds at most B times at their
+    largest entry."""
+    return len(per_sample) * EPS * max(np.abs(clip_gradient(g, clip)).max() for g in per_sample)
+
+
 @pytest.mark.parametrize("n_blocks", [1, 3])
 @pytest.mark.parametrize("regime", ["all", "none", "mix"])
 def test_batched_clipping_matches_batch1_loop(n_blocks, regime):
@@ -88,8 +96,12 @@ def test_batched_clipping_matches_batch1_loop(n_blocks, regime):
         low, high = {"all": (8, 8), "none": (0, 0), "mix": (1, 7)}[regime]
         assert low <= (norms > clip).sum() <= high
         _, batched = loss_and_grads(model, windows, targets, clip=clip)
+        assert batched.dtype == PARAM_DTYPE
         np.testing.assert_allclose(
-            batched, _loop_clipped_average(per_sample, clip), rtol=0, atol=1e-12
+            batched,
+            _loop_clipped_average(per_sample, clip),
+            rtol=0,
+            atol=_sum_rounding(per_sample, clip),
         )
 
 
@@ -101,12 +113,14 @@ def test_loss_and_grads_rejects_non_positive_clip():
 
 
 def _oracle_privatize(clipped_mean, n_samples, cfg, rng):
-    """The per-client rule: one `rng.normal` call over the whole vector,
-    none at sigma 0."""
+    """The per-client rule: one standard normal draw over the whole vector,
+    at its dtype, scaled to std and with -0.0 made +0.0 as
+    `Generator.normal` does; none at sigma 0."""
     if cfg.sigma == 0.0:
         return clipped_mean
     std = cfg.sigma * cfg.clip / n_samples
-    return clipped_mean + rng.normal(0.0, std, size=clipped_mean.shape)
+    z = rng.standard_normal(clipped_mean.shape, dtype=clipped_mean.dtype)
+    return clipped_mean + (std * z + 0.0)
 
 
 def _privatize_rows(clipped_means, n_samples, cfg, rngs, pool=None):
@@ -115,7 +129,7 @@ def _privatize_rows(clipped_means, n_samples, cfg, rngs, pool=None):
     if pool is None:
         with ThreadPoolExecutor(1) as own:
             return _privatize_rows(clipped_means, n_samples, cfg, rngs, own)
-    grads = np.array(clipped_means, dtype=float, ndmin=2)
+    grads = np.array(clipped_means, dtype=PARAM_DTYPE, ndmin=2)
     noise = np.empty_like(grads)
     return privatize(grads, noise, start_noise(noise, n_samples, cfg, rngs, pool))
 
@@ -123,21 +137,24 @@ def _privatize_rows(clipped_means, n_samples, cfg, rngs, pool=None):
 def test_privatize_sigma_zero_is_plain_clipped_average():
     model, windows, targets = _model_and_batch(2, size=4)
     per_sample = _per_sample_grads(model, windows, targets)
-    clip = 2.0 * max(np.linalg.norm(g) for g in per_sample)  # clips nothing
+    clip = 2.0 * max(float(np.linalg.norm(g)) for g in per_sample)  # clips nothing
     _, clipped_mean = loss_and_grads(model, windows, targets, clip=clip)
     cfg = DpConfig(clip=clip, sigma=0.0)
     (out,) = _privatize_rows(clipped_mean, 4, cfg, [np.random.default_rng(0)])
     np.testing.assert_array_equal(out, clipped_mean)
-    np.testing.assert_allclose(out, np.mean(per_sample, axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        out, np.mean(per_sample, axis=0), rtol=0, atol=_sum_rounding(per_sample, clip)
+    )
 
 
 def test_privatize_single_oversized_sample_is_halved():
     model, windows, targets = _model_and_batch(2, size=1, seed=3)
     (g,) = _per_sample_grads(model, windows, targets)
-    cfg = DpConfig(clip=np.linalg.norm(g) / 2.0, sigma=0.0)
+    cfg = DpConfig(clip=float(np.linalg.norm(g)) / 2.0, sigma=0.0)
     _, clipped_mean = loss_and_grads(model, windows, targets, clip=cfg.clip)
     (out,) = _privatize_rows(clipped_mean, 1, cfg, [np.random.default_rng(0)])
-    np.testing.assert_allclose(out, g / 2.0, rtol=1e-12)
+    # the clip factor comes from the ghost norm, the bound from `norm`
+    np.testing.assert_allclose(out, g / 2.0, rtol=8 * EPS)
 
 
 def test_privatize_noise_is_fresh_per_call():
@@ -161,12 +178,20 @@ def test_privatize_noise_std_matches_sigma_clip_over_l(l):
 
 
 def test_draw_noise_is_bitwise_generator_normal():
-    """Including a std so small that std * z underflows to -0.0, which
-    `normal`'s 0.0 + std * z turns into +0.0."""
+    """In float64, bitwise `Generator.normal`, including a std so small that
+    std * z underflows to -0.0, which `normal`'s 0.0 + std * z turns into
+    +0.0. In float32, the dtype of training, it is the float32 standard
+    normal stream times std, with the same sign rule."""
     for std in (0.3, 1e-320):
         out = draw_noise(np.empty(10_000), std, np.random.default_rng(6))
         expected = np.random.default_rng(6).normal(0.0, std, size=10_000)
         assert out.tobytes() == expected.tobytes()
+    for std in (0.3, 1e-50):  # 1e-50 is 0 in float32
+        out = draw_noise(np.empty(10_000, dtype=PARAM_DTYPE), std, np.random.default_rng(6))
+        z = np.random.default_rng(6).standard_normal(10_000, dtype=PARAM_DTYPE)
+        assert out.dtype == PARAM_DTYPE
+        assert out.tobytes() == (std * z + 0.0).tobytes()
+        assert not np.signbit(out[out == 0.0]).any()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -176,7 +201,7 @@ def test_privatize_equals_per_client_rule_on_any_pool(workers, sigma):
     bitwise equal to the per-client rule. A short switch interval makes the
     threads interleave often."""
     cfg = DpConfig(clip=1.5, sigma=sigma)
-    grads = np.random.default_rng(7).normal(size=(4, FLAT_DIM))
+    grads = np.random.default_rng(7).normal(size=(4, FLAT_DIM)).astype(PARAM_DTYPE)
     rngs = [np.random.default_rng(10 + i) for i in range(4)]
     oracle_rngs = [np.random.default_rng(10 + i) for i in range(4)]
     pool = ThreadPoolExecutor(workers)
@@ -207,7 +232,8 @@ def test_privatize_runs_a_draw_no_worker_has_begun():
             assert not held.done()
         finally:
             release.set()
-    expected = [np.random.default_rng(i).normal(0.0, 0.2, size=FLAT_DIM) for i in range(3)]
+    zeros = np.zeros(FLAT_DIM, dtype=PARAM_DTYPE)
+    expected = [_oracle_privatize(zeros, 2, cfg, np.random.default_rng(i)) for i in range(3)]
     assert out.tobytes() == np.stack(expected).tobytes()
 
 

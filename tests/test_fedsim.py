@@ -20,6 +20,7 @@ from gradlink.fedsim import (
     shuffle_round,
 )
 from gradlink.model import (
+    PARAM_DTYPE,
     GlobalModel,
     ModelConfig,
     init_model,
@@ -64,7 +65,9 @@ def test_client_round_single_step_equals_lr_times_grads():
     rng = labeled_rng(fed.seed, f"batch.client{shards[0].client_id}")
     (windows, targets), = list(batch_iter(shards[0], 10_000, mcfg.context, rng))
     _, grads = loss_and_grads(model, windows, targets)
-    np.testing.assert_allclose(payload, fed.client_lr * grads, atol=1e-12)
+    # theta - (theta - lr g) rounds once at the magnitude of theta
+    atol = np.finfo(PARAM_DTYPE).eps * np.abs(model.params).max()
+    np.testing.assert_allclose(payload, fed.client_lr * grads, rtol=0, atol=atol)
 
 
 def test_identical_shards_give_identical_payloads():
@@ -95,7 +98,9 @@ def test_local_training_rejects_out_of_vocabulary_tokens():
 
 def _oracle_client_round(snapshot, shard, cfg, dp_cfg=None, dp_rng=None):
     """Local SGD for one client at a time, a new model every step: the
-    per-client loop that lockstep training replaced."""
+    per-client loop that lockstep training replaced. Its DP noise is one
+    standard normal draw per step at the dtype of the gradient, scaled to
+    std, with -0.0 made +0.0 as `Generator.normal` does."""
     if not shard.train:
         raise ConfigError(f"client {shard.client_id} has an empty shard")
     model = snapshot
@@ -108,7 +113,8 @@ def _oracle_client_round(snapshot, shard, cfg, dp_cfg=None, dp_rng=None):
                 _, grads = loss_and_grads(model, windows, targets, clip=dp_cfg.clip)
                 if dp_cfg.sigma > 0:
                     std = dp_cfg.sigma * dp_cfg.clip / windows.shape[0]
-                    grads = grads + dp_rng.normal(0.0, std, size=grads.shape)
+                    z = dp_rng.standard_normal(grads.shape, dtype=grads.dtype)
+                    grads = grads + (std * z + 0.0)
             else:
                 _, grads = loss_and_grads(model, windows, targets)
             model = GlobalModel(model.config, model.params - cfg.client_lr * grads)
@@ -204,7 +210,7 @@ def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
                 _oracle_client_round(snapshot, s, fed, dp_cfg, rng)
                 for s, rng in zip(shards, oracle_rngs)
             ])[clients.order]
-        np.testing.assert_array_equal(stack.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(stack.view(np.uint32), expected.view(np.uint32))
     noisy = dp_cfg is not None and dp_cfg.sigma > 0
     assert set(dense) == (set() if fed.local_epochs == 0 else {noisy})
 
@@ -258,6 +264,37 @@ def test_noise_worker_count_never_changes_the_bytes(monkeypatch, workers, dp_cfg
     np.testing.assert_array_equal(trace.updates, rows)
     np.testing.assert_array_equal(truth, perms)
     np.testing.assert_array_equal(model.params, oracle_model.params)
+
+
+@pytest.mark.parametrize("dp_cfg", [None, DpConfig(clip=0.5, sigma=0.3)])
+def test_training_stays_float32_from_end_to_end(monkeypatch, dp_cfg):
+    """The replica stack, the gradient buffer, every noise buffer, every
+    aggregated model and the final model are all PARAM_DTYPE. A float64
+    upcast would change no other test's verdict, only double the memory
+    traffic of training."""
+    seen = {}
+
+    def recording(name, fn, *arrays):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            for label, get in arrays:
+                seen.setdefault(label, set()).add(get(args, result).dtype)
+            return result
+
+        monkeypatch.setattr(fedsim, name, wrapper)
+
+    recording("local_training", local_training,
+              ("params", lambda _, clients: clients.params),
+              ("grads", lambda _, clients: clients.grads))
+    recording("privatize", fedsim.privatize, ("noise", lambda args, _: args[1]))
+    recording("aggregate", aggregate, ("aggregate", lambda _, model: model.params))
+    shards, mcfg = _uneven_shards()
+    fed = FedConfig(clients=len(shards), rounds=2, seed=2, batch_size=4)
+    trace, _, final = run_simulation(fed, mcfg, shards, dp_cfg)
+    seen["final"] = {final.params.dtype}
+    labels = ["params", "grads", "aggregate", "final"] + (["noise"] if dp_cfg else [])
+    assert seen == dict.fromkeys(labels, {PARAM_DTYPE})
+    assert trace.updates.dtype == PARAM_DTYPE
 
 
 def test_sigma_zero_run_draws_no_noise(monkeypatch):
@@ -412,12 +449,12 @@ def test_aggregate_equals_the_stable_sort_under_every_row_permutation():
     rest *= rng.choice([-1.0, 1.0], size=rest.shape)  # 0.0 * -1.0 is -0.0
     width = param_count(mcfg) - special.shape[1] - half
     spread = rng.standard_normal((5, width)) * 10.0 ** rng.uniform(-3, 3, size=(5, width))
-    payloads = np.concatenate([special, rest, spread], axis=1)
+    payloads = np.concatenate([special, rest, spread], axis=1).astype(PARAM_DTYPE)
     assert (np.signbit(rest) & (rest == 0)).any() and (~np.signbit(rest) & (rest == 0)).any()
-    expected = _stable_sort_aggregate(model, payloads, 0.5).view(np.uint64)
+    expected = _stable_sort_aggregate(model, payloads, 0.5).view(np.uint32)
     for perm in itertools.permutations(range(5)):
         got = aggregate(model, payloads[list(perm)], server_lr=0.5).params
-        np.testing.assert_array_equal(got.view(np.uint64), expected)
+        np.testing.assert_array_equal(got.view(np.uint32), expected)
 
 
 def test_aggregate_payload_of_wrong_length_is_usage_error():
