@@ -5,8 +5,8 @@ config, corpus, trace, sidecar and assignment file goes through it, so a
 missing or malformed input of any kind is an InputError."""
 
 import json
+import math
 import numbers
-import sys
 from pathlib import Path
 
 
@@ -43,9 +43,14 @@ def is_integer(value) -> bool:
 
 def is_finite_number(value) -> bool:
     """True for a real number that is not a bool and that a float holds
-    finitely (JSON gives an int of any length)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    finitely: JSON gives an int of any length, and one beyond the float
+    range is not finite. A numpy float of any width is checked as is."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def known_keys(doc, keys, what: str = "the document", required=None) -> dict:

@@ -14,6 +14,7 @@ main thread or the noise worker, and its validation loss then ends it as a
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import functools
 import itertools
 from concurrent.futures import Executor
@@ -27,16 +28,17 @@ from .dp import DpConfig, privatize, start_noise
 from .errors import ConfigError, DivergedError, UsageError, check_fields, finite, integer
 from .model import (
     PARAM_DTYPE,
+    BatchPlan,
     GlobalModel,
     ModelConfig,
     check_tokens,
     embedding_columns,
-    embedding_rows,
     eval_loss,
     init_model,
     linear_layers,
     loss_and_grads,
     param_count,
+    plan_batch,
     sgd_step,
     views,
 )
@@ -82,22 +84,24 @@ class LocalTraining:
     step the clients with the same batch size are one contiguous slice of
     rows: all full batches first, then the last partial batches, largest
     first. `steps` lists one local epoch's slices in step order, each as
-    (replicas, gradient rows, windows (n, b, context), targets (n, b),
-    shard positions), where the first two are views into the stack and the
-    buffer."""
+    (replicas, windows (n, b, context), targets (n, b), shard positions,
+    plan): the replicas are a view into the stack, and the plan is the
+    slice's `model.BatchPlan`, not dense, bound to its rows of the
+    gradient buffer."""
 
     order: np.ndarray
     params: np.ndarray
     grads: np.ndarray
-    steps: List[Tuple[GlobalModel, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    steps: List[Tuple[GlobalModel, np.ndarray, np.ndarray, np.ndarray, BatchPlan]]
 
 
 def local_training(
     shards: Sequence[ClientShard], cfg: FedConfig, model_cfg: ModelConfig
 ) -> LocalTraining:
-    """Build each shard's batches once. A client's batch order depends only
-    on (seed, client) and is drawn afresh from that stream every epoch, so
-    every epoch of every round visits the same batches."""
+    """Build each shard's batches, and each step's plan, once. A client's
+    batch order depends only on (seed, client) and is drawn afresh from
+    that stream every epoch, so every epoch of every round visits the same
+    batches."""
     batches = []
     for shard in shards:
         rng = labeled_rng(cfg.seed, f"batch.client{shard.client_id}")
@@ -125,9 +129,8 @@ def local_training(
             windows = np.stack([batches[i][j][0] for i in members])
             targets = np.stack([batches[i][j][1] for i in members])
             check_tokens(model_cfg, windows, targets)
-            steps.append(
-                (GlobalModel(model_cfg, params[lo:hi]), grads[lo:hi], windows, targets, members)
-            )
+            plan = plan_batch(model_cfg, windows, targets, grads[lo:hi], dense=False)
+            steps.append((GlobalModel(model_cfg, params[lo:hi]), windows, targets, members, plan))
             lo = hi
     return LocalTraining(order, params, grads, steps)
 
@@ -151,12 +154,10 @@ def client_round(
     it.
 
     A step updates the blocks and the output whole, and the embedding only
-    in the rows of its plan: the rows its windows look up, outside which
-    the gradient is zero, and leaving a row alone gives the bits
-    p - lr * 0.0 gives. The noise reaches every row, so a noisy step's plan
-    is every row. The plan is the windows' own row index, computed per
-    step: a list of unique rows built once per run saves only about 20 us
-    a step and would be held through training.
+    in the rows of its plan, each once: the unique rows its windows look
+    up, outside which the gradient is zero, and leaving a row alone gives
+    the bits p - lr * 0.0 gives. The noise reaches every row, so a noisy
+    step's plan is dense: it zeroes and steps every row.
 
     With a frozen global model a client emits an identical payload every
     round."""
@@ -164,21 +165,26 @@ def client_round(
     noise = np.empty_like(params) if dp_cfg is not None and dp_cfg.sigma > 0 else None
     emb = embedding_columns(snapshot.config)
     params[...] = snapshot.params
+    steps = clients.steps
+    if noise is not None:
+        steps = [(*step, dataclasses.replace(plan, dense=True)) for *step, plan in steps]
     for _ in range(cfg.local_epochs):
-        for replicas, grads, windows, targets, shard_ids in clients.steps:
-            rows = embedding_rows(windows) if noise is None else ...
+        for replicas, windows, targets, shard_ids, plan in steps:
+            grads = plan.grads
             if noise is not None:
                 step_noise = noise[: len(shard_ids)]
                 rngs = [dp_rngs[i] for i in shard_ids]
                 draws = start_noise(step_noise, windows.shape[1], dp_cfg, rngs, pool)
-            loss_and_grads(replicas, windows, targets, clip=clip, out=grads, rows=rows)
+            loss_and_grads(replicas, windows, targets, clip=clip, out=grads, plan=plan)
             if noise is not None:
                 privatize(grads, step_noise, draws)
             p = replicas.params
             sgd_step(p[:, : emb.start], grads[:, : emb.start], cfg.client_lr)
             sgd_step(p[:, emb.stop :], grads[:, emb.stop :], cfg.client_lr)
-            table = replicas.views["embedding"]
-            sgd_step(table, grads[:, emb].reshape(table.shape), cfg.client_lr, rows)
+            sgd_step(
+                replicas.views["embedding"], plan.grad_views["embedding"], cfg.client_lr,
+                plan.stepped,
+            )
     np.subtract(snapshot.params, params, out=params)
     return params
 

@@ -206,21 +206,89 @@ def _check_batch(model: GlobalModel, windows, targets):
 
 def embedding_rows(windows: np.ndarray):
     """Index into a (..., vocab, dim) table that picks each window's rows
-    from its own client's table: (windows,) without a client axis. These
-    are the only rows where the batch's embedding gradient can be non-zero;
-    a row repeats once per use."""
+    from its own client's table: (windows,) without a client axis."""
     lead = np.indices(windows.shape[:-2], sparse=True)
     return tuple(i[..., None, None] for i in lead) + (windows,)
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """The indexing one batch's `loss_and_grads` call needs, built from its
+    windows and targets alone (see `plan_batch`), so that a lockstep run
+    builds it once per step and reuses it every epoch of every round.
+
+    The embedding gradient is the sum, per (client, token) row, of the
+    per-occurrence rows of the backward pass: `order` sorts the occurrences
+    by row, stably, `starts` is where each row's run begins in that order,
+    and `rows` indexes those rows in a (..., vocab, dim) table, each once.
+    It is zero outside `rows`. A `dense` plan zeroes the rest of the
+    embedding gradient and steps every row; any other leaves the rest of
+    `grads` as it was and steps `rows` alone.
+
+    `grads`, if not None, is the gradient buffer the plan's step writes and
+    `grad_views` its named views, built once with it."""
+
+    gather: tuple  # embedding_rows(windows)
+    picks: tuple  # index of each sample's target logit in (..., B, vocab)
+    order: np.ndarray
+    starts: np.ndarray
+    rows: tuple
+    dense: bool = True
+    grads: Optional[np.ndarray] = None
+    grad_views: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False)
+
+    @property
+    def stepped(self):
+        """The embedding rows a step with this plan updates."""
+        return ... if self.dense else self.rows
+
+    def scatter(self, demb: np.ndarray, table: np.ndarray) -> None:
+        """Write the embedding gradient into the (..., vocab, dim) `table`
+        from the (..., B, context, dim) per-occurrence rows `demb`: one
+        `np.add.reduceat` segment per row of `rows`, over that row's
+        occurrences in batch order, so no client's rows depend on another
+        client of the stack. Zero in every other row if the plan is dense."""
+        if self.dense:
+            table[...] = 0.0
+        occurrences = demb.reshape(-1, demb.shape[-1])[self.order]
+        table[self.rows] = np.add.reduceat(occurrences, self.starts, axis=0)
+
+
+def plan_batch(
+    config: ModelConfig, windows, targets, grads: Optional[np.ndarray] = None, dense: bool = True
+) -> BatchPlan:
+    """The `BatchPlan` of (..., B, context) `windows` and their targets,
+    optionally bound to the gradient buffer `grads` its step writes."""
+    windows, targets = np.asarray(windows), np.asarray(targets)
+    lead = windows.shape[:-2]
+    clients = math.prod(lead)
+    keys = (np.arange(clients)[:, None] * config.vocab_size + windows.reshape(clients, -1)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    rows = np.unravel_index(keys[starts], lead + (config.vocab_size,))
+    return BatchPlan(
+        gather=embedding_rows(windows),
+        picks=(*np.indices(targets.shape, sparse=True), targets),
+        order=order,
+        starts=starts,
+        rows=rows,
+        dense=dense,
+        grads=grads,
+        grad_views=None if grads is None else views(config, grads),
+    )
 
 
 def _t(w: np.ndarray) -> np.ndarray:
     return w.swapaxes(-1, -2)
 
 
-def forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
+def forward_trace(model: GlobalModel, windows: np.ndarray, gather=None) -> ForwardTrace:
+    """The forward pass; `gather` is `embedding_rows(windows)` if given."""
     windows = np.asarray(windows)
     p = model.views
-    x = p["embedding"][embedding_rows(windows)].reshape(*windows.shape[:-1], -1)
+    x = p["embedding"][embedding_rows(windows) if gather is None else gather]
+    x = x.reshape(*windows.shape[:-1], -1)
     inputs, pres, hiddens = [], [], []
     for i in range(1, model.config.n_blocks + 1):
         inputs.append(x)
@@ -237,13 +305,19 @@ def forward_trace(model: GlobalModel, windows: np.ndarray) -> ForwardTrace:
     return ForwardTrace(inputs, pres, hiddens, x, logits)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, in place: it returns `logits`. On the
-    (K, B, vocab) logits of a large client stack, each fresh array costs
-    more in page faults than its arithmetic."""
+def _softmax(logits: np.ndarray, picks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax over the last axis, in place, as (e, s, losses): e =
+    exp(logits - row max) overwrites `logits`, s is its row sums (keepdims)
+    and losses, per sample, the cross-entropy log(s) - (logit - max) of
+    the target that `picks` indexes. So softmax = e / s, and no
+    log-probability array is built: on the (K, B, vocab) logits of a large
+    client stack each fresh array costs more in page faults than its
+    arithmetic."""
     logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    return logits
+    picked = logits[picks]
+    e = np.exp(logits, out=logits)
+    s = e.sum(axis=-1, keepdims=True)
+    return e, s, np.log(s[..., 0]) - picked
 
 
 def loss_and_grads(
@@ -252,7 +326,7 @@ def loss_and_grads(
     targets,
     clip: Optional[float] = None,
     out: Optional[np.ndarray] = None,
-    rows=...,
+    plan: Optional[BatchPlan] = None,
 ) -> Tuple[Union[float, np.ndarray], np.ndarray]:
     """Mean softmax cross-entropy (natural log) over the batch, with exact
     analytic gradients averaged over the batch, as one flat vector in the
@@ -268,29 +342,31 @@ def loss_and_grads(
     if given (shaped like the parameters). Token ids are not checked here;
     see `check_tokens`.
 
-    The embedding gradient is zero outside the rows of the batch's tokens.
-    `rows` indexes the (..., vocab, dim) embedding of the gradient, and only
-    those rows are zeroed before the batch is scattered into them, so it
-    must hold every row `embedding_rows(windows)` holds; the rest of the
-    embedding keeps what `out` held. The default is every row."""
+    `plan` is `plan_batch` of these windows and targets; without one, a
+    dense plan is built on the spot. The embedding gradient is written in
+    the plan's rows only, and a plan that is not dense leaves the rest of
+    the embedding as `out` held it. A plan bound to `out` brings its named
+    views, which are otherwise built per call."""
     if clip is not None and not clip > 0:
         raise UsageError("clip bound must be > 0")
     windows, targets = _check_batch(model, windows, targets)
+    cfg = model.config
+    if plan is None:
+        plan = plan_batch(cfg, windows, targets)
     if out is None:
         out = np.empty_like(model.params)
     elif out.shape != model.params.shape:
         raise UsageError(f"gradient buffer has shape {out.shape}, parameters {model.params.shape}")
-    cfg = model.config
-    trace = forward_trace(model, windows)
+    trace = forward_trace(model, windows, plan.gather)
     b = windows.shape[-2]
-    logp = _log_softmax(trace.logits)
-    picks = (*np.indices(targets.shape, sparse=True), targets)
-    loss = -logp[picks].mean(axis=-1)
-
-    dlogits = np.exp(logp, out=logp)  # logp is not needed again
-    dlogits[picks] -= 1.0
+    dlogits, s, losses = _softmax(trace.logits, plan.picks)
+    loss = losses.mean(axis=-1)
     if clip is None:
-        dlogits /= b
+        dlogits /= s * b
+        dlogits[plan.picks] -= 1.0 / b
+    else:
+        dlogits /= s
+        dlogits[plan.picks] -= 1.0
 
     # (layer, output gradient, input) of each linear layer; row i of both
     # belongs to sample i, so the layer's gradient is dout.T @ a.
@@ -314,12 +390,11 @@ def loss_and_grads(
             dout *= scale[..., None]
         demb *= scale[..., None, None]
 
-    g = views(cfg, out)
+    g = plan.grad_views if out is plan.grads else views(cfg, out)
     for name, dout, a in layers:
         np.matmul(_t(dout), a, out=g[name + ".weight"])
         dout.sum(axis=-2, out=g[name + ".bias"])
-    g["embedding"][rows] = 0.0
-    np.add.at(g["embedding"], embedding_rows(windows), demb)
+    plan.scatter(demb, g["embedding"])
     return (float(loss) if loss.ndim == 0 else loss), out
 
 
@@ -374,6 +449,6 @@ def eval_loss(model: GlobalModel, windows, targets) -> float:
     for start in range(0, windows.shape[0], EVAL_CHUNK):
         w = windows[start : start + EVAL_CHUNK]
         t = targets[start : start + EVAL_CHUNK]
-        logp = _log_softmax(forward_trace(model, w).logits)
-        total += float(-logp[np.arange(w.shape[0]), t].sum())
+        _, _, losses = _softmax(forward_trace(model, w).logits, (np.arange(w.shape[0]), t))
+        total += float(losses.sum())
     return total / windows.shape[0]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gradlink.corpus import PAD_ID
 from gradlink.dp import DpConfig, clip_gradient, draw_noise, privatize, rdp_epsilon, start_noise
-from gradlink.errors import ConfigError, UsageError
+from gradlink.errors import ConfigError, UsageError, is_finite_number
 from gradlink.model import PARAM_DTYPE, ModelConfig, init_model, loss_and_grads
 
 FLAT_DIM = 22
@@ -295,3 +295,28 @@ def test_dp_config_validation():
         for field in ("clip", "sigma", "delta"):
             with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
                 DpConfig(**dict({"clip": 1.0, "sigma": 1.0}, **{field: bad}))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_numpy_floats_of_every_width_are_checked_without_a_cast(dtype):
+    """A numpy float is checked at its own width. Comparing it with the
+    largest Python float casts that bound down to float16 or float32, which
+    overflows and warns, and this suite fails on the warning: a float32
+    clip bound, such as a norm of float32 gradients, must make a DpConfig."""
+    cfg = DpConfig(clip=dtype(0.5), sigma=dtype(0.1))
+    assert cfg.clip == dtype(0.5)
+    assert is_finite_number(np.finfo(dtype).max) and is_finite_number(dtype(-0.0))
+    for bad in (np.inf, -np.inf, np.nan):
+        assert not is_finite_number(dtype(bad))
+        with pytest.raises(ConfigError, match="clip must be a finite number"):
+            DpConfig(clip=dtype(bad), sigma=1.0)
+
+
+def test_ints_beyond_the_float_range_are_not_finite():
+    """JSON gives an int of any length; one that no float holds is not a
+    finite number, and the check says so instead of raising OverflowError."""
+    assert is_finite_number(10**308)
+    for big in (10**400, -(10**400)):
+        assert not is_finite_number(big)
+    with pytest.raises(ConfigError, match="sigma must be a finite number"):
+        DpConfig(clip=1.0, sigma=10**400)

@@ -27,6 +27,7 @@ from gradlink.model import (
     linear_layers,
     loss_and_grads,
     param_count,
+    plan_batch,
     views,
 )
 from gradlink.rng import labeled_rng
@@ -178,7 +179,7 @@ def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
     """Two rounds of the (K, P) stack against the per-client loop, bitwise.
     The second round starts from another snapshot and continues each DP
     noise stream. A step without noise updates only its plan's embedding
-    rows, a noisy step every row."""
+    rows, a noisy step's plan is dense."""
     kwargs = dict(LOCKSTEP_CASES[case])
     dp_cfg = kwargs.pop("dp", None)
     shards, mcfg = _uneven_shards()
@@ -186,9 +187,9 @@ def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
     prepare = kwargs.pop("snapshot", lambda snapshot, _: snapshot)
     dense = []
 
-    def recording_loss_and_grads(*args, rows, **kw):
-        dense.append(rows is ...)
-        return loss_and_grads(*args, rows=rows, **kw)
+    def recording_loss_and_grads(*args, plan, **kw):
+        dense.append(plan.dense)
+        return loss_and_grads(*args, plan=plan, **kw)
 
     monkeypatch.setattr(fedsim, "loss_and_grads", recording_loss_and_grads)
     fed = FedConfig(clients=len(shards), rounds=2, seed=4, client_lr=0.3, **kwargs)
@@ -251,6 +252,38 @@ def test_simulation_equals_per_client_oracle(dp_cfg):
     np.testing.assert_array_equal(model.params, oracle_model.params)
     # each window is used once per local epoch of every round: R * E steps
     assert trace.dp_steps == (None if dp_cfg is None else fed.rounds * fed.local_epochs)
+
+
+@pytest.mark.parametrize("dp_cfg", [None, DpConfig(clip=0.5, sigma=0.3)])
+def test_each_step_plan_is_built_once_per_run(monkeypatch, dp_cfg):
+    """A run of 3 rounds of 2 local epochs builds one plan per lockstep
+    step, and every step of every epoch and round is computed with the
+    plan built for it: without noise, that very plan; with noise, its
+    dense copy."""
+    shards, mcfg = _uneven_shards()
+    fed = FedConfig(clients=len(shards), rounds=3, seed=2, batch_size=4, local_epochs=2)
+    n_steps = len(local_training(shards, fed, mcfg).steps)
+    built, used = [], []
+
+    def recording_plan_batch(*args, **kwargs):
+        built.append(plan_batch(*args, **kwargs))
+        return built[-1]
+
+    def recording_loss_and_grads(*args, plan, **kwargs):
+        used.append(plan)
+        return loss_and_grads(*args, plan=plan, **kwargs)
+
+    monkeypatch.setattr(fedsim, "plan_batch", recording_plan_batch)
+    monkeypatch.setattr(fedsim, "loss_and_grads", recording_loss_and_grads)
+    run_simulation(fed, mcfg, shards, dp_cfg)
+    assert len(built) == n_steps
+    assert len(used) == fed.rounds * fed.local_epochs * n_steps
+    expected = built * (fed.rounds * fed.local_epochs)
+    for plan, own in zip(used, expected):
+        if dp_cfg is None:
+            assert plan is own
+        else:
+            assert plan.dense and plan.order is own.order and plan.grads is own.grads
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradlink.corpus import SyntheticSpec, generate_synthetic, windows_from_sentences
+from gradlink.corpus import PAD_ID, SyntheticSpec, generate_synthetic, windows_from_sentences
 from gradlink.errors import ConfigError, UsageError
 from gradlink.model import (
     PARAM_DTYPE,
@@ -18,6 +20,7 @@ from gradlink.model import (
     loss_and_grads,
     param_count,
     param_layout,
+    plan_batch,
     sgd_step,
     views,
 )
@@ -93,16 +96,37 @@ def test_out_of_range_token_is_usage_error():
             loss_and_grads(m if windows.ndim < 2 else stack, windows, targets)
 
 
+def _repeating_windows(rng, k, b, context):
+    """(k, b, context) ids from {PAD, 1, 2, 3}. Each client's first window
+    is all PAD, client 0's batch is PAD alone, and client 1's repeats token
+    2 in most places, so some (client, token) rows sum more than 8
+    occurrences, where numpy's pairwise summation starts to unroll."""
+    windows = rng.integers(0, 4, size=(k, b, context))
+    windows[1][rng.random((b, context)) < 0.8] = 2
+    windows[:, 0] = PAD_ID
+    windows[0] = PAD_ID
+    counts = np.array([np.bincount(w.ravel(), minlength=4) for w in windows])
+    assert counts[0, PAD_ID] == b * context > 8 and counts[1, 2] > 8
+    return windows
+
+
 @pytest.mark.parametrize("clip", [None, 1e-3, 0.3, 1e3])
 def test_stacked_loss_and_grads_rows_equal_single_calls(clip):
     """Row k of a (K, P) call equals the call on replica k alone, bitwise,
     for loss, plain gradient and clipped gradient. Small token ids make
-    windows repeat tokens, as the clipping's embedding term must handle."""
-    for seed, cfg in enumerate([SMALL, ModelConfig(vocab_size=9, embed_dim=5, context=2, n_blocks=3)]):
-        k, b = 4, 5
+    windows repeat tokens, as the clipping's embedding term must handle,
+    and in the larger batch a client's batch repeats a token more than 8
+    times, PAD-only windows included, which the embedding's segment sums
+    must add up as a single call does."""
+    models = [SMALL, ModelConfig(vocab_size=9, embed_dim=5, context=2, n_blocks=3)]
+    for seed, (cfg, b) in enumerate(itertools.product(models, (5, 9))):
+        k = 4
         rng = np.random.default_rng(seed)
         stack = np.stack([init_model(cfg, seed * 10 + i).params for i in range(k)])
-        windows = rng.integers(0, 4, size=(k, b, cfg.context))
+        if b == 5:
+            windows = rng.integers(0, 4, size=(k, b, cfg.context))
+        else:
+            windows = _repeating_windows(rng, k, b, cfg.context)
         targets = rng.integers(0, cfg.vocab_size, size=(k, b))
         out = np.full_like(stack, np.nan)
         losses, grads = loss_and_grads(GlobalModel(cfg, stack), windows, targets, clip, out=out)
@@ -111,6 +135,40 @@ def test_stacked_loss_and_grads_rows_equal_single_calls(clip):
             loss, g = loss_and_grads(GlobalModel(cfg, stack[i].copy()), windows[i], targets[i], clip)
             assert losses[i] == loss
             np.testing.assert_array_equal(grads[i], g)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_segment_sum_scatter_equals_per_occurrence_float64_loop(dense):
+    """A plan's scatter against a float64 loop that adds each occurrence's
+    row to its (client, token) row. Each row of the float32 result is a sum
+    of n float32 terms, within n eps of the sum of their magnitudes. The
+    plan's rows are the rows used, each once; a dense plan zeroes every
+    other row, and any other plan leaves it as it was."""
+    k, b, d = 4, 7, 5
+    rng = np.random.default_rng(21)
+    windows = _repeating_windows(rng, k, b, SMALL.context)
+    plan = plan_batch(SMALL, windows, rng.integers(0, SMALL.vocab_size, size=(k, b)), dense=dense)
+    demb = (rng.normal(size=(k, b, SMALL.context, d)) * 10.0 ** rng.integers(-3, 4, size=(k, b, 1, 1)))
+    demb = demb.astype(PARAM_DTYPE)
+    table = np.full((k, SMALL.vocab_size, d), np.nan, dtype=PARAM_DTYPE)
+    plan.scatter(demb, table)
+
+    expected = np.zeros(table.shape)
+    magnitude = np.zeros(table.shape)
+    uses = np.zeros(table.shape[:2], dtype=int)
+    for (client, i, c), token in np.ndenumerate(windows):
+        expected[client, token] += demb[client, i, c]
+        magnitude[client, token] += np.abs(demb[client, i, c])
+        uses[client, token] += 1
+    used = uses > 0
+    assert sorted(zip(*plan.rows)) == sorted(zip(*np.nonzero(used)))
+    assert uses.max() > 8
+    error = np.abs(table[used] - expected[used])
+    assert np.all(error <= uses[used][:, None] * EPS * magnitude[used])
+    if dense:
+        np.testing.assert_array_equal(table[~used], 0.0)
+    else:
+        assert np.isnan(table[~used]).all()
 
 
 def _relu_pattern(m, windows):
@@ -348,6 +406,24 @@ def test_eval_loss_deterministic_and_training_reduces_it():
         _, g = loss_and_grads(m, windows[idx], targets[idx])
         sgd_step(m.params, g, 0.1)
     assert eval_loss(m, windows, targets) < initial
+
+
+def test_eval_loss_equals_the_loss_of_one_batch():
+    """eval_loss and loss_and_grads share one softmax, so over the same
+    windows eval_loss's sum of chunks equals the mean of one batch up to
+    the rounding of their float32 sums. Each side sums at most 1,300
+    positive losses pairwise, in blocks of 128 with 8 accumulators: within
+    about (16 + log2(1300 / 128)) eps of the total, so 64 eps for both."""
+    m = init_model(SMALL, 14)
+    windows, targets = _batch(SMALL, 1300, 14)  # three EVAL_CHUNKs
+    loss, _ = loss_and_grads(m, windows, targets)
+    assert eval_loss(m, windows, targets) == pytest.approx(loss, rel=64 * EPS, abs=0)
+    stack = GlobalModel(SMALL, np.stack([m.params, init_model(SMALL, 15).params]))
+    losses, _ = loss_and_grads(stack, np.stack([windows] * 2), np.stack([targets] * 2))
+    assert losses[0] == loss
+    assert eval_loss(GlobalModel(SMALL, stack.params[1]), windows, targets) == pytest.approx(
+        losses[1], rel=64 * EPS, abs=0
+    )
 
 
 def test_memorizes_deterministic_corpus():
