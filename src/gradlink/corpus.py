@@ -186,11 +186,10 @@ def windows_from_sentences(sentences: Sequence[np.ndarray], context: int):
 
 def batch_iter(shard: ClientShard, batch_size: int, context: int, rng: np.random.Generator):
     """Yield (windows, targets) training mini-batches in a deterministic
-    shuffled order; the final partial batch is included."""
+    shuffled order; the final partial batch is included. A shard with no
+    training window yields none."""
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
-    if not shard.train:
-        raise UsageError(f"shard {shard.client_id} has no train sentences")
     windows, targets = windows_from_sentences(shard.train, context)
     order = rng.permutation(windows.shape[0])
     for start in range(0, windows.shape[0], batch_size):

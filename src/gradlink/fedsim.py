@@ -14,7 +14,6 @@ main thread or the noise worker, and its validation loss then ends it as a
 
 import concurrent.futures
 import contextlib
-import dataclasses
 import functools
 import itertools
 from concurrent.futures import Executor
@@ -76,8 +75,9 @@ class FedConfig:
 @dataclass
 class LocalTraining:
     """A run's local-training state, built once: every client's batches,
-    checked against the vocabulary, plus the (K, P) replica stack and one
-    gradient buffer that every round reuses.
+    checked against the vocabulary, plus the (K, P) replica stack, the DP
+    config, each shard's DP noise stream and, in a run with noise, one
+    (K, P) noise buffer, all of which every round reuses.
 
     Row r of the stack trains shard `order[r]`. Shards are sorted by
     training-window count, largest first, ties by position, so at each local
@@ -86,17 +86,23 @@ class LocalTraining:
     first. `steps` lists one local epoch's slices in step order, each as
     (replicas, windows (n, b, context), targets (n, b), shard positions,
     plan): the replicas are a view into the stack, and the plan is the
-    slice's `model.BatchPlan`, not dense, bound to its rows of the
-    gradient buffer."""
+    slice's `model.BatchPlan`, which owns its rows of the run's gradient
+    buffer. DP noise reaches every embedding row, so the plans of a run
+    with noise are dense, and those of any other run are not."""
 
     order: np.ndarray
     params: np.ndarray
-    grads: np.ndarray
     steps: List[Tuple[GlobalModel, np.ndarray, np.ndarray, np.ndarray, BatchPlan]]
+    dp: Optional[DpConfig]
+    dp_rngs: List[np.random.Generator]
+    noise: Optional[np.ndarray]
 
 
 def local_training(
-    shards: Sequence[ClientShard], cfg: FedConfig, model_cfg: ModelConfig
+    shards: Sequence[ClientShard],
+    cfg: FedConfig,
+    model_cfg: ModelConfig,
+    dp_cfg: Optional[DpConfig] = None,
 ) -> LocalTraining:
     """Build each shard's batches, and each step's plan, once. A client's
     batch order depends only on (seed, client) and is drawn afresh from
@@ -105,20 +111,18 @@ def local_training(
     batches = []
     for shard in shards:
         rng = labeled_rng(cfg.seed, f"batch.client{shard.client_id}")
-        shard_batches = (
-            list(batch_iter(shard, cfg.batch_size, model_cfg.context, rng)) if shard.train else []
-        )
-        if not shard_batches:
+        batches.append(list(batch_iter(shard, cfg.batch_size, model_cfg.context, rng)))
+        if not batches[-1]:
             raise ConfigError(
                 f"client {shard.client_id} has no training window: none of its train "
                 f"sentences, cut to their first {MAX_SENTENCE_TOKENS} tokens, has more than "
                 f"context={model_cfg.context} tokens"
             )
-        batches.append(shard_batches)
     counts = [sum(len(t) for _, t in b) for b in batches]
     order = np.array(sorted(range(len(shards)), key=lambda i: -counts[i]), dtype=np.int64)
     params = np.empty((len(shards), param_count(model_cfg)), dtype=PARAM_DTYPE)
     grads = np.empty_like(params)
+    noisy = dp_cfg is not None and dp_cfg.sigma > 0
     steps = []
     for j in range(max(map(len, batches), default=0)):
         active = [i for i in order if len(batches[i]) > j]
@@ -129,53 +133,48 @@ def local_training(
             windows = np.stack([batches[i][j][0] for i in members])
             targets = np.stack([batches[i][j][1] for i in members])
             check_tokens(model_cfg, windows, targets)
-            plan = plan_batch(model_cfg, windows, targets, grads[lo:hi], dense=False)
+            plan = plan_batch(model_cfg, windows, targets, grads[lo:hi], dense=noisy)
             steps.append((GlobalModel(model_cfg, params[lo:hi]), windows, targets, members, plan))
             lo = hi
-    return LocalTraining(order, params, grads, steps)
+    dp_rngs = [labeled_rng(cfg.seed, f"dp.client{s.client_id}") for s in shards]
+    return LocalTraining(
+        order, params, steps, dp_cfg, dp_rngs, np.empty_like(params) if noisy else None
+    )
 
 
 def client_round(
-    snapshot: GlobalModel,
-    clients: LocalTraining,
-    cfg: FedConfig,
-    dp_cfg: Optional[DpConfig] = None,
-    dp_rngs: Optional[Sequence[np.random.Generator]] = None,
-    pool: Optional[Executor] = None,
+    snapshot: GlobalModel, clients: LocalTraining, cfg: FedConfig, pool: Optional[Executor] = None
 ) -> np.ndarray:
     """Run local mini-batch SGD for all K clients in lockstep, each on a
     replica of the round's snapshot, and return the (K, P) stack of
     transmitted updates theta_t - theta_local_final. Row r is the update of
     shard `clients.order[r]`; the stack is `clients.params`, overwritten
-    by the next round. `dp_rngs[i]` is shard i's DP noise stream.
+    by the next round. Clipping and noise follow `clients.dp`, and shard
+    i's noise comes from `clients.dp_rngs[i]`.
 
-    With sigma > 0, each step starts its clients' noise draws on `pool`,
-    which such a round needs, before the backward pass and adds them after
-    it.
+    With sigma > 0, each step starts its clients' noise draws into
+    `clients.noise` on `pool`, which such a round needs, before the
+    backward pass and adds them after it.
 
     A step updates the blocks and the output whole, and the embedding only
     in the rows of its plan, each once: the unique rows its windows look
     up, outside which the gradient is zero, and leaving a row alone gives
-    the bits p - lr * 0.0 gives. The noise reaches every row, so a noisy
-    step's plan is dense: it zeroes and steps every row.
+    the bits p - lr * 0.0 gives. The plans of a run with noise are dense:
+    they zero and step every row.
 
     With a frozen global model a client emits an identical payload every
     round."""
-    params, clip = clients.params, None if dp_cfg is None else dp_cfg.clip
-    noise = np.empty_like(params) if dp_cfg is not None and dp_cfg.sigma > 0 else None
+    params, dp_cfg, noise = clients.params, clients.dp, clients.noise
+    clip = None if dp_cfg is None else dp_cfg.clip
     emb = embedding_columns(snapshot.config)
     params[...] = snapshot.params
-    steps = clients.steps
-    if noise is not None:
-        steps = [(*step, dataclasses.replace(plan, dense=True)) for *step, plan in steps]
     for _ in range(cfg.local_epochs):
-        for replicas, windows, targets, shard_ids, plan in steps:
-            grads = plan.grads
+        for replicas, windows, targets, shard_ids, plan in clients.steps:
             if noise is not None:
                 step_noise = noise[: len(shard_ids)]
-                rngs = [dp_rngs[i] for i in shard_ids]
+                rngs = [clients.dp_rngs[i] for i in shard_ids]
                 draws = start_noise(step_noise, windows.shape[1], dp_cfg, rngs, pool)
-            loss_and_grads(replicas, windows, targets, clip=clip, out=grads, plan=plan)
+            _, grads = loss_and_grads(replicas, windows, targets, clip=clip, plan=plan)
             if noise is not None:
                 privatize(grads, step_noise, draws)
             p = replicas.params
@@ -255,7 +254,6 @@ def run_simulation(
             )
     model = init_model(model_cfg, fed_cfg.seed)
     shuffle_rng = labeled_rng(fed_cfg.seed, "shuffle")
-    dp_rngs = [labeled_rng(fed_cfg.seed, f"dp.client{s.client_id}") for s in shards]
 
     valid_sentences = [sent for s in shards for sent in s.valid]
     vw, vt = windows_from_sentences(valid_sentences, model_cfg.context)
@@ -264,7 +262,7 @@ def run_simulation(
             "no validation windows across all shards: no validation sentence, cut to its "
             f"first {MAX_SENTENCE_TOKENS} tokens, has more than context={model_cfg.context} tokens"
         )
-    clients = local_training(shards, fed_cfg, model_cfg)
+    clients = local_training(shards, fed_cfg, model_cfg, dp_cfg)
     row_of_shard = np.argsort(clients.order)
 
     # positions of the FC/Proj weights in a flat vector, in trace-row order
@@ -290,7 +288,6 @@ def run_simulation(
             )
         return loss
 
-    noisy = dp_cfg is not None and dp_cfg.sigma > 0
     # The pool class is looked up only here: importing it would cost every
     # run without noise start-up time and memory. Error state is per thread,
     # so the worker sets it once for its whole life.
@@ -298,12 +295,12 @@ def run_simulation(
         concurrent.futures.ThreadPoolExecutor(
             NOISE_WORKERS, initializer=functools.partial(np.seterr, **OVERFLOW_TOLERATED)
         )
-        if noisy
+        if clients.noise is not None
         else contextlib.nullcontext()
     ) as pool:
         trace.loss_curve.append(checked_loss(model))
         for t in range(fed_cfg.rounds):
-            stack = client_round(model, clients, fed_cfg, dp_cfg, dp_rngs, pool)
+            stack = client_round(model, clients, fed_cfg, pool)
             truth[t] = shuffle_round(fed_cfg.clients, shuffle_rng)
             trace.updates[t * fed_cfg.clients : (t + 1) * fed_cfg.clients] = stack[
                 np.ix_(row_of_shard[truth[t]], columns)

@@ -225,17 +225,17 @@ class BatchPlan:
     embedding gradient and steps every row; any other leaves the rest of
     `grads` as it was and steps `rows` alone.
 
-    `grads`, if not None, is the gradient buffer the plan's step writes and
-    `grad_views` its named views, built once with it."""
+    `grads` is the gradient buffer the plan owns, which its step writes,
+    and `grad_views` its named views, built once with it."""
 
     gather: tuple  # embedding_rows(windows)
     picks: tuple  # index of each sample's target logit in (..., B, vocab)
     order: np.ndarray
     starts: np.ndarray
     rows: tuple
-    dense: bool = True
-    grads: Optional[np.ndarray] = None
-    grad_views: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False)
+    dense: bool
+    grads: np.ndarray
+    grad_views: Dict[str, np.ndarray] = field(repr=False)
 
     @property
     def stepped(self):
@@ -254,11 +254,9 @@ class BatchPlan:
         table[self.rows] = np.add.reduceat(occurrences, self.starts, axis=0)
 
 
-def plan_batch(
-    config: ModelConfig, windows, targets, grads: Optional[np.ndarray] = None, dense: bool = True
-) -> BatchPlan:
+def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: bool) -> BatchPlan:
     """The `BatchPlan` of (..., B, context) `windows` and their targets,
-    optionally bound to the gradient buffer `grads` its step writes."""
+    bound to the gradient buffer `grads` its step writes."""
     windows, targets = np.asarray(windows), np.asarray(targets)
     lead = windows.shape[:-2]
     clients = math.prod(lead)
@@ -275,7 +273,7 @@ def plan_batch(
         rows=rows,
         dense=dense,
         grads=grads,
-        grad_views=None if grads is None else views(config, grads),
+        grad_views=views(config, grads),
     )
 
 
@@ -325,7 +323,6 @@ def loss_and_grads(
     windows,
     targets,
     clip: Optional[float] = None,
-    out: Optional[np.ndarray] = None,
     plan: Optional[BatchPlan] = None,
 ) -> Tuple[Union[float, np.ndarray], np.ndarray]:
     """Mean softmax cross-entropy (natural log) over the batch, with exact
@@ -338,25 +335,24 @@ def loss_and_grads(
 
     For a (K, P) stack of parameters, `windows` is (K, B, context) and
     `targets` (K, B): row k of the result is bitwise the call on replica k
-    alone, and the loss is a (K,) array. The gradient is written into `out`
-    if given (shaped like the parameters). Token ids are not checked here;
+    alone, and the loss is a (K,) array. Token ids are not checked here;
     see `check_tokens`.
 
     `plan` is `plan_batch` of these windows and targets; without one, a
-    dense plan is built on the spot. The embedding gradient is written in
+    dense plan is built on the spot, on a new buffer. The gradient is
+    written into the plan's buffer and returned: the embedding gradient in
     the plan's rows only, and a plan that is not dense leaves the rest of
-    the embedding as `out` held it. A plan bound to `out` brings its named
-    views, which are otherwise built per call."""
+    the embedding as the buffer held it."""
     if clip is not None and not clip > 0:
         raise UsageError("clip bound must be > 0")
     windows, targets = _check_batch(model, windows, targets)
     cfg = model.config
     if plan is None:
-        plan = plan_batch(cfg, windows, targets)
-    if out is None:
-        out = np.empty_like(model.params)
-    elif out.shape != model.params.shape:
-        raise UsageError(f"gradient buffer has shape {out.shape}, parameters {model.params.shape}")
+        plan = plan_batch(cfg, windows, targets, np.empty_like(model.params), dense=True)
+    elif plan.grads.shape != model.params.shape:
+        raise UsageError(
+            f"gradient buffer has shape {plan.grads.shape}, parameters {model.params.shape}"
+        )
     trace = forward_trace(model, windows, plan.gather)
     b = windows.shape[-2]
     dlogits, s, losses = _softmax(trace.logits, plan.picks)
@@ -390,12 +386,12 @@ def loss_and_grads(
             dout *= scale[..., None]
         demb *= scale[..., None, None]
 
-    g = plan.grad_views if out is plan.grads else views(cfg, out)
+    g = plan.grad_views
     for name, dout, a in layers:
         np.matmul(_t(dout), a, out=g[name + ".weight"])
         dout.sum(axis=-2, out=g[name + ".bias"])
     plan.scatter(demb, g["embedding"])
-    return (float(loss) if loss.ndim == 0 else loss), out
+    return (float(loss) if loss.ndim == 0 else loss), plan.grads
 
 
 def _clip_scales(layers, windows, demb, clip) -> np.ndarray:

@@ -18,7 +18,7 @@ from gradlink.corpus import (
     load_text_shards,
     windows_from_sentences,
 )
-from gradlink.errors import ConfigError, InputError, UsageError
+from gradlink.errors import ConfigError, InputError
 from gradlink.rng import labeled_rng
 
 
@@ -281,10 +281,11 @@ def test_batch_iter_deterministic_and_includes_partial_batch():
         np.testing.assert_array_equal(t1, t2)
 
 
-def test_batch_iter_empty_shard_is_usage_error():
+def test_batch_iter_empty_shard_yields_no_batch():
+    """A shard without a training window yields no batch; training refuses
+    such a shard (see `fedsim.local_training`)."""
     shard = ClientShard(client_id=0, train=[], valid=[])
-    with pytest.raises(UsageError):
-        next(batch_iter(shard, 4, 3, np.random.default_rng(0)))
+    assert list(batch_iter(shard, 4, 3, np.random.default_rng(0))) == []
 
 
 def test_bad_spec_rejected():

@@ -9,7 +9,7 @@ import pytest
 
 from gradlink import fedsim
 from gradlink.corpus import SyntheticSpec, batch_iter, generate_synthetic, windows_from_sentences
-from gradlink.dp import DpConfig
+from gradlink.dp import DpConfig, privatize
 from gradlink.errors import ConfigError, DivergedError, UsageError
 from gradlink.fedsim import (
     FedConfig,
@@ -44,10 +44,10 @@ def _setup(k=3, t=4, seed=0, overlap=0.0, **fed_kwargs):
     return fed, mcfg, shards
 
 
-def _round(model, shards, fed, mcfg, dp_cfg=None, dp_rngs=None):
+def _round(model, shards, fed, mcfg):
     """One lockstep round on `shards`, rows back in shard order."""
     clients = local_training(shards, fed, mcfg)
-    stack = client_round(model, clients, fed, dp_cfg, dp_rngs)
+    stack = client_round(model, clients, fed)
     return stack[np.argsort(clients.order)]
 
 
@@ -195,18 +195,14 @@ def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
     fed = FedConfig(clients=len(shards), rounds=2, seed=4, client_lr=0.3, **kwargs)
     counts = [windows_from_sentences(s.train, mcfg.context)[0].shape[0] for s in shards]
     assert len(set(counts)) == len(counts) - 1 and counts != sorted(counts, reverse=True)
-    clients = local_training(shards, fed, mcfg)
+    clients = local_training(shards, fed, mcfg, dp_cfg)
     assert list(clients.order) == sorted(range(len(shards)), key=lambda i: -counts[i])
-
-    def dp_rngs():
-        return [labeled_rng(fed.seed, f"dp.client{s.client_id}") for s in shards]
-
-    rngs, oracle_rngs = dp_rngs(), dp_rngs()
+    oracle_rngs = [labeled_rng(fed.seed, f"dp.client{s.client_id}") for s in shards]
     for seed in (0, 1):
         snapshot = prepare(init_model(mcfg, seed), shards)
         # inf - inf in the payload of an inf row is nan, as in a run
         with concurrent.futures.ThreadPoolExecutor(1) as pool, np.errstate(invalid="ignore"):
-            stack = client_round(snapshot, clients, fed, dp_cfg, rngs, pool)
+            stack = client_round(snapshot, clients, fed, pool)
             expected = np.stack([
                 _oracle_client_round(snapshot, s, fed, dp_cfg, rng)
                 for s, rng in zip(shards, oracle_rngs)
@@ -254,12 +250,14 @@ def test_simulation_equals_per_client_oracle(dp_cfg):
     assert trace.dp_steps == (None if dp_cfg is None else fed.rounds * fed.local_epochs)
 
 
-@pytest.mark.parametrize("dp_cfg", [None, DpConfig(clip=0.5, sigma=0.3)])
+@pytest.mark.parametrize(
+    "dp_cfg", [None, DpConfig(clip=0.5, sigma=0.3), DpConfig(clip=0.5, sigma=0.0)]
+)
 def test_each_step_plan_is_built_once_per_run(monkeypatch, dp_cfg):
     """A run of 3 rounds of 2 local epochs builds one plan per lockstep
-    step, and every step of every epoch and round is computed with the
-    plan built for it: without noise, that very plan; with noise, its
-    dense copy."""
+    step, and every step of every epoch and round is computed with that
+    very plan, with and without noise. A plan is dense iff the run adds
+    noise."""
     shards, mcfg = _uneven_shards()
     fed = FedConfig(clients=len(shards), rounds=3, seed=2, batch_size=4, local_epochs=2)
     n_steps = len(local_training(shards, fed, mcfg).steps)
@@ -280,10 +278,32 @@ def test_each_step_plan_is_built_once_per_run(monkeypatch, dp_cfg):
     assert len(used) == fed.rounds * fed.local_epochs * n_steps
     expected = built * (fed.rounds * fed.local_epochs)
     for plan, own in zip(used, expected):
-        if dp_cfg is None:
-            assert plan is own
-        else:
-            assert plan.dense and plan.order is own.order and plan.grads is own.grads
+        assert plan is own
+        assert plan.dense == (dp_cfg is not None and dp_cfg.sigma > 0)
+
+
+def test_noisy_run_draws_every_step_into_one_noise_buffer(monkeypatch):
+    """Every `privatize` call of a 3-round noisy run gets a view of the one
+    noise buffer that `local_training` built for the run."""
+    built, noises = [], []
+
+    def recording_local_training(*args, **kwargs):
+        built.append(local_training(*args, **kwargs))
+        return built[-1]
+
+    def recording_privatize(grads, noise, draws):
+        noises.append(noise)
+        return privatize(grads, noise, draws)
+
+    monkeypatch.setattr(fedsim, "local_training", recording_local_training)
+    monkeypatch.setattr(fedsim, "privatize", recording_privatize)
+    shards, mcfg = _uneven_shards()
+    fed = FedConfig(clients=len(shards), rounds=3, seed=2, batch_size=4)
+    run_simulation(fed, mcfg, shards, DpConfig(clip=0.5, sigma=0.3))
+    (clients,) = built
+    assert clients.noise.shape == clients.params.shape
+    assert len(noises) == fed.rounds * fed.local_epochs * len(clients.steps)
+    assert all(noise.base is clients.noise for noise in noises)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -301,7 +321,7 @@ def test_noise_worker_count_never_changes_the_bytes(monkeypatch, workers, dp_cfg
 
 @pytest.mark.parametrize("dp_cfg", [None, DpConfig(clip=0.5, sigma=0.3)])
 def test_training_stays_float32_from_end_to_end(monkeypatch, dp_cfg):
-    """The replica stack, the gradient buffer, every noise buffer, every
+    """The replica stack, the gradient buffer, the noise buffer, every
     aggregated model and the final model are all PARAM_DTYPE. A float64
     upcast would change no other test's verdict, only double the memory
     traffic of training."""
@@ -316,10 +336,10 @@ def test_training_stays_float32_from_end_to_end(monkeypatch, dp_cfg):
 
         monkeypatch.setattr(fedsim, name, wrapper)
 
+    noise = [("noise", lambda _, clients: clients.noise)] if dp_cfg else []
     recording("local_training", local_training,
               ("params", lambda _, clients: clients.params),
-              ("grads", lambda _, clients: clients.grads))
-    recording("privatize", fedsim.privatize, ("noise", lambda args, _: args[1]))
+              ("grads", lambda _, clients: clients.steps[0][-1].grads.base), *noise)
     recording("aggregate", aggregate, ("aggregate", lambda _, model: model.params))
     shards, mcfg = _uneven_shards()
     fed = FedConfig(clients=len(shards), rounds=2, seed=2, batch_size=4)

@@ -129,12 +129,26 @@ def test_stacked_loss_and_grads_rows_equal_single_calls(clip):
             windows = _repeating_windows(rng, k, b, cfg.context)
         targets = rng.integers(0, cfg.vocab_size, size=(k, b))
         out = np.full_like(stack, np.nan)
-        losses, grads = loss_and_grads(GlobalModel(cfg, stack), windows, targets, clip, out=out)
+        plan = plan_batch(cfg, windows, targets, out, dense=True)
+        losses, grads = loss_and_grads(GlobalModel(cfg, stack), windows, targets, clip, plan)
         assert grads is out and losses.shape == (k,)
         for i in range(k):
             loss, g = loss_and_grads(GlobalModel(cfg, stack[i].copy()), windows[i], targets[i], clip)
             assert losses[i] == loss
             np.testing.assert_array_equal(grads[i], g)
+
+
+def test_plan_whose_buffer_does_not_fit_the_parameters_is_usage_error():
+    """A plan built for a (2, P) stack owns a (2, P) gradient buffer: a
+    (3, P) stack cannot step with it, and the error names both shapes."""
+    size = param_count(SMALL)
+    rng = np.random.default_rng(3)
+    windows = rng.integers(0, SMALL.vocab_size, size=(3, 4, SMALL.context))
+    targets = rng.integers(0, SMALL.vocab_size, size=(3, 4))
+    plan = plan_batch(SMALL, windows[:2], targets[:2], np.empty((2, size), PARAM_DTYPE), True)
+    stack = GlobalModel(SMALL, np.stack([init_model(SMALL, i).params for i in range(3)]))
+    with pytest.raises(UsageError, match=rf"\(2, {size}\).*\(3, {size}\)"):
+        loss_and_grads(stack, windows, targets, plan=plan)
 
 
 @pytest.mark.parametrize("dense", [True, False])
@@ -147,7 +161,8 @@ def test_segment_sum_scatter_equals_per_occurrence_float64_loop(dense):
     k, b, d = 4, 7, 5
     rng = np.random.default_rng(21)
     windows = _repeating_windows(rng, k, b, SMALL.context)
-    plan = plan_batch(SMALL, windows, rng.integers(0, SMALL.vocab_size, size=(k, b)), dense=dense)
+    grads = np.empty((k, param_count(SMALL)), dtype=PARAM_DTYPE)
+    plan = plan_batch(SMALL, windows, rng.integers(0, SMALL.vocab_size, size=(k, b)), grads, dense)
     demb = (rng.normal(size=(k, b, SMALL.context, d)) * 10.0 ** rng.integers(-3, 4, size=(k, b, 1, 1)))
     demb = demb.astype(PARAM_DTYPE)
     table = np.full((k, SMALL.vocab_size, d), np.nan, dtype=PARAM_DTYPE)

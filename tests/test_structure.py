@@ -259,3 +259,45 @@ def test_file_read_check_reports_a_planted_read():
         ),
     }
     assert file_reads(trees) == ["corpus.py:3", "corpus.py:4", "corpus.py:5", "corpus.py:8"]
+
+
+# numpy is the package's one runtime dependency.
+RUNTIME_PACKAGES = {"numpy", "gradlink"}
+
+
+def foreign_imports(trees):
+    """Where a module imports a package that is neither in the standard
+    library nor in RUNTIME_PACKAGES, as `module.py:line package`."""
+    found = []
+    for name, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [
+                f"{name}.py:{node.lineno} {top}" for top in tops
+                if top not in sys.stdlib_module_names and top not in RUNTIME_PACKAGES
+            ]
+    return found
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    assert foreign_imports(_package_trees()) == []
+
+
+def test_import_check_reports_a_planted_import():
+    trees = {
+        "attack": ast.parse(
+            "import json, numpy as np\n"
+            "from . import model\n"
+            "from gradlink.traceio import TraceStore\n"
+            "import scipy\n"
+            "from scipy.optimize import linear_sum_assignment\n"
+            "def f():\n"
+            "    import os.path, sklearn.cluster\n"
+        ),
+    }
+    assert foreign_imports(trees) == ["attack.py:4 scipy", "attack.py:5 scipy", "attack.py:7 sklearn"]
