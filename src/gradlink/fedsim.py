@@ -31,15 +31,14 @@ from .model import (
     GlobalModel,
     ModelConfig,
     check_tokens,
-    embedding_columns,
     eval_loss,
     init_model,
     linear_layers,
     loss_and_grads,
+    param_columns,
     param_count,
     plan_batch,
     sgd_step,
-    views,
 )
 from .rng import labeled_rng
 from .traceio import TraceStore
@@ -84,15 +83,16 @@ class LocalTraining:
     step the clients with the same batch size are one contiguous slice of
     rows: all full batches first, then the last partial batches, largest
     first. `steps` lists one local epoch's slices in step order, each as
-    (replicas, windows (n, b, context), targets (n, b), shard positions,
-    plan): the replicas are a view into the stack, and the plan is the
-    slice's `model.BatchPlan`, which owns its rows of the run's gradient
-    buffer. DP noise reaches every embedding row, so the plans of a run
-    with noise are dense, and those of any other run are not."""
+    (replicas, shard positions, plan): the replicas are a view into the
+    stack, and the plan is the slice's `model.BatchPlan`, which keeps its
+    (n, b, context) windows and (n, b) targets and owns its rows of the
+    run's gradient buffer. DP noise reaches every embedding row, so the
+    plans of a run with noise are dense, and those of any other run are
+    not."""
 
     order: np.ndarray
     params: np.ndarray
-    steps: List[Tuple[GlobalModel, np.ndarray, np.ndarray, np.ndarray, BatchPlan]]
+    steps: List[Tuple[GlobalModel, np.ndarray, BatchPlan]]
     dp: Optional[DpConfig]
     dp_rngs: List[np.random.Generator]
     noise: Optional[np.ndarray]
@@ -134,7 +134,7 @@ def local_training(
             targets = np.stack([batches[i][j][1] for i in members])
             check_tokens(model_cfg, windows, targets)
             plan = plan_batch(model_cfg, windows, targets, grads[lo:hi], dense=noisy)
-            steps.append((GlobalModel(model_cfg, params[lo:hi]), windows, targets, members, plan))
+            steps.append((GlobalModel(model_cfg, params[lo:hi]), members, plan))
             lo = hi
     dp_rngs = [labeled_rng(cfg.seed, f"dp.client{s.client_id}") for s in shards]
     return LocalTraining(
@@ -166,15 +166,15 @@ def client_round(
     round."""
     params, dp_cfg, noise = clients.params, clients.dp, clients.noise
     clip = None if dp_cfg is None else dp_cfg.clip
-    emb = embedding_columns(snapshot.config)
+    emb = param_columns(snapshot.config, "embedding")
     params[...] = snapshot.params
     for _ in range(cfg.local_epochs):
-        for replicas, windows, targets, shard_ids, plan in clients.steps:
+        for replicas, shard_ids, plan in clients.steps:
             if noise is not None:
                 step_noise = noise[: len(shard_ids)]
                 rngs = [clients.dp_rngs[i] for i in shard_ids]
-                draws = start_noise(step_noise, windows.shape[1], dp_cfg, rngs, pool)
-            _, grads = loss_and_grads(replicas, windows, targets, clip=clip, plan=plan)
+                draws = start_noise(step_noise, plan.windows.shape[1], dp_cfg, rngs, pool)
+            _, grads = loss_and_grads(replicas, plan.windows, plan.targets, clip=clip, plan=plan)
             if noise is not None:
                 privatize(grads, step_noise, draws)
             p = replicas.params
@@ -197,24 +197,43 @@ def shuffle_round(k: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(order, dtype=np.int64)
 
 
+def record_updates(
+    out: np.ndarray, stack: np.ndarray, rows: np.ndarray, config: ModelConfig
+) -> None:
+    """Write the trace rows of the updates `stack[rows]` into `out`: the
+    FC/Proj weights of each, in `linear_layers` order, biases left out.
+    Each weight is one contiguous column range of a flat vector, so this
+    is one copy per weight."""
+    at = 0
+    for name, n_out, n_in in linear_layers(config):
+        out[:, at : at + n_out * n_in] = stack[rows, param_columns(config, name + ".weight")]
+        at += n_out * n_in
+
+
 def aggregate(model: GlobalModel, payloads: np.ndarray, server_lr: float) -> GlobalModel:
     """FedAvg step: Theta <- Theta - lambda * Avg(payloads), over a (K, P)
     stack of payloads.
 
-    Summands are value-sorted per coordinate before reduction, so the result
-    is bit-identical under any permutation of payload rows that hold no NaN.
-    Values that compare equal differ in bits only as +0.0 and -0.0, and the
-    sum, taken in row order, gives the same bits for any order of a block
-    of zeros: so the sort need not be stable. A NaN's payload bits follow
-    the row order."""
+    The rows are summed one after another in one canonical order, sorted by
+    their bytes, and the sum is divided by K. Rows that tie in that order
+    are byte-identical, so every arrival order of the same rows sums the
+    same bytes in the same order: the result is bit-identical under any
+    permutation of the rows, NaN payload bits and signed zeros included.
+    The work is O(K·P), one pass over the stack."""
     if payloads.ndim != 2 or payloads.shape[1:] != model.params.shape:
         raise UsageError(
             f"payloads have shape {payloads.shape}, expected (K, {model.params.shape[0]})"
         )
     if len(payloads) == 0:
         raise UsageError("aggregate needs at least one payload")
-    avg = np.sort(payloads, axis=0).sum(axis=0) / len(payloads)
-    return GlobalModel(model.config, model.params - server_lr * avg)
+    rows = np.ascontiguousarray(payloads)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    first, *rest = np.argsort(keys, kind="stable").tolist()
+    total = rows[first].copy()
+    for i in rest:
+        total += rows[i]
+    total /= len(rows)
+    return GlobalModel(model.config, model.params - server_lr * total)
 
 
 def run_simulation(
@@ -265,9 +284,6 @@ def run_simulation(
     clients = local_training(shards, fed_cfg, model_cfg, dp_cfg)
     row_of_shard = np.argsort(clients.order)
 
-    # positions of the FC/Proj weights in a flat vector, in trace-row order
-    positions = views(model_cfg, np.arange(size))
-    columns = np.concatenate([positions[name + ".weight"].ravel() for name, _, _ in manifest])
     trace = TraceStore(
         clients=fed_cfg.clients,
         rounds=fed_cfg.rounds,
@@ -302,9 +318,10 @@ def run_simulation(
         for t in range(fed_cfg.rounds):
             stack = client_round(model, clients, fed_cfg, pool)
             truth[t] = shuffle_round(fed_cfg.clients, shuffle_rng)
-            trace.updates[t * fed_cfg.clients : (t + 1) * fed_cfg.clients] = stack[
-                np.ix_(row_of_shard[truth[t]], columns)
-            ]
+            record_updates(
+                trace.updates[t * fed_cfg.clients : (t + 1) * fed_cfg.clients],
+                stack, row_of_shard[truth[t]], model_cfg,
+            )
             model = aggregate(model, stack, fed_cfg.server_lr)
             trace.loss_curve.append(checked_loss(model))
 

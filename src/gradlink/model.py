@@ -115,10 +115,10 @@ def param_count(config: ModelConfig) -> int:
     return _segments(config)[0]
 
 
-def embedding_columns(config: ModelConfig) -> slice:
-    """The columns of `embedding` in a flat vector. In `param_layout` order
-    the blocks lie before them and the output after them."""
-    (start, stop), = [(a, b) for name, a, b, _ in _segments(config)[1] if name == "embedding"]
+def param_columns(config: ModelConfig, name: str) -> slice:
+    """The columns of the `param_layout` entry `name` in a flat vector. In
+    that order the blocks lie before `embedding` and the output after it."""
+    (start, stop), = [(a, b) for entry, a, b, _ in _segments(config)[1] if entry == name]
     return slice(start, stop)
 
 
@@ -214,8 +214,9 @@ def embedding_rows(windows: np.ndarray):
 @dataclass(frozen=True)
 class BatchPlan:
     """The indexing one batch's `loss_and_grads` call needs, built from its
-    windows and targets alone (see `plan_batch`), so that a lockstep run
-    builds it once per step and reuses it every epoch of every round.
+    `windows` and `targets` alone (see `plan_batch`), which it keeps, so
+    that a lockstep run builds it once per step and reuses it every epoch
+    of every round.
 
     The embedding gradient is the sum, per (client, token) row, of the
     per-occurrence rows of the backward pass: `order` sorts the occurrences
@@ -228,6 +229,8 @@ class BatchPlan:
     `grads` is the gradient buffer the plan owns, which its step writes,
     and `grad_views` its named views, built once with it."""
 
+    windows: np.ndarray
+    targets: np.ndarray
     gather: tuple  # embedding_rows(windows)
     picks: tuple  # index of each sample's target logit in (..., B, vocab)
     order: np.ndarray
@@ -266,6 +269,8 @@ def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: 
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     rows = np.unravel_index(keys[starts], lead + (config.vocab_size,))
     return BatchPlan(
+        windows=windows,
+        targets=targets,
         gather=embedding_rows(windows),
         picks=(*np.indices(targets.shape, sparse=True), targets),
         order=order,
@@ -338,11 +343,12 @@ def loss_and_grads(
     alone, and the loss is a (K,) array. Token ids are not checked here;
     see `check_tokens`.
 
-    `plan` is `plan_batch` of these windows and targets; without one, a
-    dense plan is built on the spot, on a new buffer. The gradient is
-    written into the plan's buffer and returned: the embedding gradient in
-    the plan's rows only, and a plan that is not dense leaves the rest of
-    the embedding as the buffer held it."""
+    `plan` is `plan_batch` of these windows and targets, UsageError if it
+    was built from other arrays; without one, a dense plan is built on the
+    spot, on a new buffer. The gradient is written into the plan's buffer
+    and returned: the embedding gradient in the plan's rows only, and a
+    plan that is not dense leaves the rest of the embedding as the buffer
+    held it."""
     if clip is not None and not clip > 0:
         raise UsageError("clip bound must be > 0")
     windows, targets = _check_batch(model, windows, targets)
@@ -353,6 +359,10 @@ def loss_and_grads(
         raise UsageError(
             f"gradient buffer has shape {plan.grads.shape}, parameters {model.params.shape}"
         )
+    # training passes the plan's own arrays, so the identity test decides
+    elif not all(mine is given or np.array_equal(mine, given)
+                 for mine, given in ((plan.windows, windows), (plan.targets, targets))):
+        raise UsageError("the plan was built from other windows or targets than it is given")
     trace = forward_trace(model, windows, plan.gather)
     b = windows.shape[-2]
     dlogits, s, losses = _softmax(trace.logits, plan.picks)

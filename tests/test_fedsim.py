@@ -212,10 +212,20 @@ def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
     assert set(dense) == (set() if fed.local_epochs == 0 else {noisy})
 
 
+def _byte_order_average(rows):
+    """The average of `rows`, summed one row after another in the order of
+    their bytes: FedAvg's canonical order, which no arrival order moves."""
+    first, *rest = sorted(rows, key=lambda row: row.tobytes())
+    total = first.copy()
+    for row in rest:
+        total += row
+    return total / len(rows)
+
+
 def _oracle_simulation(fed, mcfg, shards, dp_cfg=None):
     """run_simulation's trace rows, truth and final model from the
-    per-client loop, a list of payloads in slot order and np.stack in
-    aggregation."""
+    per-client loop, a list of payloads in slot order and the byte-order
+    average."""
     model = init_model(mcfg, fed.seed)
     shuffle_rng = labeled_rng(fed.seed, "shuffle")
     dp_rngs = {s.client_id: labeled_rng(fed.seed, f"dp.client{s.client_id}") for s in shards}
@@ -231,8 +241,7 @@ def _oracle_simulation(fed, mcfg, shards, dp_cfg=None):
         for payload in shuffled:
             named = views(mcfg, payload)
             rows.append(np.concatenate([named[n + ".weight"].ravel() for n, _, _ in manifest]))
-        avg = np.sort(np.stack(shuffled), axis=0, kind="stable").sum(axis=0) / len(shuffled)
-        model = GlobalModel(mcfg, model.params - fed.server_lr * avg)
+        model = GlobalModel(mcfg, model.params - fed.server_lr * _byte_order_average(shuffled))
     return np.array(rows, dtype=np.float32), perms, model
 
 
@@ -470,23 +479,25 @@ def test_aggregate_invariant_under_packet_permutation():
     np.testing.assert_array_equal(a.params, b.params)
 
 
-def _stable_sort_aggregate(model, payloads, server_lr):
-    """`aggregate` as it sorted each coordinate with a stable sort."""
-    avg = np.sort(payloads, axis=0, kind="stable").sum(axis=0) / len(payloads)
-    return model.params - server_lr * avg
-
-
-def test_aggregate_equals_the_stable_sort_under_every_row_permutation():
-    """Values that compare equal differ in bits only as +0.0 and -0.0, and a
-    block of zeros sums to the same bits in any order, so the default sort
-    gives the stable sort's bits for each of the 5! row orders. The first
-    columns mix signed zeros with other values, hold only -0.0, only zeros
-    of both signs, ties and infinities. Of the rest, half are small
+def test_aggregate_equals_the_byte_order_sum_under_every_row_permutation():
+    """For each of the 5! row orders, `aggregate` gives the bits of the rows
+    summed in the order of their bytes. The first columns hold quiet NaNs
+    of different payload bits and signs: five different NaNs, NaNs among
+    values, one NaN among values, NaNs beside an infinity. Summed in row
+    order, their NaN bits follow the row order; `aggregate`'s do not. The
+    next columns mix signed zeros with other values, hold only -0.0, only
+    zeros of both signs, ties and infinities. Of the rest, half are small
     multiples of 0.5 with random signs, so most of them tie, and half span
     six orders of magnitude, so their sum rounds differently in another
     order."""
     fed, mcfg, _ = _setup()
     model = init_model(mcfg, 0)
+    nans = np.array([
+        [0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFC12345, 0x7FFFFFFF],
+        [0x7FC00000, 0x3F800000, 0xFFC00001, 0x00000000, 0x7FC0BEEF],
+        [0x3F800000, 0xBF800000, 0xFFD00000, 0x40000000, 0x80000000],
+        [0x7F800000, 0xFFC00002, 0x3F800000, 0x7FC00003, 0xC0000000],
+    ], dtype=np.uint32).T.view(PARAM_DTYPE)
     inf = np.inf
     special = np.array([
         [-0.0, 0.0, 1.5, -0.0, -2.0],
@@ -497,17 +508,47 @@ def test_aggregate_equals_the_stable_sort_under_every_row_permutation():
         [-inf, -0.0, -inf, 0.0, -1.0],
     ]).T
     rng = np.random.default_rng(8)
-    half = (param_count(mcfg) - special.shape[1]) // 2
-    rest = rng.integers(-2, 3, size=(5, half)) * 0.5
+    free = param_count(mcfg) - nans.shape[1] - special.shape[1]
+    rest = rng.integers(-2, 3, size=(5, free // 2)) * 0.5
     rest *= rng.choice([-1.0, 1.0], size=rest.shape)  # 0.0 * -1.0 is -0.0
-    width = param_count(mcfg) - special.shape[1] - half
+    width = free - free // 2
     spread = rng.standard_normal((5, width)) * 10.0 ** rng.uniform(-3, 3, size=(5, width))
-    payloads = np.concatenate([special, rest, spread], axis=1).astype(PARAM_DTYPE)
+    payloads = np.concatenate(
+        [nans, np.concatenate([special, rest, spread], axis=1).astype(PARAM_DTYPE)], axis=1
+    )
     assert (np.signbit(rest) & (rest == 0)).any() and (~np.signbit(rest) & (rest == 0)).any()
-    expected = _stable_sort_aggregate(model, payloads, 0.5).view(np.uint32)
+    nan_cols = slice(0, nans.shape[1])
+    in_row_order = {
+        payloads[list(perm), nan_cols].sum(axis=0).tobytes()
+        for perm in itertools.permutations(range(5))
+    }
+    assert len(in_row_order) > 1
+    expected = (model.params - 0.5 * _byte_order_average(payloads)).view(np.uint32)
+    assert np.isnan(expected[nan_cols].view(PARAM_DTYPE)).all()
     for perm in itertools.permutations(range(5)):
         got = aggregate(model, payloads[list(perm)], server_lr=0.5).params
         np.testing.assert_array_equal(got.view(np.uint32), expected)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+@pytest.mark.parametrize("ffn_mult, context", [(1, 1), (2, 3), (4, 4)])
+def test_record_updates_equals_the_gather_of_every_weight_column(n_blocks, ffn_mult, context):
+    """One copy per FC/Proj weight writes the bits of gathering the weight
+    columns of the chosen rows, in trace-row order, and nothing outside the
+    block of the trace it is given."""
+    cfg = ModelConfig(vocab_size=7, embed_dim=3, context=context, n_blocks=n_blocks,
+                      ffn_mult=ffn_mult)
+    positions = views(cfg, np.arange(param_count(cfg)))
+    columns = np.concatenate([positions[n + ".weight"].ravel() for n, _, _ in linear_layers(cfg)])
+    rng = np.random.default_rng(10 * n_blocks + context)
+    stack = rng.standard_normal((5, param_count(cfg))).astype(PARAM_DTYPE)
+    rows = rng.permutation(5)
+    trace = np.full((15, len(columns)), np.nan, dtype=PARAM_DTYPE)
+    fedsim.record_updates(trace[5:10], stack, rows, cfg)
+    np.testing.assert_array_equal(
+        trace[5:10].view(np.uint32), stack[np.ix_(rows, columns)].view(np.uint32)
+    )
+    assert np.isnan(trace[:5]).all() and np.isnan(trace[10:]).all()
 
 
 def test_aggregate_payload_of_wrong_length_is_usage_error():

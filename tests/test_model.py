@@ -151,6 +151,23 @@ def test_plan_whose_buffer_does_not_fit_the_parameters_is_usage_error():
         loss_and_grads(stack, windows, targets, plan=plan)
 
 
+def test_plan_of_another_batch_is_usage_error():
+    """A plan keeps the windows and targets it was built from. Batch A's
+    plan given batch B's windows or targets, of the same shapes, is a
+    UsageError, not batch A's loss; equal copies of batch A's arrays give
+    the bits of batch A's own arrays."""
+    model = init_model(SMALL, 0)
+    (wa, ta), (wb, tb) = _batch(SMALL, 4, seed=0), _batch(SMALL, 4, seed=1)
+    plan = plan_batch(SMALL, wa, ta, np.empty_like(model.params), dense=True)
+    for windows, targets in ((wb, tb), (wb, ta), (wa, tb)):
+        with pytest.raises(UsageError, match="other windows or targets"):
+            loss_and_grads(model, windows, targets, plan=plan)
+    loss, grads = loss_and_grads(model, wa, ta, plan=plan)
+    expected = grads.copy()
+    assert loss_and_grads(model, wa.copy(), ta.copy(), plan=plan)[0] == loss
+    np.testing.assert_array_equal(grads.view(np.uint32), expected.view(np.uint32))
+
+
 @pytest.mark.parametrize("dense", [True, False])
 def test_segment_sum_scatter_equals_per_occurrence_float64_loop(dense):
     """A plan's scatter against a float64 loop that adds each occurrence's
