@@ -30,7 +30,6 @@ from .model import (
     BatchPlan,
     GlobalModel,
     ModelConfig,
-    check_tokens,
     eval_loss,
     init_model,
     linear_layers,
@@ -74,9 +73,9 @@ class FedConfig:
 @dataclass
 class LocalTraining:
     """A run's local-training state, built once: every client's batches,
-    checked against the vocabulary, plus the (K, P) replica stack, the DP
-    config, each shard's DP noise stream and, in a run with noise, one
-    (K, P) noise buffer, all of which every round reuses.
+    each step's as one checked `model.BatchPlan`, plus the (K, P) replica
+    stack, the DP config, each shard's DP noise stream and, in a run with
+    noise, one (K, P) noise buffer, all of which every round reuses.
 
     Row r of the stack trains shard `order[r]`. Shards are sorted by
     training-window count, largest first, ties by position, so at each local
@@ -104,10 +103,11 @@ def local_training(
     model_cfg: ModelConfig,
     dp_cfg: Optional[DpConfig] = None,
 ) -> LocalTraining:
-    """Build each shard's batches, and each step's plan, once. A client's
-    batch order depends only on (seed, client) and is drawn afresh from
-    that stream every epoch, so every epoch of every round visits the same
-    batches."""
+    """Build each shard's batches, and each step's plan, once. The plan is
+    the step's checked batch, so a token id outside the vocabulary is a
+    UsageError here, before any round runs. A client's batch order depends
+    only on (seed, client) and is drawn afresh from that stream every
+    epoch, so every epoch of every round visits the same batches."""
     batches = []
     for shard in shards:
         rng = labeled_rng(cfg.seed, f"batch.client{shard.client_id}")
@@ -132,7 +132,6 @@ def local_training(
             hi = lo + len(members)
             windows = np.stack([batches[i][j][0] for i in members])
             targets = np.stack([batches[i][j][1] for i in members])
-            check_tokens(model_cfg, windows, targets)
             plan = plan_batch(model_cfg, windows, targets, grads[lo:hi], dense=noisy)
             steps.append((GlobalModel(model_cfg, params[lo:hi]), members, plan))
             lo = hi
@@ -264,7 +263,7 @@ def run_simulation(
         (f"a model of {size:,} parameters is too large: the {PARAM_DTYPE} stack of "
          f"{fed_cfg.clients} client replicas", fed_cfg.clients * size * PARAM_DTYPE.itemsize),
         (f"a run of {fed_cfg.rounds:,} rounds is too long: the trace of {records:,} updates "
-         f"of {dim:,} values each", records * dim * 4),
+         f"of {dim:,} values each", records * dim * PARAM_DTYPE.itemsize),
     ):
         if nbytes > np.iinfo(np.intp).max:
             raise ConfigError(
@@ -290,7 +289,7 @@ def run_simulation(
         seed=fed_cfg.seed,
         layer_manifest=manifest,
         dp=dp_cfg,
-        updates=np.empty((records, dim), dtype=np.float32),
+        updates=np.empty((records, dim), dtype=PARAM_DTYPE),
     )
     if dp_cfg is not None:  # each window is used once per local epoch (see `dp`)
         trace.dp_steps = fed_cfg.rounds * fed_cfg.local_epochs

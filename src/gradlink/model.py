@@ -176,34 +176,6 @@ class ForwardTrace:
     logits: np.ndarray  # (B, vocab)
 
 
-def check_tokens(config: ModelConfig, *arrays) -> None:
-    """UsageError unless every id in `arrays` lies in [0, vocab_size).
-    Training checks each shard's windows once per run; `loss_and_grads`
-    does not scan its batch again."""
-    for arr in arrays:
-        arr = np.asarray(arr)
-        if arr.size and (arr.min() < 0 or arr.max() >= config.vocab_size):
-            raise UsageError("token id out of vocabulary range")
-
-
-def _check_batch(model: GlobalModel, windows, targets):
-    windows = np.asarray(windows)
-    targets = np.asarray(targets)
-    lead = model.params.shape[:-1]
-    if windows.shape[:-2] != lead or windows.shape[-1:] != (model.config.context,) or (
-        windows.ndim != len(lead) + 2
-    ):
-        raise UsageError(
-            f"windows have shape {windows.shape}; parameters of shape {model.params.shape} "
-            f"need {lead + ('B', model.config.context)}"
-        )
-    if windows.shape[-2] == 0:
-        raise UsageError("empty batch")
-    if targets.shape != windows.shape[:-1]:
-        raise UsageError(f"targets have shape {targets.shape}, windows {windows.shape}")
-    return windows, targets
-
-
 def embedding_rows(windows: np.ndarray):
     """Index into a (..., vocab, dim) table that picks each window's rows
     from its own client's table: (windows,) without a client axis."""
@@ -213,10 +185,10 @@ def embedding_rows(windows: np.ndarray):
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """The indexing one batch's `loss_and_grads` call needs, built from its
-    `windows` and `targets` alone (see `plan_batch`), which it keeps, so
-    that a lockstep run builds it once per step and reuses it every epoch
-    of every round.
+    """A checked batch and the indexing its `loss_and_grads` call needs,
+    built by `plan_batch` from its `windows` and `targets` alone, which it
+    keeps, so that a lockstep run builds and checks it once per step and
+    reuses it every epoch of every round.
 
     The embedding gradient is the sum, per (client, token) row, of the
     per-occurrence rows of the backward pass: `order` sorts the occurrences
@@ -258,10 +230,30 @@ class BatchPlan:
 
 
 def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: bool) -> BatchPlan:
-    """The `BatchPlan` of (..., B, context) `windows` and their targets,
-    bound to the gradient buffer `grads` its step writes."""
+    """The `BatchPlan` of (..., B, context) `windows` and their (..., B)
+    targets, bound to the (..., P) gradient buffer `grads` its step writes.
+    This is where a batch is checked: UsageError unless the shapes fit, no
+    axis is empty, and every id has an integer dtype, not bool, and lies in
+    [0, vocab_size)."""
     windows, targets = np.asarray(windows), np.asarray(targets)
+    if windows.ndim < 2 or windows.shape[-1] != config.context or windows.size == 0:
+        raise UsageError(
+            f"windows have shape {windows.shape}, expected (..., B, {config.context}) "
+            "with no empty axis"
+        )
+    if targets.shape != windows.shape[:-1]:
+        raise UsageError(f"targets have shape {targets.shape}, windows {windows.shape}")
+    for ids in (windows, targets):
+        if ids.dtype.kind not in "iu":
+            raise UsageError(f"token ids must have an integer dtype, got {ids.dtype}")
+        if ids.min() < 0 or ids.max() >= config.vocab_size:
+            raise UsageError(f"token id out of vocabulary range [0, {config.vocab_size})")
     lead = windows.shape[:-2]
+    if grads.shape != lead + (param_count(config),):
+        raise UsageError(
+            f"gradient buffer has shape {grads.shape}; windows of shape {windows.shape} "
+            f"need {lead + (param_count(config),)}"
+        )
     clients = math.prod(lead)
     keys = (np.arange(clients)[:, None] * config.vocab_size + windows.reshape(clients, -1)).ravel()
     order = np.argsort(keys, kind="stable")
@@ -340,18 +332,16 @@ def loss_and_grads(
 
     For a (K, P) stack of parameters, `windows` is (K, B, context) and
     `targets` (K, B): row k of the result is bitwise the call on replica k
-    alone, and the loss is a (K,) array. Token ids are not checked here;
-    see `check_tokens`.
+    alone, and the loss is a (K,) array.
 
-    `plan` is `plan_batch` of these windows and targets, UsageError if it
-    was built from other arrays; without one, a dense plan is built on the
-    spot, on a new buffer. The gradient is written into the plan's buffer
-    and returned: the embedding gradient in the plan's rows only, and a
-    plan that is not dense leaves the rest of the embedding as the buffer
-    held it."""
+    `plan` is `plan_batch` of these windows and targets, the checked batch
+    this call reads, UsageError if it was built from other arrays; without
+    one, a dense plan is built, and so the batch checked, on a new buffer.
+    The gradient is written into the plan's buffer and returned: the
+    embedding gradient in the plan's rows only, and a plan that is not
+    dense leaves the rest of the embedding as the buffer held it."""
     if clip is not None and not clip > 0:
         raise UsageError("clip bound must be > 0")
-    windows, targets = _check_batch(model, windows, targets)
     cfg = model.config
     if plan is None:
         plan = plan_batch(cfg, windows, targets, np.empty_like(model.params), dense=True)
@@ -363,6 +353,7 @@ def loss_and_grads(
     elif not all(mine is given or np.array_equal(mine, given)
                  for mine, given in ((plan.windows, windows), (plan.targets, targets))):
         raise UsageError("the plan was built from other windows or targets than it is given")
+    windows = plan.windows
     trace = forward_trace(model, windows, plan.gather)
     b = windows.shape[-2]
     dlogits, s, losses = _softmax(trace.logits, plan.picks)

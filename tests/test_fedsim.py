@@ -470,13 +470,22 @@ def test_aggregate_zero_payloads_leave_model_unchanged():
 
 
 def test_aggregate_invariant_under_packet_permutation():
+    """A real round's three payloads give the same bits in each of their
+    3! arrival orders. Summed in arrival order they would not: some order
+    of these rows rounds differently, which one swap of two rows cannot
+    show, since a + b is b + a."""
     fed, mcfg, shards = _setup()
     model = init_model(mcfg, 0)
     payloads = _round(model, shards, fed, mcfg)
-    perm = shuffle_round(len(payloads), np.random.default_rng(3))
-    a = aggregate(model, payloads, server_lr=0.1)
-    b = aggregate(model, payloads[perm], server_lr=0.1)
-    np.testing.assert_array_equal(a.params, b.params)
+    orders = [list(perm) for perm in itertools.permutations(range(len(payloads)))]
+    in_arrival_order = {
+        (payloads[i] + payloads[j] + payloads[k]).tobytes() for i, j, k in orders
+    }
+    assert len(orders) == 6 and len(in_arrival_order) > 1
+    expected = aggregate(model, payloads, server_lr=0.1).params.view(np.uint32)
+    for order in orders:
+        got = aggregate(model, payloads[order], server_lr=0.1).params
+        np.testing.assert_array_equal(got.view(np.uint32), expected)
 
 
 def test_aggregate_equals_the_byte_order_sum_under_every_row_permutation():

@@ -11,7 +11,6 @@ from gradlink.model import (
     PARAM_DTYPE,
     GlobalModel,
     ModelConfig,
-    check_tokens,
     eval_loss,
     forward_trace,
     init_model,
@@ -76,13 +75,43 @@ def test_model_config_fields_are_integers_at_least_1(fields):
         ModelConfig(**{"vocab_size": 5, **fields})
 
 
+V = SMALL.vocab_size
+BAD_IDS = (
+    ([[0, 1, -1]], [-2]),  # wrapped to [[0, 1, V - 1]], [V - 2] without a check
+    ([[0, 1, 2]], [-1]),
+    ([[0, 1, V]], [0]),
+    ([[0, 1, 2]], [V]),
+    ([[0.0, 1.0, 2.0]], [0]),
+    ([[0, 1, 2]], [1.0]),
+    ([[True, False, True]], [0]),
+    ([[0, 1, 2]], [True]),
+)
+
+
 def test_out_of_range_token_is_usage_error():
-    # training checks a shard's windows once per run; loss_and_grads checks shapes
-    for windows, targets in (([[0, 1, SMALL.vocab_size]], [0]), ([[0, 1, 2]], [-1])):
-        with pytest.raises(UsageError):
-            check_tokens(SMALL, windows, targets)
-    check_tokens(SMALL, [[0, 1, SMALL.vocab_size - 1]], [0])
+    """`plan_batch` is where a batch is checked. An id below 0 or at least
+    vocab_size, or of a float or bool dtype, in the windows or the targets,
+    is a UsageError: from `plan_batch`, from `loss_and_grads` without a
+    plan, which builds one, and from `loss_and_grads` with the plan of a
+    valid batch, which these arrays are not. So is a shape that does not
+    fit the model or the gradient buffer."""
     m = init_model(SMALL, 0)
+    size = param_count(SMALL)
+    good = np.array([[3, 4, 5]]), np.array([6])
+    plan = plan_batch(SMALL, *good, np.empty(size, PARAM_DTYPE), dense=True)
+    for windows, targets in BAD_IDS:
+        with pytest.raises(UsageError):
+            plan_batch(SMALL, windows, targets, np.empty(size, PARAM_DTYPE), dense=True)
+        with pytest.raises(UsageError):
+            loss_and_grads(m, windows, targets)
+        with pytest.raises(UsageError):
+            loss_and_grads(m, windows, targets, plan=plan)
+    loss_and_grads(m, *good, plan=plan)
+    for dtype in (np.uint8, np.int32, np.int64):
+        windows, targets = np.array([[0, 1, V - 1]], dtype), np.array([V - 1], dtype)
+        plan = plan_batch(SMALL, windows, targets, np.empty(size, PARAM_DTYPE), dense=True)
+        assert plan.windows is windows and plan.targets is targets
+
     with pytest.raises(UsageError):
         loss_and_grads(m, np.zeros((0, 3), dtype=int), np.zeros(0, dtype=int))
     stack = GlobalModel(SMALL, np.stack([m.params] * 2))
@@ -91,9 +120,14 @@ def test_out_of_range_token_is_usage_error():
         (np.zeros((2, 3), dtype=int), np.zeros(2, dtype=int)),  # 2-d batch on a stack
         (np.zeros((3, 2, 3), dtype=int), np.zeros((3, 2), dtype=int)),  # 3 batches, 2 replicas
         (np.zeros((2, 2, 3), dtype=int), np.zeros(2, dtype=int)),
+        (np.zeros((0, 2, 3), dtype=int), np.zeros((0, 2), dtype=int)),  # no replica
+        (np.zeros((1, 2), dtype=int), np.zeros(1, dtype=int)),  # context 2, not 3
     ):
         with pytest.raises(UsageError):
             loss_and_grads(m if windows.ndim < 2 else stack, windows, targets)
+    for grads in (np.empty((1, size), PARAM_DTYPE), np.empty(size + 1, PARAM_DTYPE)):
+        with pytest.raises(UsageError, match="gradient buffer"):
+            plan_batch(SMALL, np.zeros((2, 3), dtype=int), np.zeros(2, dtype=int), grads, True)
 
 
 def _repeating_windows(rng, k, b, context):

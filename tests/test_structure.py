@@ -6,6 +6,8 @@ invariant of the package rests on `assert`, which `python -O` strips. And
 numpy's error state, the overflow policy, is set only where divergence is
 detected: in `fedsim.run_simulation`. Every input file is read in one
 place, `errors.read_input`, so a bad file of any kind fails the same way.
+Every top-level function and class of the package is read by other code
+of the package or by the benchmark, so no helper is kept for tests alone.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gradlink"
+BENCHMARK = PACKAGE.parents[1] / "perfbench"
 # Modules that hold the truth or hand it on: the simulator returns it,
 # `report` reads its sidecar, and `cli` wires both.
 TRUTH_MODULES = {"fedsim", "report", "cli"}
@@ -301,3 +304,65 @@ def test_import_check_reports_a_planted_import():
         ),
     }
     assert foreign_imports(trees) == ["attack.py:4 scipy", "attack.py:5 scipy", "attack.py:7 sklearn"]
+
+
+def _names_read(statement):
+    """The names a statement reads, as a name or an attribute."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unused_definitions(trees, users):
+    """The top-level functions and classes of `trees`, as `module.name`,
+    whose name no other top-level statement of `trees` or of the syntax
+    trees `users` reads. A definition's reads of its own name, as in a
+    recursive call, do not count."""
+    readers = {}  # name -> ids of the top-level statements that read it
+    for tree in [*trees.values(), *users]:
+        for statement in tree.body:
+            for name in _names_read(statement):
+                readers.setdefault(name, set()).add(id(statement))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not readers.get(node.name, set()) - {id(node)}
+    ]
+
+
+def test_every_definition_is_used_outside_the_tests():
+    """The package's own code or the benchmark's must read each top-level
+    function and class. The benchmark's files are read as text, so no
+    bytecode is written beside them. `dp.clip_gradient` passes only
+    because `perfbench/layers.py` wraps it: training clips in
+    `model.loss_and_grads`, and its other callers are tests."""
+    users = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(BENCHMARK.glob("*.py"))]
+    assert users
+    assert unused_definitions(_package_trees(), users) == []
+
+
+def test_unused_definition_check_reports_a_planted_helper():
+    trees = {
+        "model": ast.parse(
+            "def _segments(config):\n    return []\n"
+            "def param_count(config):\n    return len(_segments(config))\n"
+            "def check_tokens(config, ids):\n    pass\n"
+            "def walk(n):\n    return walk(n - 1)\n"
+            "class BatchPlan:\n    pass\n"
+            "class Hooked:\n    pass\n"
+        ),
+        "fedsim": ast.parse(
+            "from .model import BatchPlan, check_tokens\n"
+            "import gradlink.model as model\n"
+            "def run(plan: BatchPlan):\n    return model.param_count(plan)\n"
+        ),
+    }
+    users = [ast.parse("import gradlink.model as model\nmodel.Hooked = model.Hooked\n")]
+    assert unused_definitions(trees, users) == [
+        "fedsim.run", "model.check_tokens", "model.walk"
+    ]
