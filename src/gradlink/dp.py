@@ -21,11 +21,13 @@ Where the noise is drawn: it never depends on the gradient, so
 `fedsim.client_round` starts each local step's draws with `start_noise`
 before the backward pass, one task per client on the run's thread pool, each
 from that client's own generator into that client's row of a noise buffer.
-After the backward pass `privatize`, on the main thread, runs itself every
-draw the pool has not begun, waits for the others, and adds the noise to the
-clipped averages. A generator draws the same numbers on any thread, and each
-client's draws keep their step order, so the noise, and so every trace, is
-the same for any number of workers.
+A draw is Box-Muller (`draw_noise`): the row's exponentials, then its
+uniforms, from the client's generator, made into normals by ufuncs that,
+like the draws, release the GIL. After the backward pass `privatize`, on the
+main thread, runs itself every draw the pool has not begun, waits for the
+others, and adds the noise to the clipped averages. A generator draws the
+same numbers on any thread, and each client's draws keep their step order,
+so the noise, and so every trace, is the same for any number of workers.
 """
 
 import functools
@@ -69,14 +71,29 @@ def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:
 
 
 def draw_noise(out: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
-    """Fill `out` with Gaussian noise of per-coordinate std `std`, drawn at
-    the dtype of `out`: std * z for standard normal z, where `+= 0.0` turns
-    a -0.0 into +0.0 as `Generator.normal`'s 0.0 + std * z does. Unlike
-    `Generator.normal`, `standard_normal(out=...)` releases the GIL, so the
-    draw runs in parallel with the main thread."""
-    rng.standard_normal(out=out, dtype=out.dtype)
-    out *= std
-    out += 0.0
+    """Fill the 1-D `out` with Gaussian noise of per-coordinate std `std`,
+    drawn at the dtype of `out` by Box-Muller. With h = ceil(n / 2), `rng`
+    draws h exponentials E, then h uniforms U. 2 E is chi-square with 2
+    degrees of freedom, so R = std * sqrt(2 E) is std times the norm of two
+    independent standard normals, and out[:h] = R cos(2 pi U), out[h:] =
+    R[:n - h] sin(2 pi U[:n - h]) are Gaussian. std multiplies after the
+    root, where a small std^2 would underflow. The radius comes from numpy's
+    exponential ziggurat, whose tail is exact; sqrt(-2 ln U) from a float32
+    U would stop at 5.77 std. A zero may come out as -0.0. Every step
+    releases the GIL, so the draw runs in parallel with the main thread."""
+    n = out.shape[0]
+    h = (n + 1) // 2
+    radius = out[:h]
+    rng.standard_exponential(out=radius, dtype=out.dtype)
+    angle = rng.random(h, dtype=out.dtype)
+    angle *= 2.0 * np.pi
+    radius *= 2.0
+    np.sqrt(radius, out=radius)
+    radius *= std
+    np.sin(angle[: n - h], out=out[h:])
+    out[h:] *= radius[: n - h]
+    np.cos(angle, out=angle)
+    radius *= angle
     return out
 
 

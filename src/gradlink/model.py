@@ -229,12 +229,11 @@ class BatchPlan:
         table[self.rows] = np.add.reduceat(occurrences, self.starts, axis=0)
 
 
-def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: bool) -> BatchPlan:
-    """The `BatchPlan` of (..., B, context) `windows` and their (..., B)
-    targets, bound to the (..., P) gradient buffer `grads` its step writes.
-    This is where a batch is checked: UsageError unless the shapes fit, no
-    axis is empty, and every id has an integer dtype, not bool, and lies in
-    [0, vocab_size)."""
+def checked_batch(config: ModelConfig, windows, targets) -> Tuple[np.ndarray, np.ndarray]:
+    """(..., B, context) `windows` and their (..., B) targets as arrays, or
+    UsageError unless the shapes fit, no axis is empty, and every id has an
+    integer dtype, not bool, and lies in [0, vocab_size). Every batch that
+    reaches the model, to train or to evaluate, passes here."""
     windows, targets = np.asarray(windows), np.asarray(targets)
     if windows.ndim < 2 or windows.shape[-1] != config.context or windows.size == 0:
         raise UsageError(
@@ -248,6 +247,15 @@ def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: 
             raise UsageError(f"token ids must have an integer dtype, got {ids.dtype}")
         if ids.min() < 0 or ids.max() >= config.vocab_size:
             raise UsageError(f"token id out of vocabulary range [0, {config.vocab_size})")
+    return windows, targets
+
+
+def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: bool) -> BatchPlan:
+    """The `BatchPlan` of (..., B, context) `windows` and their (..., B)
+    targets, bound to the (..., P) gradient buffer `grads` its step writes.
+    This is where a training batch is checked: `checked_batch`, and
+    UsageError unless `grads` is (..., P) with the windows' leading axes."""
+    windows, targets = checked_batch(config, windows, targets)
     lead = windows.shape[:-2]
     if grads.shape != lead + (param_count(config),):
         raise UsageError(
@@ -437,11 +445,10 @@ EVAL_CHUNK = 512
 
 def eval_loss(model: GlobalModel, windows, targets) -> float:
     """Mean cross-entropy over a full dataset of windows, deterministic;
-    evaluated `EVAL_CHUNK` windows at a time."""
-    windows = np.asarray(windows)
-    targets = np.asarray(targets)
-    if windows.shape[0] == 0:
-        raise UsageError("empty evaluation dataset")
+    evaluated `EVAL_CHUNK` windows at a time. The batch is checked as
+    `checked_batch` checks it, and its leading axes are flattened."""
+    windows, targets = checked_batch(model.config, windows, targets)
+    windows, targets = windows.reshape(-1, model.config.context), targets.ravel()
     total = 0.0
     for start in range(0, windows.shape[0], EVAL_CHUNK):
         w = windows[start : start + EVAL_CHUNK]

@@ -1310,9 +1310,10 @@ def test_server_step_overflow_is_exit_3_without_a_warning(tmp_path, capsys):
 
 
 def test_noise_overflow_on_the_worker_is_exit_3_without_a_warning(tmp_path, capsys, monkeypatch):
-    """With one sample per step the noise std sigma * clip is 1e308, and
-    std * z overflows for |z| > 1.8. Each step waits for the worker to take
-    all of its draws before privatize runs, so they overflow on the worker."""
+    """With one sample per step the noise std sigma * clip is 1e308, which
+    overflows float32, the dtype of the draw. Each step waits for the worker
+    to take all of its draws before privatize runs, so they overflow on the
+    worker."""
     real = fedsim.privatize
 
     def privatize_after_the_worker(clipped_means, noise, draws):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from gradlink.corpus import PAD_ID
 from gradlink.dp import DpConfig, clip_gradient, draw_noise, privatize, rdp_epsilon, start_noise
@@ -113,14 +114,12 @@ def test_loss_and_grads_rejects_non_positive_clip():
 
 
 def _oracle_privatize(clipped_mean, n_samples, cfg, rng):
-    """The per-client rule: one standard normal draw over the whole vector,
-    at its dtype, scaled to std and with -0.0 made +0.0 as
-    `Generator.normal` does; none at sigma 0."""
+    """The per-client rule: one `draw_noise` over the whole vector, into a
+    fresh buffer of its dtype; none at sigma 0."""
     if cfg.sigma == 0.0:
         return clipped_mean
     std = cfg.sigma * cfg.clip / n_samples
-    z = rng.standard_normal(clipped_mean.shape, dtype=clipped_mean.dtype)
-    return clipped_mean + (std * z + 0.0)
+    return clipped_mean + draw_noise(np.empty_like(clipped_mean), std, rng)
 
 
 def _privatize_rows(clipped_means, n_samples, cfg, rngs, pool=None):
@@ -177,21 +176,49 @@ def test_privatize_noise_std_matches_sigma_clip_over_l(l):
     assert sample_std == pytest.approx(expected, rel=0.05)
 
 
-def test_draw_noise_is_bitwise_generator_normal():
-    """In float64, bitwise `Generator.normal`, including a std so small that
-    std * z underflows to -0.0, which `normal`'s 0.0 + std * z turns into
-    +0.0. In float32, the dtype of training, it is the float32 standard
-    normal stream times std, with the same sign rule."""
-    for std in (0.3, 1e-320):
-        out = draw_noise(np.empty(10_000), std, np.random.default_rng(6))
-        expected = np.random.default_rng(6).normal(0.0, std, size=10_000)
-        assert out.tobytes() == expected.tobytes()
-    for std in (0.3, 1e-50):  # 1e-50 is 0 in float32
-        out = draw_noise(np.empty(10_000, dtype=PARAM_DTYPE), std, np.random.default_rng(6))
-        z = np.random.default_rng(6).standard_normal(10_000, dtype=PARAM_DTYPE)
-        assert out.dtype == PARAM_DTYPE
-        assert out.tobytes() == (std * z + 0.0).tobytes()
-        assert not np.signbit(out[out == 0.0]).any()
+def _box_muller(n, std, rng, dtype):
+    """n Gaussians of std `std` at `dtype`, written out: h = ceil(n / 2)
+    exponentials E, then h uniforms U, radius std * sqrt(2 E), the cosines
+    first and then the first n - h sines."""
+    h = (n + 1) // 2
+    radius = np.sqrt(rng.standard_exponential(h, dtype=dtype) * 2.0) * std
+    angle = rng.random(h, dtype=dtype) * (2.0 * np.pi)
+    return np.concatenate([radius * np.cos(angle), (radius * np.sin(angle))[: n - h]])
+
+
+@pytest.mark.parametrize("dtype", [PARAM_DTYPE, np.float64], ids=["float32", "float64"])
+def test_draw_noise_is_bitwise_box_muller(dtype):
+    """Bitwise the Box-Muller pairs of a generator with the same seed, for
+    odd and even lengths, one value, and a row of a 2-D buffer, whose other
+    rows it leaves alone; at std 0.3, and at a std that float32 rounds to 0
+    and float64 holds only as a subnormal."""
+    for n in (10_001, 10_000, 2, 1):
+        for std in (0.3, 1e-50 if dtype == PARAM_DTYPE else 1e-320):
+            out = draw_noise(np.empty(n, dtype=dtype), std, np.random.default_rng(6))
+            expected = _box_muller(n, std, np.random.default_rng(6), dtype)
+            assert out.dtype == expected.dtype == dtype
+            assert out.tobytes() == expected.tobytes()
+    buffer = np.full((3, 7), 5.0, dtype=dtype)
+    draw_noise(buffer[1], 0.3, np.random.default_rng(8))
+    assert buffer[1].tobytes() == _box_muller(7, 0.3, np.random.default_rng(8), dtype).tobytes()
+    assert (buffer[[0, 2]] == 5.0).all()
+
+
+def test_draw_noise_is_standard_normal_in_distribution():
+    """About 10^6 float32 draws at std 1: the Kolmogorov-Smirnov distance to
+    the normal CDF is below the 1% critical value 1.63 / sqrt(n), and the two
+    values of each Box-Muller pair, and their squares, are uncorrelated
+    within 5 / sqrt(h)."""
+    n = 1_000_001
+    h = (n + 1) // 2
+    z = draw_noise(np.empty(n, dtype=PARAM_DTYPE), 1.0, np.random.default_rng(9))
+    z64 = np.sort(z.astype(np.float64))
+    cdf = special.ndtr(z64)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.63 / math.sqrt(n)
+    cos, sin = z[: n - h].astype(np.float64), z[h:].astype(np.float64)
+    for a, b in ((cos, sin), (cos**2, sin**2)):
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(h)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

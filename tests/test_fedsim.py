@@ -9,7 +9,7 @@ import pytest
 
 from gradlink import fedsim
 from gradlink.corpus import SyntheticSpec, batch_iter, generate_synthetic, windows_from_sentences
-from gradlink.dp import DpConfig, privatize
+from gradlink.dp import DpConfig, draw_noise, privatize
 from gradlink.errors import ConfigError, DivergedError, UsageError
 from gradlink.fedsim import (
     FedConfig,
@@ -100,8 +100,7 @@ def test_local_training_rejects_out_of_vocabulary_tokens():
 def _oracle_client_round(snapshot, shard, cfg, dp_cfg=None, dp_rng=None):
     """Local SGD for one client at a time, a new model every step: the
     per-client loop that lockstep training replaced. Its DP noise is one
-    standard normal draw per step at the dtype of the gradient, scaled to
-    std, with -0.0 made +0.0 as `Generator.normal` does."""
+    `draw_noise` per step into a fresh buffer of the gradient's dtype."""
     if not shard.train:
         raise ConfigError(f"client {shard.client_id} has an empty shard")
     model = snapshot
@@ -114,8 +113,7 @@ def _oracle_client_round(snapshot, shard, cfg, dp_cfg=None, dp_rng=None):
                 _, grads = loss_and_grads(model, windows, targets, clip=dp_cfg.clip)
                 if dp_cfg.sigma > 0:
                     std = dp_cfg.sigma * dp_cfg.clip / windows.shape[0]
-                    z = dp_rng.standard_normal(grads.shape, dtype=grads.dtype)
-                    grads = grads + (std * z + 0.0)
+                    grads = grads + draw_noise(np.empty_like(grads), std, dp_rng)
             else:
                 _, grads = loss_and_grads(model, windows, targets)
             model = GlobalModel(model.config, model.params - cfg.client_lr * grads)

@@ -89,12 +89,12 @@ BAD_IDS = (
 
 
 def test_out_of_range_token_is_usage_error():
-    """`plan_batch` is where a batch is checked. An id below 0 or at least
-    vocab_size, or of a float or bool dtype, in the windows or the targets,
-    is a UsageError: from `plan_batch`, from `loss_and_grads` without a
-    plan, which builds one, and from `loss_and_grads` with the plan of a
-    valid batch, which these arrays are not. So is a shape that does not
-    fit the model or the gradient buffer."""
+    """`checked_batch` is where a batch is checked. An id below 0 or at
+    least vocab_size, or of a float or bool dtype, in the windows or the
+    targets, is a UsageError: from `plan_batch`, from `loss_and_grads`
+    without a plan, which builds one, from `loss_and_grads` with the plan of
+    a valid batch, which these arrays are not, and from `eval_loss`. So is a
+    shape that does not fit the model or the gradient buffer."""
     m = init_model(SMALL, 0)
     size = param_count(SMALL)
     good = np.array([[3, 4, 5]]), np.array([6])
@@ -106,14 +106,17 @@ def test_out_of_range_token_is_usage_error():
             loss_and_grads(m, windows, targets)
         with pytest.raises(UsageError):
             loss_and_grads(m, windows, targets, plan=plan)
+        with pytest.raises(UsageError):
+            eval_loss(m, windows, targets)
     loss_and_grads(m, *good, plan=plan)
     for dtype in (np.uint8, np.int32, np.int64):
         windows, targets = np.array([[0, 1, V - 1]], dtype), np.array([V - 1], dtype)
         plan = plan_batch(SMALL, windows, targets, np.empty(size, PARAM_DTYPE), dense=True)
         assert plan.windows is windows and plan.targets is targets
 
-    with pytest.raises(UsageError):
-        loss_and_grads(m, np.zeros((0, 3), dtype=int), np.zeros(0, dtype=int))
+    for score in (loss_and_grads, eval_loss):
+        with pytest.raises(UsageError):
+            score(m, np.zeros((0, 3), dtype=int), np.zeros(0, dtype=int))
     stack = GlobalModel(SMALL, np.stack([m.params] * 2))
     for windows, targets in (
         (np.zeros(3, dtype=int), np.zeros(1, dtype=int)),  # no batch axis
@@ -125,6 +128,13 @@ def test_out_of_range_token_is_usage_error():
     ):
         with pytest.raises(UsageError):
             loss_and_grads(m if windows.ndim < 2 else stack, windows, targets)
+    for windows, targets in (
+        (np.zeros(3, dtype=int), np.zeros(1, dtype=int)),  # no batch axis
+        (np.zeros((1, 2), dtype=int), np.zeros(1, dtype=int)),  # context 2, not 3
+        (np.zeros((2, 3), dtype=int), np.zeros(3, dtype=int)),  # 3 targets for 2 windows
+    ):
+        with pytest.raises(UsageError):
+            eval_loss(m, windows, targets)
     for grads in (np.empty((1, size), PARAM_DTYPE), np.empty(size + 1, PARAM_DTYPE)):
         with pytest.raises(UsageError, match="gradient buffer"):
             plan_batch(SMALL, np.zeros((2, 3), dtype=int), np.zeros(2, dtype=int), grads, True)
@@ -484,6 +494,9 @@ def test_eval_loss_equals_the_loss_of_one_batch():
     windows, targets = _batch(SMALL, 1300, 14)  # three EVAL_CHUNKs
     loss, _ = loss_and_grads(m, windows, targets)
     assert eval_loss(m, windows, targets) == pytest.approx(loss, rel=64 * EPS, abs=0)
+    assert eval_loss(m, windows.reshape(2, 650, -1), targets.reshape(2, 650)) == eval_loss(
+        m, windows, targets
+    )
     stack = GlobalModel(SMALL, np.stack([m.params, init_model(SMALL, 15).params]))
     losses, _ = loss_and_grads(stack, np.stack([windows] * 2), np.stack([targets] * 2))
     assert losses[0] == loss
