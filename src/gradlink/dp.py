@@ -1,10 +1,13 @@
-"""Client-side DP-SGD defense: Gaussian noising of clipped gradients before
-an update leaves the client, plus an advisory privacy accountant. The
+"""Client-side DP-SGD defense: Gaussian noise steps on the local replicas
+before an update leaves the client, plus an advisory privacy accountant. The
 per-sample clipping itself happens in the model's batched backward pass.
 
 Noise convention: the mechanism averages L clipped per-sample gradients and
 adds Gaussian noise with per-coordinate std sigma * clip / L (noise drawn
-inside the average, the standard DP-SGD scaling).
+inside the average, the standard DP-SGD scaling). The local step theta - lr
+* (mean + noise) is taken as the gradient step theta - lr * mean and then a
+noise step of std lr * sigma * clip / L, equal up to float32 rounding. The
+noise covers the flat vector in `model.param_layout` order.
 
 Accounting: a client's batches are fixed once per run, so a training window
 sits in one known batch and is used once per local epoch. Over R rounds of E
@@ -23,9 +26,9 @@ before the backward pass, one task per client on the run's thread pool, each
 from that client's own generator into that client's row of a noise buffer.
 A draw is Box-Muller (`draw_noise`): the row's exponentials, then its
 uniforms, from the client's generator, made into normals by ufuncs that,
-like the draws, release the GIL. After the backward pass `privatize`, on the
+like the draws, release the GIL. After the gradient step `privatize`, on the
 main thread, runs itself every draw the pool has not begun, waits for the
-others, and adds the noise to the clipped averages. A generator draws the
+others, and subtracts the noise from the replicas. A generator draws the
 same numbers on any thread, and each client's draws keep their step order,
 so the noise, and so every trace, is the same for any number of workers.
 """
@@ -104,37 +107,39 @@ PendingDraw = Tuple[Callable[[], np.ndarray], Future]
 def start_noise(
     noise: np.ndarray,
     n_samples: int,
+    lr: float,
     cfg: DpConfig,
     rngs: Sequence[np.random.Generator],
     pool: Executor,
 ) -> List[PendingDraw]:
-    """Start drawing row i of the (n, P) `noise` buffer from `rngs[i]`, with
-    the per-coordinate std sigma * clip / n_samples, as one task per row on
-    `pool`. Returns the pending draws for `privatize`."""
+    """Start drawing row i of the (n, P) `noise` buffer from `rngs[i]` for
+    the noise step of a local step with learning rate `lr` on averages of
+    `n_samples` clipped gradients: per-coordinate std lr * sigma * clip /
+    n_samples, as one task per row on `pool`. Returns the pending draws for
+    `privatize`."""
     if n_samples < 1:
         raise UsageError("DP noise needs at least one per-sample gradient")
-    std = cfg.sigma * cfg.clip / n_samples
+    std = lr * (cfg.sigma * cfg.clip / n_samples)
     draws = [functools.partial(draw_noise, row, std, rng) for row, rng in zip(noise, rngs)]
     return [(draw, pool.submit(draw)) for draw in draws]
 
 
-def privatize(
-    clipped_means: np.ndarray, noise: np.ndarray, draws: Sequence[PendingDraw]
-) -> np.ndarray:
-    """Add DP noise in place to the (n, P) clipped averages that
-    `loss_and_grads(..., clip=cfg.clip)` returns, once `start_noise`'s
-    draws have filled the (n, P) `noise`. It waits for the draws a worker
-    has begun and runs here every draw no worker has begun. It goes from the
-    last draw back: the pool takes draws from the front, so the draws at the
-    back are the ones that have not begun, and the main thread and the pool
-    stay busy until they meet."""
+def privatize(params: np.ndarray, noise: np.ndarray, draws: Sequence[PendingDraw]) -> np.ndarray:
+    """The noise step, in place: subtract `noise` from the (n, P) replicas
+    `params` that have taken their gradient step on the averages of
+    `loss_and_grads(..., clip=cfg.clip)`, once `start_noise`'s draws have
+    filled the (n, P) `noise`. It waits for the draws a worker has begun and
+    runs here every draw no worker has begun. It goes from the last draw
+    back: the pool takes draws from the front, so the draws at the back are
+    the ones that have not begun, and the main thread and the pool stay busy
+    until they meet."""
     for draw, future in reversed(draws):
         if future.cancel():
             draw()
         else:
             future.result()
-    clipped_means += noise
-    return clipped_means
+    params -= noise
+    return params
 
 
 def rdp_epsilon(sigma: float, steps: int, delta: float) -> float:

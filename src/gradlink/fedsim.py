@@ -85,9 +85,7 @@ class LocalTraining:
     (replicas, shard positions, plan): the replicas are a view into the
     stack, and the plan is the slice's `model.BatchPlan`, which keeps its
     (n, b, context) windows and (n, b) targets and owns its rows of the
-    run's gradient buffer. DP noise reaches every embedding row, so the
-    plans of a run with noise are dense, and those of any other run are
-    not."""
+    run's gradient buffer."""
 
     order: np.ndarray
     params: np.ndarray
@@ -132,7 +130,7 @@ def local_training(
             hi = lo + len(members)
             windows = np.stack([batches[i][j][0] for i in members])
             targets = np.stack([batches[i][j][1] for i in members])
-            plan = plan_batch(model_cfg, windows, targets, grads[lo:hi], dense=noisy)
+            plan = plan_batch(model_cfg, windows, targets, grads[lo:hi])
             steps.append((GlobalModel(model_cfg, params[lo:hi]), members, plan))
             lo = hi
     dp_rngs = [labeled_rng(cfg.seed, f"dp.client{s.client_id}") for s in shards]
@@ -151,15 +149,13 @@ def client_round(
     by the next round. Clipping and noise follow `clients.dp`, and shard
     i's noise comes from `clients.dp_rngs[i]`.
 
-    With sigma > 0, each step starts its clients' noise draws into
-    `clients.noise` on `pool`, which such a round needs, before the
-    backward pass and adds them after it.
-
-    A step updates the blocks and the output whole, and the embedding only
-    in the rows of its plan, each once: the unique rows its windows look
-    up, outside which the gradient is zero, and leaving a row alone gives
-    the bits p - lr * 0.0 gives. The plans of a run with noise are dense:
-    they zero and step every row.
+    A gradient step updates the blocks and the output whole, and the
+    embedding only in the rows of its plan, each once: the unique rows its
+    windows look up, outside which the gradient is zero, and leaving a row
+    alone gives the bits p - lr * 0.0 gives. With sigma > 0, each step
+    starts its clients' noise draws into `clients.noise` on `pool`, which
+    such a round needs, before the backward pass, and `privatize` takes the
+    noise step on every entry after the gradient step.
 
     With a frozen global model a client emits an identical payload every
     round."""
@@ -172,17 +168,18 @@ def client_round(
             if noise is not None:
                 step_noise = noise[: len(shard_ids)]
                 rngs = [clients.dp_rngs[i] for i in shard_ids]
-                draws = start_noise(step_noise, plan.windows.shape[1], dp_cfg, rngs, pool)
+                draws = start_noise(
+                    step_noise, plan.windows.shape[1], cfg.client_lr, dp_cfg, rngs, pool
+                )
             _, grads = loss_and_grads(replicas, plan.windows, plan.targets, clip=clip, plan=plan)
-            if noise is not None:
-                privatize(grads, step_noise, draws)
             p = replicas.params
             sgd_step(p[:, : emb.start], grads[:, : emb.start], cfg.client_lr)
             sgd_step(p[:, emb.stop :], grads[:, emb.stop :], cfg.client_lr)
             sgd_step(
-                replicas.views["embedding"], plan.grad_views["embedding"], cfg.client_lr,
-                plan.stepped,
+                replicas.views["embedding"], plan.grad_views["embedding"], cfg.client_lr, plan.rows
             )
+            if noise is not None:
+                privatize(p, step_noise, draws)
     np.subtract(snapshot.params, params, out=params)
     return params
 

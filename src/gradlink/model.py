@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import UsageError, check_fields, integer
 
-# The one dtype of a run's parameters, gradients, DP noise and updates: the
-# trace stores updates at this precision, and the attack reads nothing finer.
+# The one dtype of a run's parameters, gradients and updates: the trace
+# stores updates at this precision, and the attack reads nothing finer.
 # Every function below follows the dtype of the parameters it is given.
 PARAM_DTYPE = np.dtype(np.float32)
 
@@ -67,8 +67,7 @@ def param_layout(config: ModelConfig) -> Tuple[Tuple[str, Tuple[int, ...]], ...]
     """Name and shape of every parameter, in the order they sit in the flat
     vector: each of `linear_layers` as its weight and then its bias, then
     `embedding`, `output.weight`, `output.bias`. Weight layout is (out,
-    in): y = W x + b. DP noise is drawn over the vector in this order, so
-    reordering it changes every DP trace."""
+    in): y = W x + b."""
     d, v = config.embed_dim, config.vocab_size
     layout = [entry for name, rows, cols in linear_layers(config)
               for entry in ((f"{name}.weight", (rows, cols)), (f"{name}.bias", (rows,)))]
@@ -194,9 +193,8 @@ class BatchPlan:
     per-occurrence rows of the backward pass: `order` sorts the occurrences
     by row, stably, `starts` is where each row's run begins in that order,
     and `rows` indexes those rows in a (..., vocab, dim) table, each once.
-    It is zero outside `rows`. A `dense` plan zeroes the rest of the
-    embedding gradient and steps every row; any other leaves the rest of
-    `grads` as it was and steps `rows` alone.
+    It is zero outside `rows`, so a step writes and updates `rows` alone and
+    the rest of the embedding gradient keeps what `grads` held.
 
     `grads` is the gradient buffer the plan owns, which its step writes,
     and `grad_views` its named views, built once with it."""
@@ -208,23 +206,15 @@ class BatchPlan:
     order: np.ndarray
     starts: np.ndarray
     rows: tuple
-    dense: bool
     grads: np.ndarray
     grad_views: Dict[str, np.ndarray] = field(repr=False)
-
-    @property
-    def stepped(self):
-        """The embedding rows a step with this plan updates."""
-        return ... if self.dense else self.rows
 
     def scatter(self, demb: np.ndarray, table: np.ndarray) -> None:
         """Write the embedding gradient into the (..., vocab, dim) `table`
         from the (..., B, context, dim) per-occurrence rows `demb`: one
         `np.add.reduceat` segment per row of `rows`, over that row's
         occurrences in batch order, so no client's rows depend on another
-        client of the stack. Zero in every other row if the plan is dense."""
-        if self.dense:
-            table[...] = 0.0
+        client of the stack."""
         occurrences = demb.reshape(-1, demb.shape[-1])[self.order]
         table[self.rows] = np.add.reduceat(occurrences, self.starts, axis=0)
 
@@ -250,7 +240,7 @@ def checked_batch(config: ModelConfig, windows, targets) -> Tuple[np.ndarray, np
     return windows, targets
 
 
-def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: bool) -> BatchPlan:
+def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray) -> BatchPlan:
     """The `BatchPlan` of (..., B, context) `windows` and their (..., B)
     targets, bound to the (..., P) gradient buffer `grads` its step writes.
     This is where a training batch is checked: `checked_batch`, and
@@ -276,7 +266,6 @@ def plan_batch(config: ModelConfig, windows, targets, grads: np.ndarray, dense: 
         order=order,
         starts=starts,
         rows=rows,
-        dense=dense,
         grads=grads,
         grad_views=views(config, grads),
     )
@@ -344,15 +333,15 @@ def loss_and_grads(
 
     `plan` is `plan_batch` of these windows and targets, the checked batch
     this call reads, UsageError if it was built from other arrays; without
-    one, a dense plan is built, and so the batch checked, on a new buffer.
+    one, a plan is built, and so the batch checked, on a new zeroed buffer.
     The gradient is written into the plan's buffer and returned: the
-    embedding gradient in the plan's rows only, and a plan that is not
-    dense leaves the rest of the embedding as the buffer held it."""
+    embedding gradient in the plan's rows only, the rest of the embedding
+    as the buffer held it."""
     if clip is not None and not clip > 0:
         raise UsageError("clip bound must be > 0")
     cfg = model.config
     if plan is None:
-        plan = plan_batch(cfg, windows, targets, np.empty_like(model.params), dense=True)
+        plan = plan_batch(cfg, windows, targets, np.zeros_like(model.params))
     elif plan.grads.shape != model.params.shape:
         raise UsageError(
             f"gradient buffer has shape {plan.grads.shape}, parameters {model.params.shape}"

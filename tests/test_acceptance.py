@@ -223,7 +223,7 @@ def test_noise_defeats_the_attack_and_clipping_alone_does_not():
 
 def test_dp_mechanism_properties():
     with _criterion(
-        "clipped norms <= C; noise std = sigma*C/L within 5%; epsilon decreasing in sigma"
+        "clipped norms <= C; noise step std = lr*sigma*C/L within 5%; epsilon decreasing in sigma"
     ):
         rng = np.random.default_rng(4)
         clip = 0.7
@@ -233,13 +233,13 @@ def test_dp_mechanism_properties():
             assert np.linalg.norm(clip_gradient(row, clip)) <= clip + 1e-12
 
         cfg = DpConfig(clip=2.0, sigma=1.3)
-        for l in (1, 4):
+        for l, lr in ((1, 1.0), (4, 0.25)):
             noised, noise = np.zeros((1, 100_000)), np.empty((1, 100_000))
             with ThreadPoolExecutor(1) as pool:
-                draws = start_noise(noise, l, cfg, [np.random.default_rng(5)], pool)
+                draws = start_noise(noise, l, lr, cfg, [np.random.default_rng(5)], pool)
                 privatize(noised, noise, draws)
             std = float(np.std(noised))
-            target = cfg.sigma * cfg.clip / l
+            target = lr * cfg.sigma * cfg.clip / l
             assert abs(std - target) / target < 0.05
 
         eps = [rdp_epsilon(s, 500, 1e-4) for s in (0.5, 1.0, 1.5)]

@@ -298,6 +298,22 @@ def test_v1_trace_is_exit_2_and_says_to_simulate_again(tmp_path, capsys):
     assert "format version 1" in err and "gradlink simulate" in err
 
 
+def test_trace_manifest_without_a_selected_layer_is_exit_2(tmp_path, capsys):
+    """A readable trace of two blocks whose manifest lacks block2.proj, and
+    each row its values: the default selector "both" asks for that layer."""
+    def drop_last_layer(h, raw, row):
+        *kept, last = json.loads(h)["layer_manifest"]
+        cut = row - 4 * last["rows"] * last["cols"]
+        rows = b"".join(raw[at : at + cut] for at in range(0, len(raw), row))
+        return [_header(h, layer_manifest=kept), _b64(rows)]
+
+    path = _edited_trace(tmp_path, drop_last_layer)
+    names = [name for name, _, _ in read_trace(path).layer_manifest]
+    assert names == ["block1.fc", "block1.proj", "block2.fc"]
+    assert _attack_code(tmp_path, path) == EXIT_USAGE
+    assert "selector layer 'block2.proj' not in trace manifest" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("method", ["kmeans", "spectral", "greedy"])
 def test_non_finite_trace_value_is_exit_2(tmp_path, capsys, method, value):

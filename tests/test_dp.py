@@ -13,7 +13,7 @@ from scipy import special
 from gradlink.corpus import PAD_ID
 from gradlink.dp import DpConfig, clip_gradient, draw_noise, privatize, rdp_epsilon, start_noise
 from gradlink.errors import ConfigError, UsageError, is_finite_number
-from gradlink.model import PARAM_DTYPE, ModelConfig, init_model, loss_and_grads
+from gradlink.model import PARAM_DTYPE, ModelConfig, init_model, loss_and_grads, sgd_step
 
 FLAT_DIM = 22
 EPS = np.finfo(PARAM_DTYPE).eps
@@ -113,24 +113,28 @@ def test_loss_and_grads_rejects_non_positive_clip():
             loss_and_grads(model, windows, targets, clip=clip)
 
 
-def _oracle_privatize(clipped_mean, n_samples, cfg, rng):
-    """The per-client rule: one `draw_noise` over the whole vector, into a
-    fresh buffer of its dtype; none at sigma 0."""
-    if cfg.sigma == 0.0:
-        return clipped_mean
-    std = cfg.sigma * cfg.clip / n_samples
-    return clipped_mean + draw_noise(np.empty_like(clipped_mean), std, rng)
+def _oracle_privatize(params, clipped_mean, n_samples, lr, cfg, rng):
+    """The per-client rule: the gradient step, then the noise step, one
+    `draw_noise` of std lr * sigma * clip / n_samples over the whole vector,
+    into a fresh buffer of its dtype."""
+    stepped = params - lr * clipped_mean
+    std = lr * (cfg.sigma * cfg.clip / n_samples)
+    return stepped - draw_noise(np.empty_like(stepped), std, rng)
 
 
-def _privatize_rows(clipped_means, n_samples, cfg, rngs, pool=None):
-    """`privatize` on a copy of the (n, P) rows, row i's noise from rngs[i],
-    drawn on `pool` or else on a pool of one worker, as in a run."""
+def _privatize_rows(params, clipped_means, n_samples, lr, cfg, rngs, pool=None):
+    """The gradient step with the (n, P) `clipped_means` and then
+    `privatize` on a copy of the (n, P) `params`, row i's noise from
+    rngs[i], drawn on `pool` or else on a pool of one worker, as in a run."""
     if pool is None:
         with ThreadPoolExecutor(1) as own:
-            return _privatize_rows(clipped_means, n_samples, cfg, rngs, own)
+            return _privatize_rows(params, clipped_means, n_samples, lr, cfg, rngs, own)
+    params = np.array(params, dtype=PARAM_DTYPE, ndmin=2)
     grads = np.array(clipped_means, dtype=PARAM_DTYPE, ndmin=2)
-    noise = np.empty_like(grads)
-    return privatize(grads, noise, start_noise(noise, n_samples, cfg, rngs, pool))
+    noise = np.empty_like(params)
+    draws = start_noise(noise, n_samples, lr, cfg, rngs, pool)
+    sgd_step(params, grads, lr)
+    return privatize(params, noise, draws)
 
 
 def test_privatize_sigma_zero_is_plain_clipped_average():
@@ -139,10 +143,11 @@ def test_privatize_sigma_zero_is_plain_clipped_average():
     clip = 2.0 * max(float(np.linalg.norm(g)) for g in per_sample)  # clips nothing
     _, clipped_mean = loss_and_grads(model, windows, targets, clip=clip)
     cfg = DpConfig(clip=clip, sigma=0.0)
-    (out,) = _privatize_rows(clipped_mean, 4, cfg, [np.random.default_rng(0)])
-    np.testing.assert_array_equal(out, clipped_mean)
+    zeros = np.zeros_like(clipped_mean)  # from 0 at lr 1 a step is minus the average
+    (out,) = _privatize_rows(zeros, clipped_mean, 4, 1.0, cfg, [np.random.default_rng(0)])
+    np.testing.assert_array_equal(-out, clipped_mean)
     np.testing.assert_allclose(
-        out, np.mean(per_sample, axis=0), rtol=0, atol=_sum_rounding(per_sample, clip)
+        -out, np.mean(per_sample, axis=0), rtol=0, atol=_sum_rounding(per_sample, clip)
     )
 
 
@@ -151,28 +156,30 @@ def test_privatize_single_oversized_sample_is_halved():
     (g,) = _per_sample_grads(model, windows, targets)
     cfg = DpConfig(clip=float(np.linalg.norm(g)) / 2.0, sigma=0.0)
     _, clipped_mean = loss_and_grads(model, windows, targets, clip=cfg.clip)
-    (out,) = _privatize_rows(clipped_mean, 1, cfg, [np.random.default_rng(0)])
+    zeros = np.zeros_like(clipped_mean)
+    (out,) = _privatize_rows(zeros, clipped_mean, 1, 1.0, cfg, [np.random.default_rng(0)])
     # the clip factor comes from the ghost norm, the bound from `norm`
-    np.testing.assert_allclose(out, g / 2.0, rtol=8 * EPS)
+    np.testing.assert_allclose(-out, g / 2.0, rtol=8 * EPS)
 
 
 def test_privatize_noise_is_fresh_per_call():
     g = np.zeros(FLAT_DIM)
     cfg = DpConfig(clip=1.0, sigma=1.0)
     rng = np.random.default_rng(4)
-    a = _privatize_rows(g, 1, cfg, [rng])
-    b = _privatize_rows(g, 1, cfg, [rng])
+    a = _privatize_rows(g, g, 1, 0.5, cfg, [rng])
+    b = _privatize_rows(g, g, 1, 0.5, cfg, [rng])
     assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("l", [1, 4])
 def test_privatize_noise_std_matches_sigma_clip_over_l(l):
-    # 1e5 coordinate draws via a large zero gradient
+    # 1e5 coordinate draws via large zero parameters and gradient; the noise
+    # step's std is lr * sigma * clip / l
     big = np.zeros(100_000)
-    cfg = DpConfig(clip=2.0, sigma=1.5)
-    out = _privatize_rows(big, l, cfg, [np.random.default_rng(5)])
+    cfg, lr = DpConfig(clip=2.0, sigma=1.5), 0.3
+    out = _privatize_rows(big, big, l, lr, cfg, [np.random.default_rng(5)])
     sample_std = out.std()
-    expected = cfg.sigma * cfg.clip / l
+    expected = lr * cfg.sigma * cfg.clip / l
     assert sample_std == pytest.approx(expected, rel=0.05)
 
 
@@ -228,7 +235,7 @@ def test_privatize_equals_per_client_rule_on_any_pool(workers, sigma):
     bitwise equal to the per-client rule. A short switch interval makes the
     threads interleave often."""
     cfg = DpConfig(clip=1.5, sigma=sigma)
-    grads = np.random.default_rng(7).normal(size=(4, FLAT_DIM)).astype(PARAM_DTYPE)
+    params, grads = np.random.default_rng(7).normal(size=(2, 4, FLAT_DIM)).astype(PARAM_DTYPE)
     rngs = [np.random.default_rng(10 + i) for i in range(4)]
     oracle_rngs = [np.random.default_rng(10 + i) for i in range(4)]
     pool = ThreadPoolExecutor(workers)
@@ -236,9 +243,10 @@ def test_privatize_equals_per_client_rule_on_any_pool(workers, sigma):
     sys.setswitchinterval(1e-6)
     try:
         for n_samples in (3, 1, 8):
-            out = _privatize_rows(grads, n_samples, cfg, rngs, pool)
+            out = _privatize_rows(params, grads, n_samples, 0.3, cfg, rngs, pool)
             expected = [
-                _oracle_privatize(g, n_samples, cfg, rng) for g, rng in zip(grads, oracle_rngs)
+                _oracle_privatize(p, g, n_samples, 0.3, cfg, rng)
+                for p, g, rng in zip(params, grads, oracle_rngs)
             ]
             assert out.tobytes() == np.stack(expected).tobytes()
     finally:
@@ -255,12 +263,14 @@ def test_privatize_runs_a_draw_no_worker_has_begun():
     with ThreadPoolExecutor(1) as pool:
         held = pool.submit(release.wait, 60)
         try:
-            out = _privatize_rows(np.zeros((3, FLAT_DIM)), 2, cfg, rngs, pool)
+            out = _privatize_rows(*np.zeros((2, 3, FLAT_DIM)), 2, 0.5, cfg, rngs, pool)
             assert not held.done()
         finally:
             release.set()
     zeros = np.zeros(FLAT_DIM, dtype=PARAM_DTYPE)
-    expected = [_oracle_privatize(zeros, 2, cfg, np.random.default_rng(i)) for i in range(3)]
+    expected = [
+        _oracle_privatize(zeros, zeros, 2, 0.5, cfg, np.random.default_rng(i)) for i in range(3)
+    ]
     assert out.tobytes() == np.stack(expected).tobytes()
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import dataclasses
 import itertools
 import threading
@@ -99,24 +100,24 @@ def test_local_training_rejects_out_of_vocabulary_tokens():
 
 def _oracle_client_round(snapshot, shard, cfg, dp_cfg=None, dp_rng=None):
     """Local SGD for one client at a time, a new model every step: the
-    per-client loop that lockstep training replaced. Its DP noise is one
-    `draw_noise` per step into a fresh buffer of the gradient's dtype."""
+    per-client loop that lockstep training replaced. A noisy step is the
+    gradient step and then the noise step, one `draw_noise` of std
+    lr * sigma * clip / B into a fresh buffer of the parameters' dtype."""
     if not shard.train:
         raise ConfigError(f"client {shard.client_id} has an empty shard")
     model = snapshot
+    clip = None if dp_cfg is None else dp_cfg.clip
     for _ in range(cfg.local_epochs):
         batch_rng = labeled_rng(cfg.seed, f"batch.client{shard.client_id}")
         for windows, targets in batch_iter(
             shard, cfg.batch_size, snapshot.config.context, batch_rng
         ):
-            if dp_cfg is not None:
-                _, grads = loss_and_grads(model, windows, targets, clip=dp_cfg.clip)
-                if dp_cfg.sigma > 0:
-                    std = dp_cfg.sigma * dp_cfg.clip / windows.shape[0]
-                    grads = grads + draw_noise(np.empty_like(grads), std, dp_rng)
-            else:
-                _, grads = loss_and_grads(model, windows, targets)
-            model = GlobalModel(model.config, model.params - cfg.client_lr * grads)
+            _, grads = loss_and_grads(model, windows, targets, clip=clip)
+            params = model.params - cfg.client_lr * grads
+            if dp_cfg is not None and dp_cfg.sigma > 0:
+                std = cfg.client_lr * (dp_cfg.sigma * dp_cfg.clip / windows.shape[0])
+                params = params - draw_noise(np.empty_like(params), std, dp_rng)
+            model = GlobalModel(model.config, params)
     return snapshot.params - model.params
 
 
@@ -173,23 +174,15 @@ LOCKSTEP_CASES = {
 
 
 @pytest.mark.parametrize("case", LOCKSTEP_CASES)
-def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
+def test_lockstep_round_equals_per_client_oracle(case):
     """Two rounds of the (K, P) stack against the per-client loop, bitwise.
     The second round starts from another snapshot and continues each DP
-    noise stream. A step without noise updates only its plan's embedding
-    rows, a noisy step's plan is dense."""
+    noise stream."""
     kwargs = dict(LOCKSTEP_CASES[case])
     dp_cfg = kwargs.pop("dp", None)
     shards, mcfg = _uneven_shards()
     shards = kwargs.pop("shards", list)(shards)
     prepare = kwargs.pop("snapshot", lambda snapshot, _: snapshot)
-    dense = []
-
-    def recording_loss_and_grads(*args, plan, **kw):
-        dense.append(plan.dense)
-        return loss_and_grads(*args, plan=plan, **kw)
-
-    monkeypatch.setattr(fedsim, "loss_and_grads", recording_loss_and_grads)
     fed = FedConfig(clients=len(shards), rounds=2, seed=4, client_lr=0.3, **kwargs)
     counts = [windows_from_sentences(s.train, mcfg.context)[0].shape[0] for s in shards]
     assert len(set(counts)) == len(counts) - 1 and counts != sorted(counts, reverse=True)
@@ -206,8 +199,33 @@ def test_lockstep_round_equals_per_client_oracle(case, monkeypatch):
                 for s, rng in zip(shards, oracle_rngs)
             ])[clients.order]
         np.testing.assert_array_equal(stack.view(np.uint32), expected.view(np.uint32))
-    noisy = dp_cfg is not None and dp_cfg.sigma > 0
-    assert set(dense) == (set() if fed.local_epochs == 0 else {noisy})
+
+
+def test_noisy_lockstep_step_is_the_dp_sgd_step():
+    """One noisy local step of every client against DP-SGD in float64: the
+    update theta - theta' is lr * (g + (sigma * clip / B) z), with g the
+    clipped average of the client's batch and z the standard draws of a
+    copy of its generator, within the float32 rounding of the step: 3 eps
+    of |theta| + |lr g| + |lr sigma clip z / B| per entry."""
+    shards, mcfg = _uneven_shards()
+    fed = FedConfig(clients=len(shards), rounds=2, seed=4, client_lr=0.3, batch_size=10_000)
+    dp_cfg = DpConfig(clip=0.5, sigma=0.3)
+    clients = local_training(shards, fed, mcfg, dp_cfg)
+    copies = [copy.deepcopy(rng) for rng in clients.dp_rngs]
+    snapshot = init_model(mcfg, 0)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        updates = client_round(snapshot, clients, fed, pool)[np.argsort(clients.order)]
+    theta = snapshot.params.astype(np.float64)
+    for shard, rng, update in zip(shards, copies, updates):
+        batch_rng = labeled_rng(fed.seed, f"batch.client{shard.client_id}")
+        (windows, targets), = batch_iter(shard, fed.batch_size, mcfg.context, batch_rng)
+        _, g = loss_and_grads(snapshot, windows, targets, clip=dp_cfg.clip)
+        z = draw_noise(np.empty_like(snapshot.params), 1.0, rng).astype(np.float64)
+        step = fed.client_lr * g.astype(np.float64)
+        noise = fed.client_lr * (dp_cfg.sigma * dp_cfg.clip / len(targets)) * z
+        error = np.abs(update.astype(np.float64) - (step + noise))
+        assert np.all(error <= 3 * np.finfo(PARAM_DTYPE).eps * (np.abs(theta) + np.abs(step)
+                                                                 + np.abs(noise)))
 
 
 def _byte_order_average(rows):
@@ -263,8 +281,7 @@ def test_simulation_equals_per_client_oracle(dp_cfg):
 def test_each_step_plan_is_built_once_per_run(monkeypatch, dp_cfg):
     """A run of 3 rounds of 2 local epochs builds one plan per lockstep
     step, and every step of every epoch and round is computed with that
-    very plan, with and without noise. A plan is dense iff the run adds
-    noise."""
+    very plan, with and without noise."""
     shards, mcfg = _uneven_shards()
     fed = FedConfig(clients=len(shards), rounds=3, seed=2, batch_size=4, local_epochs=2)
     n_steps = len(local_training(shards, fed, mcfg).steps)
@@ -286,7 +303,6 @@ def test_each_step_plan_is_built_once_per_run(monkeypatch, dp_cfg):
     expected = built * (fed.rounds * fed.local_epochs)
     for plan, own in zip(used, expected):
         assert plan is own
-        assert plan.dense == (dp_cfg is not None and dp_cfg.sigma > 0)
 
 
 def test_noisy_run_draws_every_step_into_one_noise_buffer(monkeypatch):
@@ -298,9 +314,9 @@ def test_noisy_run_draws_every_step_into_one_noise_buffer(monkeypatch):
         built.append(local_training(*args, **kwargs))
         return built[-1]
 
-    def recording_privatize(grads, noise, draws):
+    def recording_privatize(params, noise, draws):
         noises.append(noise)
-        return privatize(grads, noise, draws)
+        return privatize(params, noise, draws)
 
     monkeypatch.setattr(fedsim, "local_training", recording_local_training)
     monkeypatch.setattr(fedsim, "privatize", recording_privatize)

@@ -98,10 +98,10 @@ def test_out_of_range_token_is_usage_error():
     m = init_model(SMALL, 0)
     size = param_count(SMALL)
     good = np.array([[3, 4, 5]]), np.array([6])
-    plan = plan_batch(SMALL, *good, np.empty(size, PARAM_DTYPE), dense=True)
+    plan = plan_batch(SMALL, *good, np.empty(size, PARAM_DTYPE))
     for windows, targets in BAD_IDS:
         with pytest.raises(UsageError):
-            plan_batch(SMALL, windows, targets, np.empty(size, PARAM_DTYPE), dense=True)
+            plan_batch(SMALL, windows, targets, np.empty(size, PARAM_DTYPE))
         with pytest.raises(UsageError):
             loss_and_grads(m, windows, targets)
         with pytest.raises(UsageError):
@@ -111,7 +111,7 @@ def test_out_of_range_token_is_usage_error():
     loss_and_grads(m, *good, plan=plan)
     for dtype in (np.uint8, np.int32, np.int64):
         windows, targets = np.array([[0, 1, V - 1]], dtype), np.array([V - 1], dtype)
-        plan = plan_batch(SMALL, windows, targets, np.empty(size, PARAM_DTYPE), dense=True)
+        plan = plan_batch(SMALL, windows, targets, np.empty(size, PARAM_DTYPE))
         assert plan.windows is windows and plan.targets is targets
 
     for score in (loss_and_grads, eval_loss):
@@ -137,7 +137,7 @@ def test_out_of_range_token_is_usage_error():
             eval_loss(m, windows, targets)
     for grads in (np.empty((1, size), PARAM_DTYPE), np.empty(size + 1, PARAM_DTYPE)):
         with pytest.raises(UsageError, match="gradient buffer"):
-            plan_batch(SMALL, np.zeros((2, 3), dtype=int), np.zeros(2, dtype=int), grads, True)
+            plan_batch(SMALL, np.zeros((2, 3), dtype=int), np.zeros(2, dtype=int), grads)
 
 
 def _repeating_windows(rng, k, b, context):
@@ -172,8 +172,8 @@ def test_stacked_loss_and_grads_rows_equal_single_calls(clip):
         else:
             windows = _repeating_windows(rng, k, b, cfg.context)
         targets = rng.integers(0, cfg.vocab_size, size=(k, b))
-        out = np.full_like(stack, np.nan)
-        plan = plan_batch(cfg, windows, targets, out, dense=True)
+        out = np.zeros_like(stack)
+        plan = plan_batch(cfg, windows, targets, out)
         losses, grads = loss_and_grads(GlobalModel(cfg, stack), windows, targets, clip, plan)
         assert grads is out and losses.shape == (k,)
         for i in range(k):
@@ -189,7 +189,7 @@ def test_plan_whose_buffer_does_not_fit_the_parameters_is_usage_error():
     rng = np.random.default_rng(3)
     windows = rng.integers(0, SMALL.vocab_size, size=(3, 4, SMALL.context))
     targets = rng.integers(0, SMALL.vocab_size, size=(3, 4))
-    plan = plan_batch(SMALL, windows[:2], targets[:2], np.empty((2, size), PARAM_DTYPE), True)
+    plan = plan_batch(SMALL, windows[:2], targets[:2], np.empty((2, size), PARAM_DTYPE))
     stack = GlobalModel(SMALL, np.stack([init_model(SMALL, i).params for i in range(3)]))
     with pytest.raises(UsageError, match=rf"\(2, {size}\).*\(3, {size}\)"):
         loss_and_grads(stack, windows, targets, plan=plan)
@@ -202,7 +202,7 @@ def test_plan_of_another_batch_is_usage_error():
     the bits of batch A's own arrays."""
     model = init_model(SMALL, 0)
     (wa, ta), (wb, tb) = _batch(SMALL, 4, seed=0), _batch(SMALL, 4, seed=1)
-    plan = plan_batch(SMALL, wa, ta, np.empty_like(model.params), dense=True)
+    plan = plan_batch(SMALL, wa, ta, np.empty_like(model.params))
     for windows, targets in ((wb, tb), (wb, ta), (wa, tb)):
         with pytest.raises(UsageError, match="other windows or targets"):
             loss_and_grads(model, windows, targets, plan=plan)
@@ -212,18 +212,17 @@ def test_plan_of_another_batch_is_usage_error():
     np.testing.assert_array_equal(grads.view(np.uint32), expected.view(np.uint32))
 
 
-@pytest.mark.parametrize("dense", [True, False])
-def test_segment_sum_scatter_equals_per_occurrence_float64_loop(dense):
+def test_segment_sum_scatter_equals_per_occurrence_float64_loop():
     """A plan's scatter against a float64 loop that adds each occurrence's
     row to its (client, token) row. Each row of the float32 result is a sum
     of n float32 terms, within n eps of the sum of their magnitudes. The
-    plan's rows are the rows used, each once; a dense plan zeroes every
-    other row, and any other plan leaves it as it was."""
+    plan's rows are the rows used, each once, and every other row is left
+    as it was."""
     k, b, d = 4, 7, 5
     rng = np.random.default_rng(21)
     windows = _repeating_windows(rng, k, b, SMALL.context)
     grads = np.empty((k, param_count(SMALL)), dtype=PARAM_DTYPE)
-    plan = plan_batch(SMALL, windows, rng.integers(0, SMALL.vocab_size, size=(k, b)), grads, dense)
+    plan = plan_batch(SMALL, windows, rng.integers(0, SMALL.vocab_size, size=(k, b)), grads)
     demb = (rng.normal(size=(k, b, SMALL.context, d)) * 10.0 ** rng.integers(-3, 4, size=(k, b, 1, 1)))
     demb = demb.astype(PARAM_DTYPE)
     table = np.full((k, SMALL.vocab_size, d), np.nan, dtype=PARAM_DTYPE)
@@ -241,10 +240,7 @@ def test_segment_sum_scatter_equals_per_occurrence_float64_loop(dense):
     assert uses.max() > 8
     error = np.abs(table[used] - expected[used])
     assert np.all(error <= uses[used][:, None] * EPS * magnitude[used])
-    if dense:
-        np.testing.assert_array_equal(table[~used], 0.0)
-    else:
-        assert np.isnan(table[~used]).all()
+    assert np.isnan(table[~used]).all()
 
 
 def _relu_pattern(m, windows):

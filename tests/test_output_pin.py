@@ -9,8 +9,12 @@ so the pin and the benchmark share one list; they are loaded without writing
 bytecode, so nothing under `perfbench/` is written.
 
 numpy's version is part of the pin: another version may round differently,
-so the test fails and names both versions instead of comparing. After a
-change that alters outputs on purpose, re-pin with
+so the test fails and names both versions instead of comparing. The SIMD
+targets numpy dispatches to on the CPU are recorded beside it: another set
+(another CPU, or `NPY_DISABLE_CPU_FEATURES`) may round some ufuncs
+differently too. The digests alone decide pass or fail, but a failure names
+both target lists when they differ. After a change that alters outputs on
+purpose, re-pin with
 
     PYTHONPATH=src python tests/test_output_pin.py
 
@@ -32,6 +36,11 @@ import numpy as np
 import pytest
 
 from gradlink import cli
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -60,6 +69,12 @@ CONFIGS = [(workload, config) for workload in RUN.WORKLOADS for seed in BENCH_SE
            for config in RUN.experiment_configs(workload, seed)]
 
 
+def simd_targets():
+    """The SIMD targets, beyond the build's baseline, that numpy dispatches
+    to on this CPU."""
+    return [target for target in __cpu_dispatch__ if __cpu_features__[target]]
+
+
 def pipeline_digests(config, workdir):
     """{file name: SHA-256} of every file the pipeline writes for `config`,
     run in the empty directory `workdir`."""
@@ -85,7 +100,17 @@ def test_outputs_equal_the_pinned_digests(tmp_path, workload, config):
     seed = str(config["seed"])
     got = {workload: {seed: pipeline_digests(config, workdir)}}
     differ = changed_digests({workload: {seed: pin["digests"][workload][seed]}}, got)
-    assert not differ, f"files that differ from the pin: {differ}"
+    assert not differ, mismatch_message(differ, pin["simd"], simd_targets())
+
+
+def mismatch_message(differ, pinned_simd, simd):
+    """The failure message for the (workload, seed, file) keys `differ`,
+    naming both lists of SIMD targets if they differ."""
+    message = f"files that differ from the pin: {differ}"
+    if pinned_simd != simd:
+        message += (f"; the digests were pinned with numpy SIMD targets {pinned_simd}, "
+                    f"this run dispatches to {simd}")
+    return message
 
 
 def changed_digests(old, new):
@@ -108,6 +133,14 @@ def test_changed_digests_names_each_differing_file():
         ("u", "1", "a"), ("v", "1", "a"), ("w", "1", "b"), ("w", "2", "c")]
 
 
+def test_mismatch_message_names_both_simd_lists_only_when_they_differ():
+    differ = [("w", "1", "trace.jsonl")]
+    same = mismatch_message(differ, ["X86_V3"], ["X86_V3"])
+    assert "trace.jsonl" in same and "SIMD" not in same
+    other = mismatch_message(differ, ["X86_V3", "X86_V4"], [])
+    assert "trace.jsonl" in other and "['X86_V3', 'X86_V4']" in other and "[]" in other
+
+
 def repin():
     old = json.loads(PIN.read_text(encoding="utf-8"))
     digests = {}
@@ -117,10 +150,11 @@ def repin():
             workdir.mkdir()
             digests.setdefault(workload, {})[str(config["seed"])] = pipeline_digests(
                 config, workdir)
-    PIN.write_text(json.dumps({"numpy": np.__version__, "digests": digests}, indent=1,
-                              sort_keys=True) + "\n", encoding="utf-8")
+    PIN.write_text(json.dumps({"numpy": np.__version__, "simd": simd_targets(),
+                               "digests": digests}, indent=1, sort_keys=True) + "\n",
+                   encoding="utf-8")
     print(f"pinned {sum(len(d) for w in digests.values() for d in w.values())} digests "
-          f"under numpy {np.__version__} in {PIN}")
+          f"under numpy {np.__version__}, SIMD targets {simd_targets()}, in {PIN}")
     changed = changed_digests(old["digests"], digests)
     print(f"{len(changed)} changed against the table pinned under numpy {old['numpy']}:"
           if changed else "no digest changed")
