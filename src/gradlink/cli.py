@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import attack as attack_mod
 from .config import ExperimentConfig, FilesSpec, load_experiment, parse_experiment
 from .corpus import generate_synthetic, load_text_shards
@@ -40,6 +42,8 @@ EXIT_DIVERGED = 3
 SUMMARY_COLUMNS = (
     "seed", "config_hash", "purity", "rand_index", "mutual_information", "status", "error"
 )
+# The summary metrics that means.csv averages over seeds.
+MEAN_METRICS = ("purity", "rand_index", "mutual_information")
 
 
 def _build_shards(cfg: ExperimentConfig):
@@ -227,16 +231,41 @@ def cmd_sweep(args) -> int:
         for i, ((overrides, _), result) in enumerate(zip(cells, results))
     ]
 
-    fieldnames = list(dict.fromkeys(["cell", *cells[0][0], *SUMMARY_COLUMNS]))
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+    summary_path, means_path = out_dir / "summary.csv", out_dir / "means.csv"
+    _write_csv(summary_path, list(dict.fromkeys(["cell", *cells[0][0], *SUMMARY_COLUMNS])), rows)
+    _write_csv(means_path, *_seed_means(rows, [a for a in cells[0][0] if a != "seed"]))
     failures = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep: {len(rows)} cells, {failures} failed")
     print(f"summary: {summary_path}")
+    print(f"means: {means_path}")
     return EXIT_OK
+
+
+def _write_csv(path: Path, fieldnames: list, rows: list) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _seed_means(rows: list, axes: list):
+    """The columns and rows of means.csv: one row per combination of the
+    summary's `axes` values, in the order the summary first holds it, with
+    its ok and failed cell counts and each metric's mean and sample standard
+    deviation over the ok cells; "" where there are too few to give one."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[a] for a in axes), []).append(row)
+    means = []
+    for key, group in groups.items():
+        ok = [r for r in group if r["status"] == "ok"]
+        means.append(dict(zip(axes, key), ok=len(ok), failed=len(group) - len(ok)))
+        for m in MEAN_METRICS:
+            values = np.array([r[m] for r in ok], dtype=np.float64)
+            means[-1][f"{m}_mean"] = float(values.mean()) if len(ok) else ""
+            means[-1][f"{m}_std"] = float(values.std(ddof=1)) if len(ok) > 1 else ""
+    stats = [f"{m}_{s}" for m in MEAN_METRICS for s in ("mean", "std")]
+    return [*axes, "ok", "failed", *stats], means
 
 
 def _sweep_results(runs, jobs: int) -> list:

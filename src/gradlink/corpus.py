@@ -76,41 +76,28 @@ class SyntheticSpec:
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Tuple[List[ClientShard], Vocab]:
     """Each client draws tokens from a mixture: `overlap` from the shared
     vocabulary, the rest from its private topic vocabulary. Deterministic
-    under seed."""
-    tokens = list(RESERVED)
-    shared_ids = np.arange(len(tokens), len(tokens) + spec.shared_vocab_size)
-    tokens += [f"shared{j}" for j in range(spec.shared_vocab_size)]
-    topic_ids = []
-    for c in range(spec.n_clients):
-        ids = np.arange(len(tokens), len(tokens) + spec.topic_vocab_size)
-        tokens += [f"topic{c}_{j}" for j in range(spec.topic_vocab_size)]
-        topic_ids.append(ids)
-    vocab = Vocab(tokens)
-
+    under seed. A client's corpus is drawn in whole arrays from its own
+    stream: every sentence length, then a topic id per token, then, with a
+    shared vocabulary, which tokens are shared and a shared id for each of
+    those. Its sentences are consecutive views of one int64 array."""
+    shared = [f"shared{j}" for j in range(spec.shared_vocab_size)]
+    vocab = Vocab([*RESERVED, *shared, *(
+        f"topic{c}_{j}" for c in range(spec.n_clients) for j in range(spec.topic_vocab_size))])
     lo, hi = spec.sentence_len
+    n_sentences = spec.train_sentences + spec.valid_sentences
     shards = []
     for c in range(spec.n_clients):
         rng = labeled_rng(seed, f"corpus.client{c}")
-        sentences = []
-        for _ in range(spec.train_sentences + spec.valid_sentences):
-            length = int(rng.integers(lo, hi + 1))
-            from_shared = rng.random(length) < spec.overlap
-            # ids[rng.integers(0, len(ids), size)] draws what rng.choice(ids,
-            # size) draws, and leaves the generator in the same state
-            sent = np.where(
-                from_shared & (spec.shared_vocab_size > 0),
-                shared_ids[rng.integers(0, len(shared_ids), size=length)]
-                if spec.shared_vocab_size else 0,
-                topic_ids[c][rng.integers(0, len(topic_ids[c]), size=length)],
-            ).astype(np.int64)
-            sentences.append(sent)
-        shards.append(
-            ClientShard(
-                client_id=c,
-                train=sentences[: spec.train_sentences],
-                valid=sentences[spec.train_sentences :],
-            )
-        )
+        lengths = rng.integers(lo, hi + 1, size=n_sentences)
+        first = len(RESERVED) + len(shared) + c * spec.topic_vocab_size
+        tokens = rng.integers(first, first + spec.topic_vocab_size, size=lengths.sum())
+        if shared:
+            from_shared = rng.random(len(tokens)) < spec.overlap
+            tokens[from_shared] = rng.integers(
+                len(RESERVED), len(RESERVED) + len(shared), size=from_shared.sum())
+        sentences = np.split(tokens, np.cumsum(lengths[:-1])) if n_sentences else []
+        shards.append(ClientShard(
+            c, train=sentences[: spec.train_sentences], valid=sentences[spec.train_sentences :]))
     return shards, vocab
 
 

@@ -74,8 +74,8 @@ class FedConfig:
 class LocalTraining:
     """A run's local-training state, built once: every client's batches,
     each step's as one checked `model.BatchPlan`, plus the (K, P) replica
-    stack, the DP config, each shard's DP noise stream and, in a run with
-    noise, one (K, P) noise buffer, all of which every round reuses.
+    stack, the DP config and, in a run with noise, each shard's DP noise
+    stream and one (K, P) noise buffer, all of which every round reuses.
 
     Row r of the stack trains shard `order[r]`. Shards are sorted by
     training-window count, largest first, ties by position, so at each local
@@ -133,7 +133,7 @@ def local_training(
             plan = plan_batch(model_cfg, windows, targets, grads[lo:hi])
             steps.append((GlobalModel(model_cfg, params[lo:hi]), members, plan))
             lo = hi
-    dp_rngs = [labeled_rng(cfg.seed, f"dp.client{s.client_id}") for s in shards]
+    dp_rngs = [labeled_rng(cfg.seed, f"dp.client{s.client_id}") for s in shards] if noisy else []
     return LocalTraining(
         order, params, steps, dp_cfg, dp_rngs, np.empty_like(params) if noisy else None
     )

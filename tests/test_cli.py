@@ -24,7 +24,7 @@ from gradlink.cli import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from gradlink.config import AttackSpec, FilesSpec, load_experiment, parse_experiment
 from gradlink.corpus import MAX_SENTENCE_TOKENS, SyntheticSpec, generate_synthetic
 from gradlink.dp import DpConfig
-from gradlink.errors import ConfigError, InputError, UsageError
+from gradlink.errors import ConfigError, DivergedError, InputError, UsageError
 from gradlink.fedsim import FedConfig, run_simulation
 from gradlink.model import ModelArch, ModelConfig, layer_names
 from gradlink.report import build_report, read_sidecar, render_report, write_report, write_sidecar
@@ -1361,6 +1361,11 @@ def test_sweep_sigma_axis(tmp_path, capsys):
         ('"greedy"', "0.0"), ('"greedy"', "0.5"), ('"kmeans"', "0.0"), ('"kmeans"', "0.5")]
     assert all(r["status"] == "ok" for r in rows)
 
+    # without a seed axis, means.csv has one row per cell, with n = 1 and no spread
+    assert [(r["attack.method"], r["dp.sigma"], r["ok"], r["failed"], r["purity_mean"],
+             r["purity_std"]) for r in _means_rows(out_dir)] == [
+        (r["attack.method"], r["dp.sigma"], "1", "0", r["purity"], "") for r in rows]
+
     cells = sorted(out_dir.glob("cell_*"))
     assert [cell.name for cell in cells] == ["cell_000", "cell_001", "cell_002", "cell_003"]
     for cell in cells:
@@ -1537,6 +1542,51 @@ def test_sweep_rows_are_the_same_for_any_jobs_and_a_diverged_cell_fails(tmp_path
                for i in range(4)]
     assert [c["seed"] for c in configs] == [3, 4, 3, 4]
     assert all(r["error"].startswith("DivergedError: ") for r in rows if r["status"] == "failed")
+
+
+_RUN_SWEEP_CELL = cli.run_sweep_cell
+
+
+def _fail_greedy_seed_4(cell_dir, doc):
+    """`run_sweep_cell`, but for the greedy cell of seed 4, which fails."""
+    if doc["seed"] == 4 and doc["attack"]["method"] == "greedy":
+        raise DivergedError("planted failure")
+    return _RUN_SWEEP_CELL(cell_dir, doc)
+
+
+def _means_rows(out_dir):
+    with open(out_dir / "means.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_means_are_numpy_over_the_summary(tmp_path, monkeypatch, capsys):
+    """means.csv has one row per combination of the axes other than `seed`,
+    with its ok and failed counts and each metric's mean and sample standard
+    deviation over the ok rows of summary.csv; the failed row is counted and
+    never averaged."""
+    monkeypatch.setattr(cli, "run_sweep_cell", _fail_greedy_seed_4)  # runs in the workers
+    grid = {"seed": [3, 4, 5], "attack.method": ["greedy", "kmeans"]}
+    doc = {"base": _base_config(), "grid": grid}
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "--config", str(_write_config(tmp_path, doc, "grid.json")),
+            "--out-dir", str(out_dir)]
+    assert main(argv) == EXIT_OK
+    assert f"means: {out_dir / 'means.csv'}" in capsys.readouterr().out
+    summary = _summary_rows(out_dir)
+    assert [r["status"] for r in summary] == ["ok", "failed", "ok", "ok", "ok", "ok"]
+    means = _means_rows(out_dir)
+    assert list(means[0]) == ["attack.method", "ok", "failed"] + [
+        f"{m}_{s}" for m in ("purity", "rand_index", "mutual_information") for s in ("mean", "std")]
+    assert [(r["attack.method"], r["ok"], r["failed"]) for r in means] == [
+        ('"greedy"', "2", "1"), ('"kmeans"', "3", "0")]
+    for row in means:
+        ok = [r for r in summary if r["attack.method"] == row["attack.method"]
+              and r["status"] == "ok"]
+        for metric in ("purity", "rand_index", "mutual_information"):
+            values = np.array([float(r[metric]) for r in ok])
+            assert float(row[f"{metric}_mean"]) == pytest.approx(values.mean(), rel=1e-12)
+            assert float(row[f"{metric}_std"]) == pytest.approx(
+                values.std(ddof=1), rel=1e-12, abs=1e-15)
 
 
 def test_dp_sweep_rows_are_the_same_for_any_jobs(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import stats
 
 from gradlink import corpus
 from gradlink.corpus import (
@@ -26,29 +29,35 @@ def _token_set(shard):
     return set(int(t) for sent in shard.train + shard.valid for t in sent)
 
 
-def _choice_synthetic(spec, seed):
-    """The generator as it drew tokens with `rng.choice`, one call per
-    sentence and vocabulary: its shards and each client's generator at the
-    end."""
-    shared_ids = np.arange(2, 2 + spec.shared_vocab_size)
-    topic_ids = [
-        np.arange(start, start + spec.topic_vocab_size)
-        for start in range(2 + spec.shared_vocab_size, 2 + spec.shared_vocab_size
-                           + spec.n_clients * spec.topic_vocab_size, spec.topic_vocab_size)
-    ]
+def _reference_synthetic(spec, seed):
+    """The generator's draw order written out token by token: each client
+    draws every sentence length, then a topic index per token, then, with a
+    shared vocabulary, a uniform per token and a shared index for each token
+    whose uniform is below `overlap`. Its shards and each client's generator
+    at the end."""
+    n_shared, n_topic = spec.shared_vocab_size, spec.topic_vocab_size
     lo, hi = spec.sentence_len
     shards, rngs = [], []
     for c in range(spec.n_clients):
         rng = labeled_rng(seed, f"corpus.client{c}")
-        sentences = []
-        for _ in range(spec.train_sentences + spec.valid_sentences):
-            length = int(rng.integers(lo, hi + 1))
-            from_shared = rng.random(length) < spec.overlap
-            sentences.append(np.where(
-                from_shared & (spec.shared_vocab_size > 0),
-                rng.choice(shared_ids, size=length) if spec.shared_vocab_size else 0,
-                rng.choice(topic_ids[c], size=length),
-            ).astype(np.int64))
+        lengths = rng.integers(lo, hi + 1, size=spec.train_sentences + spec.valid_sentences)
+        topic = rng.integers(0, n_topic, size=int(lengths.sum())).tolist()
+        is_shared = [False] * len(topic)
+        picks = []
+        if n_shared:
+            is_shared = [u < spec.overlap for u in rng.random(len(topic)).tolist()]
+            picks = rng.integers(0, n_shared, size=sum(is_shared)).tolist()
+        tokens, next_pick = [], 0
+        for t, from_shared in zip(topic, is_shared):
+            if from_shared:
+                tokens.append(2 + picks[next_pick])
+                next_pick += 1
+            else:
+                tokens.append(2 + n_shared + c * n_topic + t)
+        sentences, start = [], 0
+        for n in lengths.tolist():
+            sentences.append(np.array(tokens[start : start + n], dtype=np.int64))
+            start += n
         shards.append(sentences)
         rngs.append(rng)
     return shards, rngs
@@ -63,24 +72,30 @@ SYNTHETIC_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", SYNTHETIC_CASES)
-def test_generation_equals_the_choice_generator(case, monkeypatch):
-    """Each token draw is an index draw into the vocabulary, which draws the
-    same numbers as `rng.choice` and leaves each client's generator in the
-    same state, so every shard is bitwise the old one."""
+def _recording(monkeypatch, wrap=lambda rng: rng):
+    """Make `corpus.labeled_rng` record each generator it hands out, as
+    `wrap` makes it; returns the list of them."""
     made = []
 
     def recording_rng(seed, label):
-        made.append(labeled_rng(seed, label))
+        made.append(wrap(labeled_rng(seed, label)))
         return made[-1]
 
     monkeypatch.setattr(corpus, "labeled_rng", recording_rng)
+    return made
+
+
+@pytest.mark.parametrize("case", SYNTHETIC_CASES)
+def test_generation_equals_the_per_token_reference(case, monkeypatch):
+    """Every shard is bitwise the per-token reference's, and each client's
+    generator ends in the reference's state."""
+    made = _recording(monkeypatch)
     spec = SyntheticSpec(n_clients=3, train_sentences=6, valid_sentences=2,
                          **SYNTHETIC_CASES[case])
     for seed in (0, 1, 7, 123):
         made.clear()
         shards, _ = generate_synthetic(spec, seed)
-        expected, expected_rngs = _choice_synthetic(spec, seed)
+        expected, expected_rngs = _reference_synthetic(spec, seed)
         for shard, sentences in zip(shards, expected):
             got = shard.train + shard.valid
             assert len(got) == len(sentences)
@@ -89,6 +104,77 @@ def test_generation_equals_the_choice_generator(case, monkeypatch):
         assert [r.bit_generator.state for r in made] == [
             r.bit_generator.state for r in expected_rngs
         ]
+
+
+@pytest.mark.parametrize("overlap", [0.3, 0.5])
+def test_token_distribution(overlap):
+    """Oracles of the distribution alone, which hold under any draw order:
+    over about 22k tokens per client, the shared fraction is within four
+    binomial standard deviations of `overlap`; the sentence lengths, topic
+    ids and shared ids pass a chi-square test of uniformity; and every
+    token lies in its client's topic vocabulary or in the shared one."""
+    spec = SyntheticSpec(n_clients=2, train_sentences=2000, valid_sentences=500,
+                         sentence_len=(2, 16), topic_vocab_size=15, shared_vocab_size=20,
+                         overlap=overlap)
+    lo, hi = spec.sentence_len
+    for seed in (0, 1):
+        shards, vocab = generate_synthetic(spec, seed)
+        shared = np.array([vocab.token_to_id[f"shared{j}"] for j in range(20)])
+        for shard in shards:
+            c = shard.client_id
+            topic = np.array([vocab.token_to_id[f"topic{c}_{j}"] for j in range(15)])
+            sentences = shard.train + shard.valid
+            tokens = np.concatenate(sentences)
+            assert len(tokens) >= 20_000
+            assert np.isin(tokens, np.concatenate([shared, topic])).all()
+            from_shared = np.isin(tokens, shared)
+            sd = np.sqrt(overlap * (1 - overlap) / len(tokens))
+            assert abs(from_shared.mean() - overlap) < 4 * sd
+            lengths = np.array([len(s) for s in sentences])
+            for values, ids in ((lengths, np.arange(lo, hi + 1)),
+                                (tokens[~from_shared], topic), (tokens[from_shared], shared)):
+                counts = (values[:, None] == ids).sum(axis=0)
+                assert counts.sum() == len(values)
+                assert stats.chisquare(counts).pvalue > 1e-3
+
+
+class _CountingRng:
+    """A generator whose method calls are counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("shared_vocab_size, calls", [(20, 4), (0, 2)])
+def test_generator_calls_do_not_grow_with_the_sentence_count(
+    shared_vocab_size, calls, monkeypatch
+):
+    """Each client's stream is read by a fixed number of calls, the same
+    for 3 sentences as for 300: four with a shared vocabulary, two
+    without."""
+    made = _recording(monkeypatch, _CountingRng)
+    for train, valid in ((2, 1), (200, 100)):
+        made.clear()
+        spec = SyntheticSpec(n_clients=3, train_sentences=train, valid_sentences=valid,
+                             shared_vocab_size=shared_vocab_size, overlap=0.5)
+        shards, _ = generate_synthetic(spec, 0)
+        assert sum(len(s.train) + len(s.valid) for s in shards) == 3 * (train + valid)
+        assert [r.calls for r in made] == [calls] * 3
+
+
+def test_no_sentences_gives_empty_shards():
+    spec = SyntheticSpec(n_clients=2, train_sentences=0, valid_sentences=0)
+    shards, _ = generate_synthetic(spec, 0)
+    assert [(s.train, s.valid) for s in shards] == [([], []), ([], [])]
 
 
 def test_overlap_zero_gives_disjoint_clients():
@@ -131,6 +217,11 @@ def test_train_valid_counts_and_disjoint_storage():
     for s in shards:
         assert len(s.train) == 7
         assert len(s.valid) == 3
+    # the sentences are views, of one array per client: no two may overlap,
+    # within a split, across train and valid, or across clients
+    sentences = [x for s in shards for x in s.train + s.valid]
+    for a, b in itertools.combinations(sentences, 2):
+        assert not np.shares_memory(a, b)
 
 
 @given(st.lists(st.sampled_from(["tok_a", "tok_b", "tok_c"]), min_size=1, max_size=15))

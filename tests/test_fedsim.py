@@ -228,6 +228,27 @@ def test_noisy_lockstep_step_is_the_dp_sgd_step():
                                                                  + np.abs(noise)))
 
 
+@pytest.mark.parametrize("dp_cfg, streams", [
+    (None, 0), (DpConfig(clip=1.0, sigma=0.0), 0), (DpConfig(clip=1.0, sigma=0.3), 3)
+])
+def test_dp_streams_are_built_only_for_a_run_with_noise(dp_cfg, streams, monkeypatch):
+    """`client_round` reads the `dp.client<i>` streams only to draw noise,
+    so a run without noise builds none of them, nor a noise buffer."""
+    labels = []
+
+    def recording_rng(seed, label):
+        labels.append(label)
+        return labeled_rng(seed, label)
+
+    monkeypatch.setattr(fedsim, "labeled_rng", recording_rng)
+    fed, mcfg, shards = _setup()
+    clients = local_training(shards, fed, mcfg, dp_cfg)
+    dp_labels = [label for label in labels if label.startswith("dp.")]
+    assert dp_labels == [f"dp.client{s.client_id}" for s in shards][:streams]
+    assert len(clients.dp_rngs) == streams
+    assert (clients.noise is None) == (streams == 0)
+
+
 def _byte_order_average(rows):
     """The average of `rows`, summed one row after another in the order of
     their bytes: FedAvg's canonical order, which no arrival order moves."""
@@ -374,6 +395,8 @@ def test_training_stays_float32_from_end_to_end(monkeypatch, dp_cfg):
 
 
 def test_sigma_zero_run_draws_no_noise(monkeypatch):
+    """A run with sigma 0 does not even build a noise stream, so it cannot
+    draw from one."""
     made = {}
 
     def recording_rng(seed, label):
@@ -384,10 +407,8 @@ def test_sigma_zero_run_draws_no_noise(monkeypatch):
     shards, mcfg = _uneven_shards()
     fed = FedConfig(clients=len(shards), rounds=2, seed=2, batch_size=4)
     run_simulation(fed, mcfg, shards, DpConfig(clip=0.5, sigma=0.0))
-    dp_labels = [label for label in made if label.startswith("dp.")]
-    assert len(dp_labels) == len(shards)
-    for label in dp_labels:
-        assert made[label].bit_generator.state == labeled_rng(fed.seed, label).bit_generator.state
+    assert [label for label in made if label.startswith("dp.")] == []
+    assert [label for label in made if label.startswith("batch.")]  # the recording works
 
 
 def _pool_recorder(monkeypatch):
